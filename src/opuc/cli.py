@@ -161,7 +161,12 @@ def _map(fn, items):
 
 
 def _load_weight(cfg: RunConfig):
-    spec = weight_from_json(cfg.weight_doc)
+    try:
+        spec = weight_from_json(cfg.weight_doc)
+    except KeyError as exc:
+        raise ConfigError(f"weight spec is missing key {exc.args[0]!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid weight spec: {exc}")
     base = spec.base if isinstance(spec, ZeroModifiedWeight) else spec
     diag = validate(spec if isinstance(spec, AnalyticWeight) else base, 256)
     if not diag.ok:
@@ -195,47 +200,32 @@ def cmd_oracle(cfg: RunConfig) -> int:
                 for n in range(n_max + 1)])
     base = spec.base if isinstance(spec, ZeroModifiedWeight) else spec
     rho = base.rho or 0.0
-
-    def zero_rows(n):
-        zs = roots(result.phi_monic[n])
-        cl = classify(zs, rho)
-        out = []
-        for z in zs.zeros:
-            if rho > 0.0 and abs(abs(z) - rho) <= cl.margin:
-                label = "band"
-            elif rho > 0.0 and abs(z) <= rho - cl.margin:
-                label = "interior"
-            else:
-                label = "other"
-            out.append({"re": float(z.real), "im": float(z.imag), "class": label})
-        return out
-
     for n in cfg.n_list:
         _write_json(os.path.join(cfg.outputs, f"phi_{n}.json"), cfg,
                     {"schema": "opuc.phi/1", "n": n,
                      "monic_coefficients": [complex(c) for c in result.phi_monic[n]]})
+        zs = roots(result.phi_monic[n])
+        labels = classify(zs, rho).labels
         _write_json(os.path.join(cfg.outputs, f"zeros_{n}.json"), cfg,
-                    {"schema": "opuc.zeros/1", "n": n, "zeros": zero_rows(n)})
+                    {"schema": "opuc.zeros/1", "n": n,
+                     "zeros": [{"re": z.real, "im": z.imag, "class": label}
+                               for z, label in zip(zs.zeros.tolist(), labels.tolist())]})
     if cfg.fmt == "json":
         _write_json(os.path.join(cfg.outputs, "result.json"), cfg,
-                    {"schema": "opuc.result/1", **_result_to_plain(result)})
+                    {"schema": "opuc.result/1", "n_max": result.n_max,
+                     "alpha": result.alpha.tolist(),
+                     "kappa": result.kappa.tolist(),
+                     "log_det": result.log_det.tolist(),
+                     "phi_monic": [p.tolist() for p in result.phi_monic]})
     return 0
-
-
-def _result_to_plain(result) -> dict:
-    doc = result.to_dict()
-    return {"n_max": doc["n_max"],
-            "alpha": [complex(a, b) for a, b in doc["alpha"]],
-            "kappa": doc["kappa"],
-            "log_det": doc["log_det"],
-            "phi_monic": [[complex(a, b) for a, b in row]
-                          for row in doc["phi_monic"]]}
 
 
 def _predict_scattering(cfg: RunConfig, spec) -> int:
     if not isinstance(spec, AnalyticWeight):
         raise ConfigError("method=scattering applies to analytic weights")
     K = cfg.K or default_truncation_order(cfg.n_max)
+    if K < cfg.n_max + 1:
+        raise ConfigError(f"K = {K} is below n_max + 1 = {cfg.n_max + 1}")
     sz = szego_data_for(spec, K)
     r = cfg.r
     if r is not None and not (sz.rho < r < 1.0):
@@ -293,7 +283,11 @@ def _predict_essential(cfg: RunConfig, spec) -> int:
     inverse = spec.name == "inverse_essential"
     rows = []
     for n in cfg.n_list:
-        sd = saddle_solve(spec.rho, n, inverse=inverse)
+        try:
+            sd = saddle_solve(spec.rho, n, inverse=inverse)
+        except (RuntimeError, ValueError) as exc:
+            raise ConfigError(f"degree {n} is outside the saddle regime at "
+                              f"rho = {spec.rho}: {exc}")
         a = (verblunsky_essential_asymptote(spec.rho, n, spec)
              if not inverse else complex(float("nan"), float("nan")))
         rows.append((n, a.real, a.imag, sd.t_plus.real, sd.t_plus.imag, sd.residual))
@@ -443,13 +437,12 @@ def cmd_compare(cfg: RunConfig) -> int:
         mismatches = []
         for n_str, pts in zero_doc.items():
             n = int(n_str)
-            path = os.path.join(out, f"phi_{n}.json")
+            path = os.path.join(out, f"zeros_{n}.json")
             if not os.path.exists(path):
                 continue
             with open(path) as fh:
-                coeffs = [complex(c["re"], c["im"])
-                          for c in json.load(fh)["monic_coefficients"]]
-            zs = roots(coeffs).zeros
+                zs = np.array([complex(z["re"], z["im"])
+                               for z in json.load(fh)["zeros"]])
             actual = int(np.sum(np.abs(zs) <= 0.4))
             if actual != len(pts):
                 mismatches.append({"n": n, "predicted": len(pts), "actual": actual})

@@ -98,15 +98,6 @@ class OpucResult:
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
                                                 self.phi_monic[n])
 
-    def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "alpha": [[a.real, a.imag] for a in self.alpha],
-            "kappa": [float(k) for k in self.kappa],
-            "log_det": [float(v) for v in self.log_det],
-            "phi_monic": [[[c.real, c.imag] for c in p] for p in self.phi_monic],
-        }
-
 
 def szego_recurrence(moms: Moments, N: int) -> OpucResult:
     """Monic OPUC by the Szego recurrence on moment data.

@@ -8,7 +8,6 @@ the clustering and equidistribution laws speak about.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +80,7 @@ class ZeroClassification:
     interior: np.ndarray      # |z| <= rho - margin
     band: np.ndarray          # | |z| - rho | <= margin
     other: np.ndarray
+    labels: np.ndarray        # "interior" / "band" / "other" per zero, input order
     band_mean_modulus: float
     band_modulus_spread: float
     angular_gaps: np.ndarray  # consecutive gaps of band zeros sorted by argument
@@ -93,22 +93,19 @@ def classify(zs: ZeroSet, rho: float, margin: float | None = None) -> ZeroClassi
         margin = 0.15 * rho if rho > 0 else 0.0
     z = zs.zeros
     absz = np.abs(z)
-    if rho <= 0.0:
-        empty = np.array([], dtype=complex)
-        return ZeroClassification(rho, margin, empty, empty, z.copy(),
-                                  math.nan, math.nan, np.array([]), True)
-    band_mask = np.abs(absz - rho) <= margin
-    interior_mask = (absz <= rho - margin) & ~band_mask
-    band = z[band_mask]
-    interior = z[interior_mask]
-    other = z[~band_mask & ~interior_mask]
-    if band.size < 4:
-        return ZeroClassification(rho, margin, interior, band, other,
+    labels = np.full(z.size, "other", dtype="<U8")
+    if rho > 0.0:
+        band_mask = np.abs(absz - rho) <= margin
+        labels[band_mask] = "band"
+        labels[(absz <= rho - margin) & ~band_mask] = "interior"
+    interior, band, other = (z[labels == name] for name in ("interior", "band", "other"))
+    if band.size < 4:   # rho = 0 or too few band zeros
+        return ZeroClassification(rho, margin, interior, band, other, labels,
                                   math.nan, math.nan, np.array([]), True)
     args = np.sort(np.angle(band))
     gaps = np.diff(np.concatenate([args, args[:1] + 2.0 * np.pi]))
     mods = np.abs(band)
-    return ZeroClassification(rho, margin, interior, band, other,
+    return ZeroClassification(rho, margin, interior, band, other, labels,
                               float(np.mean(mods)),
                               float(np.max(mods) - np.min(mods)),
                               gaps, False)
@@ -145,11 +142,48 @@ class MatchResult:
     unmatched_actual: tuple
 
 
-def match(predicted, actual, exhaustive_limit: int = 7) -> MatchResult:
-    """Pair predicted with actual points by distance.
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a k x L cost matrix, k <= L, at minimal
+    total cost.
 
-    Exhaustive assignment (optimal) when the smaller list has at most
-    exhaustive_limit entries, greedy nearest-neighbor beyond that; the
+    Shortest augmenting paths on reduced costs with row and column
+    potentials (Kuhn 1955; Jonker & Volgenant 1987), one Dijkstra-like sweep
+    per row, O(k^2 L) in all.  Row and column 0 are a virtual start.
+    """
+    k, L = cost.shape
+    c = np.pad(cost, ((1, 0), (1, 0)))
+    u, v = np.zeros(k + 1), np.zeros(L + 1)
+    owner = np.zeros(L + 1, dtype=int)    # row holding each column, 0 if free
+    way = np.zeros(L + 1, dtype=int)      # previous column on the shortest path
+    for i in range(1, k + 1):
+        owner[0], j0 = i, 0
+        minv = np.full(L + 1, math.inf)
+        used = np.zeros(L + 1, dtype=bool)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            reduced = c[i0] - u[i0] - v
+            better = ~used & (reduced < minv)
+            minv[better] = reduced[better]
+            way[better] = j0
+            j0 = int(np.argmin(np.where(used, math.inf, minv)))
+            delta = minv[j0]
+            u[owner[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+        while j0:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    cols = np.flatnonzero(owner[1:])
+    assign = np.empty(k, dtype=int)
+    assign[owner[cols + 1] - 1] = cols
+    return assign
+
+
+def match(predicted, actual) -> MatchResult:
+    """Pair predicted with actual points at minimal total distance.
+
+    Every point of the shorter list is paired (optimal assignment); the
     surplus of the longer list is reported unmatched.
     """
     pred = np.asarray(list(predicted), dtype=complex)
@@ -159,34 +193,12 @@ def match(predicted, actual, exhaustive_limit: int = 7) -> MatchResult:
     swap = pred.size > act.size
     small, large = (act, pred) if swap else (pred, act)
     dist = np.abs(small[:, None] - large[None, :])
-    k = small.size
-    if k <= exhaustive_limit:
-        best, best_cost = None, math.inf
-        for perm in itertools.permutations(range(large.size), k):
-            cost = float(sum(dist[i, perm[i]] for i in range(k)))
-            if cost < best_cost:
-                best, best_cost = perm, cost
-        assign = list(best)
-    else:
-        assign, taken = [], set()
-        for i in np.argsort(np.min(dist, axis=1)):
-            j = min((j for j in range(large.size) if j not in taken),
-                    key=lambda j: dist[i, j])
-            taken.add(j)
-            assign.append(j)
-        # restore row order
-        order = np.argsort(np.argsort(np.min(dist, axis=1)))
-        assign = [assign[o] for o in order]
+    assign = _assign(dist).tolist()
     pairs = []
     for i, j in enumerate(assign):
         pi, ai = (j, i) if swap else (i, j)
         pairs.append((pi, ai, float(dist[i, j])))
     pairs.sort()
-    matched_large = set(assign)
-    unmatched_large = tuple(j for j in range(large.size) if j not in matched_large)
-    if swap:
-        unmatched_pred, unmatched_act = unmatched_large, ()
-    else:
-        unmatched_pred, unmatched_act = (), unmatched_large
+    unmatched = tuple(j for j in range(large.size) if j not in assign)
     return MatchResult(tuple(pairs), np.array([p[2] for p in pairs]),
-                       unmatched_pred, unmatched_act)
+                       *((unmatched, ()) if swap else ((), unmatched)))

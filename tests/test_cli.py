@@ -3,7 +3,11 @@ import json
 import math
 import os
 
+import pytest
+
 from opuc.cli import main
+from opuc.oracle import moments, szego_recurrence
+from opuc.weights import bernstein_szego
 
 
 def write_config(path, weight, n_list, outputs, **extra):
@@ -110,7 +114,7 @@ def test_predict_essential_level_curve(tmp_path):
     assert {int(r[2]) for r in data} == {0, 1}
 
 
-def test_predict_zero_weight_parity_and_compare(tmp_path):
+def test_predict_zero_weight_parity_and_compare(tmp_path, monkeypatch):
     weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
               "zeros": [{"angle": 0.0, "beta": 0.5},
                         {"angle": math.pi, "beta": 0.5}]}
@@ -121,6 +125,11 @@ def test_predict_zero_weight_parity_and_compare(tmp_path):
     _, data = read_csv(tmp_path / "out" / "predictions.csv")
     counts = {int(r[0]): int(r[2]) for r in data}
     assert counts == {15: 1, 16: 0, 17: 1, 18: 0}
+
+    def no_roots(*args, **kwargs):
+        raise AssertionError("compare must read the oracle's zeros, not recompute them")
+
+    monkeypatch.setattr("opuc.cli.roots", no_roots)
     assert main(["compare", "--config", cfg]) == 0
     report = json.load(open(tmp_path / "out" / "report.json"))
     assert any(c["name"] == "interior-zero-count" and c["passed"]
@@ -140,6 +149,13 @@ def test_oracle_reproducibility_artifacts(tmp_path):
     assert sum(z["class"] == "band" for z in zeros_doc["zeros"]) >= 23
     result = json.load(open(tmp_path / "out" / "result.json"))
     assert result["n_max"] == 25 and len(result["phi_monic"]) == 26
+    oracle = szego_recurrence(moments(bernstein_szego(2.0), 26), 25)
+    as_complex = lambda zs: [complex(z["re"], z["im"]) for z in zs]
+    assert as_complex(result["alpha"]) == oracle.alpha.tolist()
+    assert result["kappa"] == oracle.kappa.tolist()
+    assert result["log_det"] == oracle.log_det.tolist()
+    assert [as_complex(p) for p in result["phi_monic"]] == [
+        p.tolist() for p in oracle.phi_monic]
 
 
 def test_predict_scattering_manifest(tmp_path):
@@ -173,6 +189,23 @@ def test_invalid_configs(tmp_path):
                            tmp_path / "out", r=0.7)
     os.rename(missing, missing)  # keep flake quiet about unused name
     assert main(["oracle", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("weight, method, extra", [
+    ({"kind": "no_such_weight"}, None, {}),
+    ({"kind": "bernstein_szego"}, None, {}),
+    ({"kind": "bernstein_szego", "c": 0.5}, None, {}),
+    ({"kind": "bernstein_szego", "c": 2.0}, "scattering", {"K": 1}),
+    ({"kind": "essential", "rho": 0.5}, "essential", {}),
+])
+def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra):
+    n_list = [5] if method == "essential" else [2]
+    cfg = write_config(tmp_path / "cfg.json", weight, n_list, tmp_path / "out",
+                       **extra)
+    argv = ["predict", "--method", method] if method else ["oracle"]
+    assert main(argv + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("opuc: config error: ") and err.count("\n") == 1
 
 
 def test_compare_missing_inputs(tmp_path):

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -63,10 +66,24 @@ def test_classify_bernstein(bs2_oracle):
     assert abs(cl.band_mean_modulus - 0.5) <= 0.05
 
 
+def test_classify_labels_partition():
+    true_roots = [0.1, -0.2j, 0.5, 0.5j, -0.48, -0.52j, 0.9, -0.95, 0.8j]
+    coeffs = np.array([1.0 + 0.0j])
+    for r in true_roots:
+        coeffs = np.convolve(coeffs, [-r, 1.0])
+    zs = roots(coeffs)
+    cl = classify(zs, 0.5, 0.1)
+    assert sorted(cl.labels) == ["band"] * 4 + ["interior"] * 2 + ["other"] * 3
+    for name in ("interior", "band", "other"):
+        np.testing.assert_array_equal(zs.zeros[cl.labels == name], getattr(cl, name))
+
+
 def test_classify_degenerate_at_origin():
     zs = roots([0.0] * 10 + [1.0])
     cl = classify(zs, 0.0)
     assert cl.degenerate
+    assert list(cl.labels) == ["other"] * 10
+    np.testing.assert_array_equal(zs.zeros[cl.labels == "other"], cl.other)
     report = equidistribution_check(cl, 10)
     assert report["degenerate"] and report["flag"] == "no band"
 
@@ -117,8 +134,27 @@ def test_match_reports_surplus():
 def test_match_greedy_large_lists():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=12) + 1j * rng.normal(size=12)
-    result = match(pts, pts, exhaustive_limit=7)
+    result = match(pts, pts)
     assert np.max(result.distances) == 0.0
+
+
+def test_match_is_optimal_and_fast():
+    rng = np.random.default_rng(11)
+    pred = rng.normal(size=6) + 1j * rng.normal(size=6)
+    act = rng.normal(size=40) + 1j * rng.normal(size=40)
+    start = time.monotonic()
+    result = match(pred, act)
+    assert time.monotonic() - start < 1.0
+    assert len(result.pairs) == 6 and len(result.unmatched_actual) == 34
+    for _ in range(40):
+        k, m = rng.integers(1, 6, size=2)
+        pred = rng.normal(size=k) + 1j * rng.normal(size=k)
+        act = rng.normal(size=m) + 1j * rng.normal(size=m)
+        small, large = (pred, act) if k <= m else (act, pred)
+        dist = np.abs(small[:, None] - large[None, :])
+        best = min(sum(dist[i, p[i]] for i in range(len(small)))
+                   for p in itertools.permutations(range(len(large)), len(small)))
+        assert abs(np.sum(match(pred, act).distances) - best) <= 1e-12
 
 
 def test_match_empty_raises():
