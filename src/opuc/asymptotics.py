@@ -357,108 +357,89 @@ class LevelCurve:
         return np.min(np.abs(zarr[:, None] - self.points[None, :]), axis=1)
 
 
-def level_curve(rho: float, n: int, inverse: bool = False, resolution: int = 400,
-                annulus: tuple = (0.55, 1.45), exclude_radius: float | None = None,
-                refine_tol: float = 1e-10) -> LevelCurve:
+# The level-curve grid: _RESOLUTION x _RESOLUTION polar cells over the radii
+# _ANNULUS * rho, skipping cells within _EXCLUDE_FRACTION * rho of z = rho,
+# where the curve pinches.
+_RESOLUTION = 400
+_ANNULUS = (0.55, 1.45)
+_EXCLUDE_FRACTION = 0.16
+_REFINE_TOL = 1e-10
+
+
+def level_curve(rho: float, n: int, inverse: bool = False) -> LevelCurve:
     """Extract the level curve Re(Psi_n(z) - Psi_n(t_+)) = level on a polar grid.
 
-    level = (1/n) log(rho^{3/4} / (2 sqrt(pi) n^{3/4})).  Crossing points are
-    refined along grid edges by bisection until the defining equation holds to
-    refine_tol; cells inside exclude_radius of the singularity z = rho are
-    skipped (the curve pinches there), and components are counted by
-    union-find over cells that carry crossings.
+    level = (1/n) log(rho^{3/4} / (2 sqrt(pi) n^{3/4})).  A cell is active when
+    its corners take both signs and all lie clear of z = rho.  Each active cell
+    puts a crossing on its radial edge at its first angle and on its angular
+    edge at its inner radius wherever these change sign, refined by bisection
+    until the defining equation holds to _REFINE_TOL (at most 60 halvings).
+    Points come in row-major cell order, radial edge first.  Components are
+    the 8-connected sets of active cells, with the angle wrapping around,
+    numbered in order of first appearance.
     """
-    if exclude_radius is None:
-        exclude_radius = 0.16 * rho   # the curve pinches at z = rho; keep clear of it
     sd = saddle_solve(rho, n, inverse=inverse)
     level = (1.0 / n) * math.log(rho ** 0.75 / (2.0 * math.sqrt(math.pi) * n ** 0.75))
     # keep the grid clear of the mirror singularity at 1/rho
-    annulus = (annulus[0], min(annulus[1], 0.5 * (1.0 + 1.0 / rho ** 2)))
+    r_outer = min(_ANNULUS[1], 0.5 * (1.0 + 1.0 / rho ** 2))
     psi_ref = float(np.real(sd.psi(sd.t_plus)))
     sign = -1.0 if inverse else 1.0
 
     def F(z):
-        z = np.asarray(z, dtype=complex)
         lam = 1.0 / (z - rho) + z / (rho * z - 1.0)
         return np.log(np.abs(z)) + (sign / n) * lam.real - psi_ref - level
 
-    rs = np.linspace(annulus[0] * rho, annulus[1] * rho, resolution + 1)
-    ths = np.linspace(-np.pi, np.pi, resolution + 1)   # wraps: first == last angle
+    m = _RESOLUTION
+    rs = np.linspace(_ANNULUS[0] * rho, r_outer * rho, m + 1)
+    ths = np.linspace(-np.pi, np.pi, m + 1)   # wraps: first == last angle
     R, T = np.meshgrid(rs, ths, indexing="ij")
     Z = R * np.exp(1j * T)
     vals = F(Z)
-    near_sing = np.abs(Z - rho) < exclude_radius
+    neg = vals < 0
 
-    def refine(z0, z1):
-        f0, f1 = float(F(z0)), float(F(z1))
-        for _ in range(60):
-            zm = 0.5 * (z0 + z1)
-            fm = float(F(zm))
-            if abs(fm) < refine_tol:
-                return zm, abs(fm)
-            if (f0 < 0) != (fm < 0):
-                z1, f1 = zm, fm
-            else:
-                z0, f0 = zm, fm
-        zm = 0.5 * (z0 + z1)
-        return zm, abs(float(F(zm)))
+    def at_all_corners(mask):
+        return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
 
-    points, cell_of_point, active = [], [], {}
-    max_resid = 0.0
-    for i in range(resolution):
-        for j in range(resolution):
-            if near_sing[i:i + 2, j:j + 2].any():
-                continue
-            corners = vals[i:i + 2, j:j + 2]
-            if np.all(corners > 0) or np.all(corners < 0):
-                continue
-            cell = (i, j)
-            active[cell] = len(active)
-            for (za, zb, fa, fb) in (
-                    (Z[i, j], Z[i + 1, j], corners[0, 0], corners[1, 0]),
-                    (Z[i, j], Z[i, j + 1], corners[0, 0], corners[0, 1])):
-                if (fa < 0) != (fb < 0):
-                    pt, resid = refine(za, zb)
-                    points.append(pt)
-                    cell_of_point.append(cell)
-                    max_resid = max(max_resid, resid)
-    if not points:
+    active = (at_all_corners(np.abs(Z - rho) >= _EXCLUDE_FRACTION * rho)
+              & ~at_all_corners(vals > 0) & ~at_all_corners(neg))
+    crossing = np.stack([neg[:-1, :-1] != neg[1:, :-1],     # radial edge
+                         neg[:-1, :-1] != neg[:-1, 1:]],    # angular edge
+                        axis=-1) & active[..., None]
+    ci, cj, angular = np.nonzero(crossing)
+    if ci.size == 0:
         raise RuntimeError("no level-curve crossings found at the requested level")
 
-    parent = list(range(len(active)))
+    # masked bisection: each edge stops once |F| < _REFINE_TOL, else after 60 halvings
+    z0, z1 = Z[ci, cj], Z[ci + 1 - angular, cj + angular]
+    f0 = F(z0)
+    points, resid = np.empty_like(z0), np.empty(z0.size)
+    live = np.arange(z0.size)
+    for step in range(61):
+        zm = 0.5 * (z0 + z1)
+        fm = F(zm)
+        done = (np.abs(fm) < _REFINE_TOL) | (step == 60)
+        points[live[done]], resid[live[done]] = zm[done], np.abs(fm[done])
+        live, z0, z1, f0, zm, fm = (a[~done] for a in (live, z0, z1, f0, zm, fm))
+        left = (f0 < 0) != (fm < 0)
+        z1 = np.where(left, zm, z1)
+        z0, f0 = np.where(left, z0, zm), np.where(left, f0, fm)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    wrap = resolution - 1
-    for (i, j), idx in active.items():
-        for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            jj = j + dj
-            if jj < 0:
-                jj = wrap
-            elif jj > wrap:
-                jj = 0
-            nb = (i + di, jj)
-            if nb in active:
-                union(idx, active[nb])
-        if j == wrap and (i, 0) in active:
-            union(idx, active[(i, 0)])
-
-    roots = {}
-    comp_ids = np.empty(len(points), dtype=int)
-    for k, cell in enumerate(cell_of_point):
-        root = find(active[cell])
-        comp_ids[k] = roots.setdefault(root, len(roots))
-    return LevelCurve(np.array(points), comp_ids, len(roots), psi_ref + level,
-                      sd, max_resid)
+    # components: merge active cells along 8-neighbour pairs, angle wrapping
+    cells = np.flatnonzero(active)    # i * m + j, ascending
+    ai, aj = np.divmod(cells, m)
+    di, dj = np.array([1, 0, 1, 1]), np.array([0, 1, 1, -1])
+    nb = (ai[:, None] + di) * m + (aj[:, None] + dj) % m   # past the last ring: >= m*m
+    k = np.minimum(np.searchsorted(cells, nb), cells.size - 1)
+    a, b = np.nonzero(cells[k] == nb)
+    comp = np.arange(cells.size)
+    for x, y in zip(a.tolist(), k[a, b].tolist()):
+        if comp[x] != comp[y]:
+            comp[comp == comp[y]] = comp[x]
+    _, first, inv = np.unique(comp[np.searchsorted(cells, ci * m + cj)],
+                              return_index=True, return_inverse=True)
+    comp_ids = np.argsort(np.argsort(first))[inv]
+    return LevelCurve(points, comp_ids, first.size, psi_ref + level, sd,
+                      float(resid.max()))
 
 
 # ---------------------------------------------------------------------------

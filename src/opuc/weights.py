@@ -381,6 +381,8 @@ def weight_from_json(doc: dict) -> WeightSpec:
     An optional "rho" entry overrides the derived Nevai-Totik radius (used
     by diagnostics that cross-check a declared radius).
     """
+    if not isinstance(doc, dict):
+        raise TypeError(f"a weight description must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "lebesgue":
         w = lebesgue()

@@ -34,17 +34,24 @@ class ZeroSet:
     clusters: tuple   # (representative, multiplicity) pairs
 
 
-def _polish(coeffs: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
+def _polish(coeffs: np.ndarray, z: np.ndarray, steps: int = 3) -> tuple:
+    """Newton-polish each root, keeping the start where polishing made |p| worse
+    (a tiny derivative near a clustered root can throw a good root far off).
+    Returns the roots and |p| at each."""
     deriv = np.polynomial.polynomial.polyder(coeffs)
+    start = z
+    p = np.polynomial.polynomial.polyval(z, coeffs)
+    start_resid = np.abs(p)
     for _ in range(steps):
-        p = np.polynomial.polynomial.polyval(z, coeffs)
         dp = np.polynomial.polynomial.polyval(z, deriv)
         ok = np.abs(dp) > 0
         step = np.zeros_like(z)
         np.divide(p, dp, out=step, where=ok)
         step = np.where(np.abs(step) < 0.5, step, 0.0)  # reject wild steps
         z = z - step
-    return z
+        p = np.polynomial.polynomial.polyval(z, coeffs)
+    better = np.abs(p) <= start_resid
+    return np.where(better, z, start), np.where(better, np.abs(p), start_resid)
 
 
 def roots(monic_coeffs, cluster_tol: float = 1e-7) -> ZeroSet:
@@ -56,8 +63,8 @@ def roots(monic_coeffs, cluster_tol: float = 1e-7) -> ZeroSet:
         raise ValueError("non-finite coefficients")
     n = c.size - 1
     zs = np.roots(c[::-1]).astype(complex)   # balanced companion eigenvalues
-    zs = _polish(c, zs)
-    resid = float(np.max(np.abs(np.polynomial.polynomial.polyval(zs, c))))
+    zs, resid_each = _polish(c, zs)
+    resid = float(np.max(resid_each))
     clusters = []
     used = np.zeros(n, dtype=bool)
     order = np.argsort(np.abs(zs))

@@ -114,6 +114,18 @@ def test_predict_essential_level_curve(tmp_path):
     assert {int(r[2]) for r in data} == {0, 1}
 
 
+def test_compare_essential_has_no_pole_slope_check(tmp_path):
+    # the essential asymptote's error does not fall like rho^{1.5 n}
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "essential", "rho": 0.5},
+                       list(range(10, 41)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "essential", "--config", cfg]) == 0
+    assert main(["compare", "--config", cfg]) == 0
+    report = json.load(open(tmp_path / "out" / "report.json"))
+    assert [c["name"] for c in report["checks"]] == ["alpha-error-decreasing",
+                                                     "saddle-residual"]
+
+
 def test_predict_zero_weight_parity_and_compare(tmp_path, monkeypatch):
     weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
               "zeros": [{"angle": 0.0, "beta": 0.5},
@@ -197,13 +209,25 @@ def test_invalid_configs(tmp_path):
     ({"kind": "bernstein_szego", "c": 0.5}, None, {}),
     ({"kind": "bernstein_szego", "c": 2.0}, "scattering", {"K": 1}),
     ({"kind": "essential", "rho": 0.5}, "essential", {}),
+    (3, None, {}),
+    ({"kind": "zero_modified", "base": 3, "zeros": []}, None, {}),
+    ({"kind": "bernstein_szego", "c": 2.0}, "scattering", {"K": "x"}),
+    ({"kind": "bernstein_szego", "c": 2.0}, "scattering", {"K": 3.5}),
+    ({"kind": "lebesgue"}, None, {"N_quad": 64.0}),
+    ({"kind": "lebesgue"}, None, {"N_quad": 8}),
+    ({"kind": "bernstein_szego", "c": 2.0}, "scattering", {"r": "0.7"}),
+    ({"kind": "lebesgue"}, None, {"n_list": "12"}),
+    ({"kind": "lebesgue"}, None, {"n_list": [1.5]}),
+    ({"kind": "lebesgue"}, None, {"n_list": [2, 2, 3]}),
+    ({"kind": "lebesgue"}, None, {"n_list": [True]}),
+    ({"kind": "lebesgue"}, None, {"outputs": 3}),
 ])
 def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra):
-    n_list = [5] if method == "essential" else [2]
-    cfg = write_config(tmp_path / "cfg.json", weight, n_list, tmp_path / "out",
-                       **extra)
+    doc = {"weight": weight, "n_list": [5] if method == "essential" else [2],
+           "outputs": str(tmp_path / "out"), **extra}   # extra may replace any key
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
     argv = ["predict", "--method", method] if method else ["oracle"]
-    assert main(argv + ["--config", cfg]) == 2
+    assert main(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("opuc: config error: ") and err.count("\n") == 1
 

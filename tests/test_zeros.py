@@ -4,6 +4,8 @@ import time
 import numpy as np
 import pytest
 
+from opuc.oracle import moments, szego_recurrence
+from opuc.weights import bernstein_szego
 from opuc.zeros import classify, equidistribution_check, match, roots
 
 
@@ -41,6 +43,13 @@ def test_roots_input_guards():
 def test_residual_small(bs2_oracle):
     zs = roots(bs2_oracle.phi_monic[25])
     assert zs.residual <= 1e-8 * np.max(np.abs(bs2_oracle.phi_monic[25]))
+
+
+def test_polish_never_worsens_a_root():
+    # Phi_136 of |1 - z/1.334442|^2 has roots where Phi' is tiny; a Newton
+    # step there throws an accurate eigenvalue far off (residual 0.41)
+    phi = szego_recurrence(moments(bernstein_szego(1.334442), 137), 136).phi_monic[136]
+    assert roots(phi).residual <= 1e-12
 
 
 def test_vieta_sum(bs2_oracle):
