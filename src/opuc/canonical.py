@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laurent import LaurentSeries, convolve
+from .laurent import DisjointAnnuliError, LaurentSeries, convolve
 from .szego import SzegoData, szego_function
 
 __all__ = [
@@ -57,25 +57,12 @@ def default_truncation_order(n_max: int) -> int:
 class PiecewiseSeries:
     """A function holomorphic off one circle, one Laurent series per side.
 
-    The two branches are genuinely different functions; evaluation forces an
-    explicit side, or picks it from |z| against the splitting circle.
+    The two branches are genuinely different functions, so every caller
+    picks the side it evaluates explicitly.
     """
 
     inner: LaurentSeries
     outer: LaurentSeries
-    circle_radius: float
-
-    def evaluate(self, z, side: str | None = None, boundary_tol: float = 1e-8):
-        if side is None:
-            absz = np.abs(np.asarray(z, dtype=complex))
-            if np.any(np.abs(absz - self.circle_radius) < boundary_tol):
-                raise AmbiguousRegionError(
-                    f"|z| within {boundary_tol:g} of the splitting circle "
-                    f"{self.circle_radius:.6g}")
-            side = "inner" if np.all(absz < self.circle_radius) else "outer"
-            if not (np.all(absz < self.circle_radius) or np.all(absz > self.circle_radius)):
-                raise AmbiguousRegionError("points straddle the splitting circle")
-        return (self.inner if side == "inner" else self.outer).evaluate(z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,54 +89,66 @@ class SMatrixEntries:
                 "tail_bound": {k: float(v) for k, v in self.tail_bound.items()}}
 
 
-def _shifted_projection(c: LaurentSeries, n: int, part: str) -> LaurentSeries:
-    """Riesz projection of z^n * c, truncated back to the window of c.
+def _operator(f: np.ndarray, n: int, sz: SzegoData, interior: bool) -> np.ndarray:
+    """One operator step on a coefficient array, as the (inner, outer) rows.
 
-    plus keeps exponents >= 0 (coefficients c_{e-n}), minus keeps e < 0.
+    Interior (symbol z^n S): with h = S * f, the branch inside the circle is
+    -tau^{-2} P_+(z^n h) and the branch outside is +tau^{-2} P_-(z^n h).
+    Exterior (symbol z^{-n}/S): with h = f / S, the branches are
+    +tau^2 P_+(z^{-n} h) and -tau^2 P_-(z^{-n} h).  Both rows are truncated
+    back to the window [-K, K] of sz; P_+ keeps exponents >= 0, P_- the rest.
     """
-    K = c.K
-    out = np.zeros(2 * K + 1, dtype=complex)
-    es = np.arange(-K, K + 1)
-    src = es - n
-    keep = (np.abs(src) <= K) & (es >= 0 if part == "plus" else es < 0)
-    out[np.nonzero(keep)[0]] = c.coeffs[src[keep] + K]
-    if part == "plus":
-        return LaurentSeries(out, K, 0.0, c.r_outer)
-    return LaurentSeries(out, K, c.r_inner, math.inf)
+    K = sz.K
+    if n > K:
+        raise ValueError(f"degree {n} exceeds coefficient window K = {K}")
+    if interior:
+        symbol, shift, scale = sz.S, n, -1.0 / sz.tau ** 2
+    else:
+        symbol, shift, scale = sz.S_inv, -n, sz.tau ** 2
+    h = convolve(symbol, LaurentSeries(f, (f.size - 1) // 2), K_out=K).coeffs
+    out = np.zeros((2, 2 * K + 1), dtype=complex)
+    if shift >= 0:
+        out[:, shift:] = h[:2 * K + 1 - shift]
+    else:
+        out[:, :shift] = h[-shift:]
+    out[0, :K] = 0.0
+    out[1, K:] = 0.0
+    out[0] *= scale
+    out[1] *= -scale
+    return out
+
+
+def _piecewise(f: LaurentSeries, n: int, sz: SzegoData, interior: bool) -> PiecewiseSeries:
+    """The operator step on a series; the branches are valid where f and the
+    symbol both are, as for the product in laurent.convolve."""
+    symbol = sz.S if interior else sz.S_inv
+    lo, hi = max(f.r_inner, symbol.r_inner), min(f.r_outer, symbol.r_outer)
+    if not lo < hi:
+        raise DisjointAnnuliError(f"annuli ({f.r_inner}, {f.r_outer}) and "
+                                  f"({symbol.r_inner}, {symbol.r_outer}) do not overlap")
+    inner, outer = _operator(f.coeffs, n, sz, interior)
+    return PiecewiseSeries(LaurentSeries(inner, sz.K, 0.0, hi),
+                           LaurentSeries(outer, sz.K, lo, math.inf))
 
 
 def apply_M_interior(f: LaurentSeries, n: int, sz: SzegoData,
                      r: float | None = None) -> PiecewiseSeries:
     """Cauchy operator over the circle of radius r with symbol z^n S(z).
 
-    In coefficient space: with h = S * f, the branch inside the circle is
-    -tau^{-2} P_+(z^n h) and the branch outside is +tau^{-2} P_-(z^n h).
+    The branches, inside and outside that circle, are those of _operator;
+    their coefficients do not depend on r.
     """
-    r = default_lens_radius(sz.rho) if r is None else r
-    if n > sz.K:
-        raise ValueError(f"degree {n} exceeds coefficient window K = {sz.K}")
-    h = convolve(sz.S, f, K_out=sz.K)
-    scale = 1.0 / sz.tau ** 2
-    inner = _shifted_projection(h, n, "plus").scaled(-scale)
-    outer = _shifted_projection(h, n, "minus").scaled(scale)
-    return PiecewiseSeries(inner, outer, r)
+    return _piecewise(f, n, sz, True)
 
 
 def apply_M_exterior(f: LaurentSeries, n: int, sz: SzegoData,
                      r: float | None = None) -> PiecewiseSeries:
     """Cauchy operator over the circle of radius 1/r with symbol z^{-n}/S(z).
 
-    Branch inside that circle: +tau^2 P_+(z^{-n} h), outside:
-    -tau^2 P_-(z^{-n} h), with h = f / S.
+    The branches, inside and outside that circle, are those of _operator;
+    their coefficients do not depend on r.
     """
-    r = default_lens_radius(sz.rho) if r is None else r
-    if n > sz.K:
-        raise ValueError(f"degree {n} exceeds coefficient window K = {sz.K}")
-    h = convolve(sz.S_inv, f, K_out=sz.K)
-    scale = sz.tau ** 2
-    inner = _shifted_projection(h, -n, "plus").scaled(scale)
-    outer = _shifted_projection(h, -n, "minus").scaled(-scale)
-    return PiecewiseSeries(inner, outer, 1.0 / r)
+    return _piecewise(f, n, sz, False)
 
 
 def _quadrature_cauchy(boundary_vals, nodes, z, prefactor):
@@ -177,10 +176,6 @@ def apply_M_exterior_quadrature(f: LaurentSeries, n: int, sz: SzegoData, r: floa
                               sz.tau ** 2)
 
 
-def _coeff_norm(p: PiecewiseSeries) -> float:
-    return float(max(np.max(np.abs(p.inner.coeffs)), np.max(np.abs(p.outer.coeffs))))
-
-
 def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
                   r: float | None = None) -> SMatrixEntries:
     """Alternating operator iterates summed into the four S entries.
@@ -195,35 +190,31 @@ def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
         raise ValueError("n_terms must be >= 1")
     r = default_lens_radius(sz.rho) if r is None else r
     K = sz.K
-    one = LaurentSeries.constant(1.0 + 0.0j, K)
+    one = np.zeros(2 * K + 1, dtype=complex)
+    one[K] = 1.0
 
-    width = 2 * K + 1
-    acc = {name: (np.zeros(width, dtype=complex), np.zeros(width, dtype=complex))
-           for name in ("s11", "s12", "s21", "s22")}
-    acc["s11"][0][K] = acc["s11"][1][K] = 1.0   # f^(0) = 1 on both sides of 1/r
-    acc["s22"][0][K] = acc["s22"][1][K] = 1.0   # g^(0) = 1 on both sides of r
+    # rows s11, s12, s21, s22, each an (inner, outer) pair; s11 and s21
+    # split at 1/r, s12 and s22 at r
+    acc = np.zeros((4, 2, 2 * K + 1), dtype=complex)
+    acc[0, :, K] = acc[3, :, K] = 1.0   # f^(0) = 1 and g^(0) = 1 on both sides
 
-    def add(name: str, p: PiecewiseSeries):
-        acc[name][0][:] += p.inner.coeffs
-        acc[name][1][:] += p.outer.coeffs
-
-    f_cur = apply_M_interior(one, n, sz, r)     # f^(1)
-    g_cur = apply_M_exterior(one, n, sz, r)     # g^(1)
-    f_norm, g_norm = _coeff_norm(f_cur), _coeff_norm(g_cur)
+    f_cur = _operator(one, n, sz, True)     # f^(1)
+    g_cur = _operator(one, n, sz, False)    # g^(1)
+    f_norm, g_norm = np.max(np.abs(f_cur)), np.max(np.abs(g_cur))
     for k in range(1, 2 * n_terms + 2):
         if k % 2 == 1:
-            add("s12", f_cur)   # odd f iterates, split at r
-            add("s21", g_cur)   # odd g iterates, split at 1/r
+            acc[1] += f_cur     # odd f iterates into s12
+            acc[2] += g_cur     # odd g iterates into s21
             if k == 2 * n_terms + 1:
                 break
-            f_next = apply_M_exterior(f_cur.outer, n, sz, r)
-            g_next = apply_M_interior(g_cur.inner, n, sz, r)
+            f_next = _operator(f_cur[1], n, sz, False)
+            g_next = _operator(g_cur[0], n, sz, True)
         else:
-            add("s11", f_cur)   # even f iterates, split at 1/r
-            add("s22", g_cur)   # even g iterates, split at r
-            f_next = apply_M_interior(f_cur.inner, n, sz, r)
-            g_next = apply_M_exterior(g_cur.outer, n, sz, r)
-        fn, gn = _coeff_norm(f_next), _coeff_norm(g_next)
+            acc[0] += f_cur     # even f iterates into s11
+            acc[3] += g_cur     # even g iterates into s22
+            f_next = _operator(f_cur[0], n, sz, True)
+            g_next = _operator(g_cur[1], n, sz, False)
+        fn, gn = np.max(np.abs(f_next)), np.max(np.abs(g_next))
         if (fn > f_norm and f_norm > 1e-300) or (gn > g_norm and g_norm > 1e-300):
             raise NeumannDivergenceError(
                 f"iterate norms grow at step {k} ({f_norm:.3e} -> {fn:.3e}); "
@@ -231,18 +222,11 @@ def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
         f_cur, g_cur, f_norm, g_norm = f_next, g_next, fn, gn
 
     r_plus = (1.0 / sz.rho) if sz.rho > 0.0 else math.inf
-
-    def piece(name: str, circle: float) -> PiecewiseSeries:
-        inner, outer = acc[name]
-        return PiecewiseSeries(LaurentSeries(inner, K, 0.0, r_plus),
-                               LaurentSeries(outer, K, sz.rho, math.inf),
-                               circle)
-
+    s11, s12, s21, s22 = (PiecewiseSeries(LaurentSeries(inner, K, 0.0, r_plus),
+                                          LaurentSeries(outer, K, sz.rho, math.inf))
+                          for inner, outer in acc)
     return SMatrixEntries(
-        n=n, K_neumann=n_terms,
-        s11=piece("s11", 1.0 / r), s12=piece("s12", r),
-        s21=piece("s21", 1.0 / r), s22=piece("s22", r),
-        r=r,
+        n=n, K_neumann=n_terms, s11=s11, s12=s12, s21=s21, s22=s22, r=r,
         tail_bound={
             "s11": r ** ((2 * n_terms + 2) * n),
             "s12": r ** ((2 * n_terms + 3) * n),

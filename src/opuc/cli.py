@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +92,6 @@ class RunConfig:
     r: float | None = None
     n_quad: int | None = None
     fmt: str = "csv"
-    method: str | None = None
     sha256: str = ""
 
     @classmethod
@@ -130,7 +128,7 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {fmt!r}")
         return cls(weight_doc=doc["weight"], n_list=n_list,
                    outputs=doc["outputs"], K=doc.get("K"), r=r,
-                   n_quad=doc.get("N_quad"), fmt=fmt, method=doc.get("method"),
+                   n_quad=doc.get("N_quad"), fmt=fmt,
                    sha256=hashlib.sha256(raw).hexdigest())
 
     @property
@@ -160,21 +158,6 @@ def _write_json(path: str, cfg: RunConfig, obj: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         _dump_json(obj, fh)
         fh.write("\n")
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("OPUC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    nthreads = _threads()
-    if nthreads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_weight(cfg: RunConfig):
@@ -251,18 +234,14 @@ def _predict_scattering(cfg: RunConfig, spec) -> int:
     if r is not None and not (sz.rho < r < 1.0):
         raise ConfigError(f"lens radius r={r} outside ({sz.rho}, 1)")
     rows, manifests = [], []
-
-    def per_degree(n):
+    for n in cfg.n_list:
         e = neumann_solve(n + 1, sz, n_terms=2, r=r)
         a1 = verblunsky_estimate(n, sz, 1)
         a2 = verblunsky_estimate(n, sz, 2, entries=e)
         k1 = kappa_estimate(n, sz, 1)
         k2 = kappa_estimate(n, sz, 2, entries=e)
-        return (n, a1.real, a1.imag, a2.real, a2.imag, k1, k2), e.to_manifest()
-
-    for row, manifest in _map(per_degree, cfg.n_list):
-        rows.append(row)
-        manifests.append(manifest)
+        rows.append((n, a1.real, a1.imag, a2.real, a2.imag, k1, k2))
+        manifests.append(e.to_manifest())
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
                ["n", "alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
                 "kappa1_sq", "kappa2_sq"], rows)
@@ -379,6 +358,7 @@ def _slope(ns, ys):
 
 
 def _infer_method(pred_tab: dict) -> str:
+    """The method that wrote predictions.csv: its columns differ for each one."""
     if "kappa_sq_pred" in pred_tab:
         return "zero-weight"
     if "t_plus_re" in pred_tab:
@@ -396,7 +376,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         pred_tab = _read_csv(os.path.join(out, "predictions.csv"))
     except FileNotFoundError as exc:
         raise MissingInputError(f"missing input table: {exc}")
-    method = cfg.method or _infer_method(pred_tab)
+    method = _infer_method(pred_tab)
 
     checks = []
     alpha = alpha_tab["alpha_re"] + 1j * alpha_tab["alpha_im"]

@@ -64,10 +64,6 @@ class CircleGrid:
     def nodes(self) -> np.ndarray:
         return self.radius * np.exp(1j * self.angles)
 
-    @classmethod
-    def for_order(cls, K: int, radius: float = 1.0, N: int | None = None) -> "CircleGrid":
-        return cls(radius, default_grid_size(K) if N is None else N)
-
 
 @dataclass(frozen=True, eq=False)
 class LaurentSeries:
@@ -77,7 +73,6 @@ class LaurentSeries:
     K: int
     r_inner: float = 0.0
     r_outer: float = math.inf
-    real_on_circle: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -127,9 +122,6 @@ class LaurentSeries:
         """c_{-1} .. c_{-K}."""
         return self.coeffs[:self.K][::-1]
 
-    def with_annulus(self, r_inner: float, r_outer: float) -> "LaurentSeries":
-        return replace(self, r_inner=r_inner, r_outer=r_outer)
-
     def denoised(self, rel_floor: float = 1e-15) -> "LaurentSeries":
         """Zero coefficients below rel_floor times the largest magnitude.
 
@@ -144,18 +136,6 @@ class LaurentSeries:
             return self
         out = np.where(mags >= rel_floor * top, self.coeffs, 0.0)
         return replace(self, coeffs=out)
-
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if self.K != other.K:
-            raise ValueError("window mismatch in series addition")
-        return LaurentSeries(self.coeffs + other.coeffs, self.K,
-                             max(self.r_inner, other.r_inner),
-                             min(self.r_outer, other.r_outer))
-
-    def scaled(self, factor: complex) -> "LaurentSeries":
-        return replace(self, coeffs=self.coeffs * factor, real_on_circle=False)
 
     # -- evaluation --------------------------------------------------------
 
@@ -217,7 +197,7 @@ def coefficients_from_samples(samples, K: int, grid: CircleGrid,
         if grid.radius != 1.0:
             raise ValueError("real_on_circle symmetrization is defined on the unit circle")
         coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1]))
-    return LaurentSeries(coeffs, K, r_inner, r_outer, real_on_circle=real_on_circle)
+    return LaurentSeries(coeffs, K, r_inner, r_outer)
 
 
 def riesz_project(s: LaurentSeries, part: str) -> LaurentSeries:

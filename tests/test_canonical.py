@@ -101,6 +101,28 @@ def test_hankel_toeplitz_kernel_identity(bs2_szego):
             assert abs(comp.inner.coeff(i) - kernel) <= 1e-10
 
 
+def test_neumann_solve_is_the_operator_composition(bs2_szego):
+    # the solver sums exactly the iterates that the public operators chain
+    n, sz = 10, bs2_szego
+    one = one_series(sz.K)
+    f = [apply_M_interior(one, n, sz, R_LENS)]
+    g = [apply_M_exterior(one, n, sz, R_LENS)]
+    for k in range(4):
+        if k % 2 == 0:
+            f.append(apply_M_exterior(f[-1].outer, n, sz, R_LENS))
+            g.append(apply_M_interior(g[-1].inner, n, sz, R_LENS))
+        else:
+            f.append(apply_M_interior(f[-1].inner, n, sz, R_LENS))
+            g.append(apply_M_exterior(g[-1].outer, n, sz, R_LENS))
+    e = neumann_solve(n, sz, 2, R_LENS)
+    zero = np.zeros_like(one.coeffs)
+    for entry, start, terms in ((e.s11, one.coeffs, f[1::2]), (e.s12, zero, f[0::2]),
+                                (e.s21, zero, g[0::2]), (e.s22, one.coeffs, g[1::2])):
+        for side in ("inner", "outer"):
+            expected = sum((getattr(t, side).coeffs for t in terms), start)
+            assert np.array_equal(getattr(entry, side).coeffs, expected)
+
+
 def test_iterates_vanish_for_unit_scattering(leb_szego):
     e = neumann_solve(4, leb_szego, 3)
     # all Neumann corrections vanish: s11 and s22 are exactly 1 on both sides

@@ -114,6 +114,17 @@ def test_predict_essential_level_curve(tmp_path):
     assert {int(r[2]) for r in data} == {0, 1}
 
 
+def test_compare_reads_method_from_predictions(tmp_path):
+    # a stale "method" key in the config does not override predictions.csv
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       list(range(1, 13)), tmp_path / "out", method="essential")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
+    assert main(["compare", "--config", cfg]) in (0, 1)
+    report = json.load(open(tmp_path / "out" / "report.json"))
+    assert report["method"] == "scattering"
+
+
 def test_compare_essential_has_no_pole_slope_check(tmp_path):
     # the essential asymptote's error does not fall like rho^{1.5 n}
     cfg = write_config(tmp_path / "cfg.json", {"kind": "essential", "rho": 0.5},
