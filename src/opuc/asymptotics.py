@@ -62,14 +62,14 @@ class PolePrescription:
         return self.poles[:self.ell]
 
     @classmethod
-    def from_weight(cls, spec: AnalyticWeight, mod_tol: float = 1e-9) -> "PolePrescription":
+    def from_weight(cls, spec: AnalyticWeight) -> "PolePrescription":
         poles = [s for s in spec.singularities if s.kind == "pole"]
         if not poles:
             raise ValueError(f"weight {spec.name!r} declares no poles")
         if any(p.de_coefficient is None for p in poles):
             raise ValueError("pole metadata must include the exterior Szego residue coefficient")
         rho = max(abs(p.location) for p in poles)
-        on_circle = [p for p in poles if abs(abs(p.location) - rho) <= mod_tol * rho]
+        on_circle = [p for p in poles if abs(abs(p.location) - rho) <= 1e-9 * rho]
         m = max(p.multiplicity for p in on_circle)
         dominant = [p for p in on_circle if p.multiplicity == m]
         rest = [p for p in poles if p not in dominant]
@@ -101,19 +101,17 @@ def _residue_radius(spec: AnalyticWeight) -> float:
     return min(delta / 2.0, 0.05)
 
 
-def residue_quadrature(spec: AnalyticWeight, a: complex, n: int, z: complex,
-                       radius: float | None = None, nodes: int = 64) -> complex:
-    """Residue of S(w; t) t^n / (t - z) at t = a by circle quadrature.
+def residue_quadrature(spec: AnalyticWeight, a: complex, n: int, z: complex) -> complex:
+    """Residue of S(w; t) t^n / (t - z) at t = a by 64-node circle quadrature.
 
     The circle shrinks automatically when z comes close to the singularity;
     spectral accuracy of the trapezoid rule makes small radii harmless.
     """
     scattering = _require_exact_scattering(spec)
-    if radius is None:
-        radius = min(_residue_radius(spec), 0.45 * abs(z - a))
-    if abs(z - a) <= radius or radius < 1e-6:
+    radius = min(_residue_radius(spec), 0.45 * abs(z - a))
+    if radius < 1e-6:
         raise ValueError(f"evaluation point {z} too close to the singularity at {a}")
-    phi = 2.0 * np.pi * np.arange(nodes) / nodes
+    phi = 2.0 * np.pi * np.arange(64) / 64
     t = a + radius * np.exp(1j * phi)
     vals = scattering(t) * t ** n / (t - z)
     return complex(radius * np.mean(vals * np.exp(1j * phi)))
@@ -153,25 +151,22 @@ def _dominant_sum(p: PolePrescription, sz: SzegoData, n: int, z: complex) -> com
     return total
 
 
-def dominant_pole_phi(p: PolePrescription, sz: SzegoData, n: int, z: complex,
-                      eps: float = 0.05, spec: AnalyticWeight | None = None) -> complex:
-    """Explicit dominant-pole prediction of Phi_n(z).
+def dominant_pole_phi(p: PolePrescription, sz: SzegoData, n: int, z: complex) -> complex:
+    """Explicit dominant-pole prediction of Phi_n(z) for |z| < rho.
 
     Inside the critical circle only the pole sum (weighted by D_i(0)/D_i(z))
-    survives; between the critical circle and the lens the exterior term
-    z^n D_e(z)/tau is added, which requires the exact evaluator.
+    survives.  Beyond it the exterior term z^n D_e(z)/tau joins; that form is
+    residue_predictor(form="annulus").  A point within 0.05 of a pole, or
+    with |z| >= rho, raises ValueError.
     """
     for s in p.poles:
-        if abs(z - s.location) < eps:
-            raise ValueError(f"z within {eps:g} of the pole at {s.location}")
-    d_i_ratio = szego_function(sz, 0.0, "interior") / szego_function(sz, z, "interior")
-    value = d_i_ratio * _dominant_sum(p, sz, n, z)
+        if abs(z - s.location) < 0.05:
+            raise ValueError(f"z within 0.05 of the pole at {s.location}")
     if abs(z) >= p.rho:
-        if spec is None or spec.exact is None:
-            raise ValueError("prediction outside the critical circle needs the "
-                             "exact exterior evaluator")
-        value = value + z ** n * complex(spec.exact.d_e(z)) / sz.tau
-    return complex(value)
+        raise ValueError(f"|z| = {abs(z):.6g} is not inside the critical circle "
+                         f"|z| < {p.rho:.6g}; use residue_predictor(form='annulus')")
+    d_i_ratio = szego_function(sz, 0.0, "interior") / szego_function(sz, z, "interior")
+    return complex(d_i_ratio * _dominant_sum(p, sz, n, z))
 
 
 def dominant_pole_phi_normalized(p: PolePrescription, sz: SzegoData, n: int,
@@ -282,15 +277,14 @@ def _bisect_first_crossing(f, start: float, step: float, limit: float,
         "small for the asymptotic regime at this radius")
 
 
-def saddle_solve(rho: float, n: int, inverse: bool = False,
-                 tol: float = 1e-12, max_iter: int = 80) -> SaddleData:
-    """Saddle pair near t = rho.
+def saddle_solve(rho: float, n: int, inverse: bool = False) -> SaddleData:
+    """Saddle pair near t = rho, solved to residual 1e-12.
 
     The real saddles (plain weight) are the first crossings of the saddle
     equation on either side of rho, located by bracketed bisection: bare
     Newton from the sqrt(rho/(n+1)) seed can escape to the wrong branch when
     rho is close to 1.  The reciprocal weight has a conjugate pair off the
-    axis, found by Newton from rho +/- i sqrt(rho/(n+1)).
+    axis, found by at most 80 Newton steps from rho +/- i sqrt(rho/(n+1)).
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
@@ -303,23 +297,23 @@ def saddle_solve(rho: float, n: int, inverse: bool = False,
         f = lambda t: float(np.real(_saddle_equation(t, rho, n, sign)))
         # f -> -inf at rho from both sides (the double pole dominates)
         t_plus = complex(_bisect_first_crossing(f, rho, step / 8.0,
-                                                0.5 * (rho + 1.0 / rho), tol))
-        t_minus = complex(_bisect_first_crossing(f, rho, step / 8.0, 0.0, tol))
+                                                0.5 * (rho + 1.0 / rho), 1e-12))
+        t_minus = complex(_bisect_first_crossing(f, rho, step / 8.0, 0.0, 1e-12))
         roots = [t_plus, t_minus]
         worst = max(abs(_saddle_equation(t, rho, n, sign)) for t in roots)
-        if not worst <= tol:
+        if not worst <= 1e-12:
             raise RuntimeError(f"saddle bisection stalled at residual {worst:.3e}")
     else:
         roots = []
         for seed in (rho + 1j * step, rho - 1j * step):
             t = complex(seed)
-            for _ in range(max_iter):
+            for _ in range(80):
                 ft = _saddle_equation(t, rho, n, sign)
-                if abs(ft) <= tol:
+                if abs(ft) <= 1e-12:
                     break
                 t -= ft / _saddle_equation_prime(t, rho, n, sign)
             resid = abs(_saddle_equation(t, rho, n, sign))
-            if not resid <= tol or abs(t - rho) > 6.0 * step:
+            if not resid <= 1e-12 or abs(t - rho) > 6.0 * step:
                 raise RuntimeError(f"saddle Newton left its basin "
                                    f"(t = {t:.6g}, residual {resid:.3e})")
             worst = max(worst, resid)
@@ -485,11 +479,9 @@ def zero_weight_predicted_roots(spec: ZeroModifiedWeight, msz: ModifiedSzegoData
     return _rational_fraction_roots(w, locs)
 
 
-def kappa_zero_weight(spec: ZeroModifiedWeight, n: int,
-                      tau: float | None = None) -> float:
+def kappa_zero_weight(spec: ZeroModifiedWeight, n: int) -> float:
     """Predicted kappa_{n-1}^2 = (tau^2 / 2 pi)(1 - sum_k beta_k^2 / n)."""
-    if tau is None:
-        tau = math.exp(-0.5 * log_mean(spec.base))
+    tau = math.exp(-0.5 * log_mean(spec.base))
     beta_sq = float(np.sum(spec.betas ** 2))
     return tau ** 2 / (2.0 * math.pi) * (1.0 - beta_sq / n)
 

@@ -158,19 +158,17 @@ def _quadrature_cauchy(boundary_vals, nodes, z, prefactor):
         boundary_vals * dt / (nodes - zarr[..., None]), axis=-1)
 
 
-def apply_M_interior_quadrature(f: LaurentSeries, n: int, sz: SzegoData, r: float,
-                                z, nodes: int = 512):
-    """Trapezoid realization of the interior operator (test oracle)."""
-    t = r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+def apply_M_interior_quadrature(f: LaurentSeries, n: int, sz: SzegoData, r: float, z):
+    """512-node trapezoid realization of the interior operator (test oracle)."""
+    t = r * np.exp(2j * np.pi * np.arange(512) / 512)
     vals = f.evaluate(t) * sz.S.evaluate(t) * t ** n
     return _quadrature_cauchy(vals, t, np.atleast_1d(np.asarray(z, dtype=complex)),
                               -1.0 / sz.tau ** 2)
 
 
-def apply_M_exterior_quadrature(f: LaurentSeries, n: int, sz: SzegoData, r: float,
-                                z, nodes: int = 512):
-    """Trapezoid realization of the exterior operator (test oracle)."""
-    t = (1.0 / r) * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+def apply_M_exterior_quadrature(f: LaurentSeries, n: int, sz: SzegoData, r: float, z):
+    """512-node trapezoid realization of the exterior operator (test oracle)."""
+    t = (1.0 / r) * np.exp(2j * np.pi * np.arange(512) / 512)
     vals = f.evaluate(t) / (sz.S.evaluate(t) * t ** n)
     return _quadrature_cauchy(vals, t, np.atleast_1d(np.asarray(z, dtype=complex)),
                               sz.tau ** 2)
@@ -235,8 +233,7 @@ def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
         })
 
 
-def reconstruct_phi(e: SMatrixEntries, sz: SzegoData, z,
-                    boundary_tol: float = 1e-8) -> complex:
+def reconstruct_phi(e: SMatrixEntries, sz: SzegoData, z) -> complex:
     """Monic Phi_n(z) from the canonical entries, by region.
 
     |z| < r:       -tau S_12(z) / D_i(z)
@@ -246,9 +243,8 @@ def reconstruct_phi(e: SMatrixEntries, sz: SzegoData, z,
     zc = complex(z)
     absz = abs(zc)
     r = e.r
-    if abs(absz - r) < boundary_tol or abs(absz - 1.0 / r) < boundary_tol:
-        raise AmbiguousRegionError(f"|z| = {absz:.8g} within {boundary_tol:g} of a "
-                                   "region boundary")
+    if abs(absz - r) < 1e-8 or abs(absz - 1.0 / r) < 1e-8:
+        raise AmbiguousRegionError(f"|z| = {absz:.8g} within 1e-8 of a region boundary")
     tau = sz.tau
     if absz < r:
         s12 = e.s12.inner.evaluate(zc) if absz > 0 else e.s12.inner.coeff(0)
@@ -260,8 +256,7 @@ def reconstruct_phi(e: SMatrixEntries, sz: SzegoData, z,
     return zc ** e.n * szego_function(sz, zc, "exterior") * e.s11.outer.evaluate(zc) / tau
 
 
-def verblunsky_estimate(n: int, sz: SzegoData, level: int = 1,
-                        n_terms: int = 2, r: float | None = None,
+def verblunsky_estimate(n: int, sz: SzegoData, level: int = 1, r: float | None = None,
                         entries: SMatrixEntries | None = None) -> complex:
     """Verblunsky coefficient predicted from the scattering data.
 
@@ -275,16 +270,14 @@ def verblunsky_estimate(n: int, sz: SzegoData, level: int = 1,
     if level == 1:
         return -sz.S_inv.coeff(n + 1)
     if level == 2:
-        e = entries if entries is not None else neumann_solve(n + 1, sz,
-                                                              n_terms=n_terms, r=r)
+        e = entries if entries is not None else neumann_solve(n + 1, sz, r=r)
         if e.n != n + 1:
             raise ValueError(f"entries built for degree {e.n}, need {n + 1}")
         return complex(np.conj(sz.tau ** 2 * e.s12.inner.coeff(0)))
     raise ValueError("level must be 1 or 2")
 
 
-def kappa_estimate(n: int, sz: SzegoData, level: int = 1,
-                   n_terms: int = 2, r: float | None = None,
+def kappa_estimate(n: int, sz: SzegoData, level: int = 1, r: float | None = None,
                    entries: SMatrixEntries | None = None) -> float:
     """Predicted kappa_n^2.
 
@@ -300,8 +293,7 @@ def kappa_estimate(n: int, sz: SzegoData, level: int = 1,
         total = float(np.sum(np.abs(sz.S.coeffs[mask]) ** 2))
         return sz.tau ** 2 / (2.0 * np.pi) * total
     if level == 2:
-        e = entries if entries is not None else neumann_solve(n + 1, sz,
-                                                              n_terms=n_terms, r=r)
+        e = entries if entries is not None else neumann_solve(n + 1, sz, r=r)
         if e.n != n + 1:
             raise ValueError(f"entries built for degree {e.n}, need {n + 1}")
         return float((sz.tau ** 2 / (2.0 * np.pi) * e.s22.inner.coeff(0)).real)

@@ -89,15 +89,14 @@ class RunConfig:
     n_list: list
     outputs: str
     K: int | None = None
-    r: float | None = None
     n_quad: int | None = None
-    fmt: str = "csv"
     sha256: str = ""
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         try:
-            raw = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         try:
@@ -120,15 +119,8 @@ class RunConfig:
         for key in ("K", "N_quad"):   # null, like a missing key, means the default
             if doc.get(key) is not None and not (_is_int(doc[key]) and doc[key] > 0):
                 raise ConfigError(f"{key} must be a positive integer, got {doc[key]!r}")
-        r = doc.get("r")
-        if r is not None and (isinstance(r, bool) or not isinstance(r, (int, float))):
-            raise ConfigError(f"r must be a number, got {r!r}")
-        fmt = doc.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {fmt!r}")
-        return cls(weight_doc=doc["weight"], n_list=n_list,
-                   outputs=doc["outputs"], K=doc.get("K"), r=r,
-                   n_quad=doc.get("N_quad"), fmt=fmt,
+        return cls(weight_doc=doc["weight"], n_list=n_list, outputs=doc["outputs"],
+                   K=doc.get("K"), n_quad=doc.get("N_quad"),
                    sha256=hashlib.sha256(raw).hexdigest())
 
     @property
@@ -213,13 +205,6 @@ def cmd_oracle(cfg: RunConfig) -> int:
                     {"schema": "opuc.zeros/1", "n": n,
                      "zeros": [{"re": z.real, "im": z.imag, "class": label}
                                for z, label in zip(zs.zeros.tolist(), labels.tolist())]})
-    if cfg.fmt == "json":
-        _write_json(os.path.join(cfg.outputs, "result.json"), cfg,
-                    {"schema": "opuc.result/1", "n_max": result.n_max,
-                     "alpha": result.alpha.tolist(),
-                     "kappa": result.kappa.tolist(),
-                     "log_det": result.log_det.tolist(),
-                     "phi_monic": [p.tolist() for p in result.phi_monic]})
     return 0
 
 
@@ -230,12 +215,9 @@ def _predict_scattering(cfg: RunConfig, spec) -> int:
     if K < cfg.n_max + 1:
         raise ConfigError(f"K = {K} is below n_max + 1 = {cfg.n_max + 1}")
     sz = szego_data_for(spec, K)
-    r = cfg.r
-    if r is not None and not (sz.rho < r < 1.0):
-        raise ConfigError(f"lens radius r={r} outside ({sz.rho}, 1)")
     rows, manifests = [], []
     for n in cfg.n_list:
-        e = neumann_solve(n + 1, sz, n_terms=2, r=r)
+        e = neumann_solve(n + 1, sz, n_terms=2)
         a1 = verblunsky_estimate(n, sz, 1)
         a2 = verblunsky_estimate(n, sz, 2, entries=e)
         k1 = kappa_estimate(n, sz, 1)

@@ -122,8 +122,8 @@ class LaurentSeries:
         """c_{-1} .. c_{-K}."""
         return self.coeffs[:self.K][::-1]
 
-    def denoised(self, rel_floor: float = 1e-15) -> "LaurentSeries":
-        """Zero coefficients below rel_floor times the largest magnitude.
+    def denoised(self) -> "LaurentSeries":
+        """Zero coefficients below 1e-15 times the largest magnitude.
 
         Grid-extracted coefficients carry a flat roundoff floor; terms below
         it are meaningless and get amplified by |z|^{-k} when the series is
@@ -134,7 +134,7 @@ class LaurentSeries:
         top = float(np.max(mags))
         if top == 0.0:
             return self
-        out = np.where(mags >= rel_floor * top, self.coeffs, 0.0)
+        out = np.where(mags >= 1e-15 * top, self.coeffs, 0.0)
         return replace(self, coeffs=out)
 
     # -- evaluation --------------------------------------------------------

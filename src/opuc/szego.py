@@ -61,8 +61,7 @@ class SzegoData:
         return self.S.K
 
 
-def scattering(lhat: LaurentSeries, K: int, N: int | None = None,
-               rho: float = 0.0) -> SzegoData:
+def scattering(lhat: LaurentSeries, K: int, rho: float = 0.0) -> SzegoData:
     """Build scattering data from the log-weight coefficients.
 
     S = exp(sum_{k>=1} (L_k z^k - conj(L_k) z^{-k})) is evaluated on the
@@ -70,9 +69,7 @@ def scattering(lhat: LaurentSeries, K: int, N: int | None = None,
     negated exponent.  tau = exp(-L_0/2) and the geometric mean exp(L_0)
     are recorded.
     """
-    N = max(default_grid_size(K), 1024) if N is None else N
-    if N < 2 * K + 2:
-        raise ValueError(f"grid size {N} too small for order {K}")
+    N = max(default_grid_size(K), 1024)
     l0 = lhat.coeff(0).real
     kmax = lhat.K
     spectrum = np.zeros(N, dtype=complex)
@@ -88,10 +85,10 @@ def scattering(lhat: LaurentSeries, K: int, N: int | None = None,
     return SzegoData(lhat, math.exp(-0.5 * l0), math.exp(l0), S, S_inv, rho)
 
 
-def szego_data_for(spec: AnalyticWeight, K: int, N: int | None = None) -> SzegoData:
+def szego_data_for(spec: AnalyticWeight, K: int) -> SzegoData:
     """Convenience: log-weight coefficients and scattering data in one step."""
-    lhat = log_weight_coefficients(spec, K, N)
-    return scattering(lhat, K, N, rho=spec.rho or 0.0)
+    lhat = log_weight_coefficients(spec, K)
+    return scattering(lhat, K, rho=spec.rho or 0.0)
 
 
 def szego_function(d: SzegoData, z, side: str):
@@ -190,11 +187,10 @@ def modified_szego(spec: ZeroModifiedWeight, d: SzegoData, z, side: str,
     raise ValueError(f"side must be 'interior' or 'exterior', got {side!r}")
 
 
-def scattering_modified(spec: ZeroModifiedWeight, d: SzegoData, z,
-                        cut_tol: float = 1e-12):
+def scattering_modified(spec: ZeroModifiedWeight, d: SzegoData, z):
     """Scattering function of the modified weight on the cut annulus."""
-    _check_off_cuts(spec, z, "interior", cut_tol)
-    _check_off_cuts(spec, z, "exterior", cut_tol)
+    _check_off_cuts(spec, z, "interior", 1e-12)
+    _check_off_cuts(spec, z, "exterior", 1e-12)
     zarr = np.asarray(z, dtype=complex)
     q2_0 = _branch_product(spec.zeros, 0.0, 1.0)
     q2 = _branch_product(spec.zeros, zarr, 1.0)
@@ -202,14 +198,13 @@ def scattering_modified(spec: ZeroModifiedWeight, d: SzegoData, z,
     return q2 / (q2_0 ** 2 * qbar2) * d.S.evaluate(zarr)
 
 
-def theta_constants(spec: ZeroModifiedWeight, d: SzegoData,
-                    eps: float = 1e-5, tol: float = 1e-6):
+def theta_constants(spec: ZeroModifiedWeight, d: SzegoData, tol: float = 1e-6):
     """Unimodular constants at the circle zeros.
 
     Each theta_k is the common value of e^{+i pi beta_k} S(W; z) along the
     arc arg z > angle_k and of e^{-i pi beta_k} S(W; z) along arg z < angle_k
     as z -> a_k on the circle; both one-sided limits are computed by linear
-    extrapolation in the arc length and must agree to tol.
+    extrapolation from the arc lengths 1e-5 and 5e-6 and must agree to tol.
     """
     thetas = np.zeros(len(spec.zeros), dtype=complex)
     spreads = np.zeros(len(spec.zeros))
@@ -217,8 +212,8 @@ def theta_constants(spec: ZeroModifiedWeight, d: SzegoData,
         vals = {}
         for sgn in (+1, -1):
             phase = np.exp(1j * np.pi * zk.beta * sgn)
-            v1 = phase * scattering_modified(spec, d, np.exp(1j * (zk.angle + sgn * eps)))
-            v2 = phase * scattering_modified(spec, d, np.exp(1j * (zk.angle + sgn * eps / 2.0)))
+            v1 = phase * scattering_modified(spec, d, np.exp(1j * (zk.angle + sgn * 1e-5)))
+            v2 = phase * scattering_modified(spec, d, np.exp(1j * (zk.angle + sgn * 1e-5 / 2.0)))
             vals[sgn] = 2.0 * v2 - v1
         spreads[i] = abs(vals[+1] - vals[-1])
         if spreads[i] > tol:

@@ -54,16 +54,13 @@ class Singularity:
 class ExactSzego:
     """Closed-form Szego data for catalog weights.
 
-    d_i / d_e / scattering are analytic continuations valid off the
-    singularities (in particular inside the critical circle, where the
-    Laurent-series representations diverge); log_coeff(k) gives the Laurent
-    coefficient of log w for k >= 1 and log_mean its mean value.
+    d_e / scattering are analytic continuations valid off the singularities
+    (in particular inside the critical circle, where the Laurent-series
+    representations diverge); log_mean is the mean value of log w.
     """
 
-    d_i: Callable
     d_e: Callable
     scattering: Callable
-    log_coeff: Callable[[int], complex]
     log_mean: float = 0.0
 
 
@@ -142,7 +139,6 @@ WeightSpec = Union[AnalyticWeight, ZeroModifiedWeight]
 class WeightDiagnostics:
     min_value: float
     winding_number: int
-    symmetry_defect: float
 
     @property
     def ok(self) -> bool:
@@ -150,7 +146,7 @@ class WeightDiagnostics:
 
 
 def validate(spec: WeightSpec, grid_size: int = 256) -> WeightDiagnostics:
-    """Positivity, winding and reality diagnostics on a uniform grid.
+    """Positivity and winding diagnostics on a uniform grid.
 
     Failures are reported, not raised; callers decide what is fatal.
     """
@@ -158,23 +154,20 @@ def validate(spec: WeightSpec, grid_size: int = 256) -> WeightDiagnostics:
         raise ValueError("grid_size must be at least 64")
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
     vals = np.asarray(spec(theta), dtype=complex)
-    realpart = vals.real
-    symmetry_defect = float(np.max(np.abs(vals.imag))) if np.any(vals.imag) else 0.0
     phases = np.angle(np.where(vals == 0.0, 1.0, vals))
     dphi = np.diff(np.concatenate([phases, phases[:1]]))
     dphi = (dphi + np.pi) % (2.0 * np.pi) - np.pi
     winding = int(round(float(np.sum(dphi)) / (2.0 * np.pi)))
-    return WeightDiagnostics(float(np.min(realpart)), winding, symmetry_defect)
+    return WeightDiagnostics(float(np.min(vals.real)), winding)
 
 
-def log_weight_coefficients(spec: AnalyticWeight, K: int, N: int | None = None) -> LaurentSeries:
+def log_weight_coefficients(spec: AnalyticWeight, K: int) -> LaurentSeries:
     """Laurent coefficients of log w from unit-circle samples.
 
     The coefficients are symmetrized so that c_{-k} = conj(c_k) exactly,
     which encodes that w is real on the circle.
     """
-    N = default_grid_size(K) if N is None else N
-    grid = CircleGrid(1.0, N)
+    grid = CircleGrid(1.0, default_grid_size(K))
     vals = np.asarray(spec(grid.angles), dtype=float)
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
         raise ValueError("weight must be finite and strictly positive on the sampling grid")
@@ -185,7 +178,7 @@ def log_weight_coefficients(spec: AnalyticWeight, K: int, N: int | None = None) 
     return lhat.denoised()
 
 
-def log_mean(spec: WeightSpec, N: int = 4096) -> float:
+def log_mean(spec: WeightSpec) -> float:
     """Mean of log w over the circle (the coefficient c_0 of log w)."""
     if isinstance(spec, AnalyticWeight) and spec.exact is not None:
         return spec.exact.log_mean
@@ -193,7 +186,7 @@ def log_mean(spec: WeightSpec, N: int = 4096) -> float:
     if isinstance(spec, ZeroModifiedWeight) and base.exact is not None:
         # the circle-zero factors have zero logarithmic mean
         return base.exact.log_mean
-    theta = 2.0 * np.pi * np.arange(N) / N
+    theta = 2.0 * np.pi * np.arange(4096) / 4096
     vals = np.asarray(base(theta), dtype=float)
     return float(np.mean(np.log(vals)))
 
@@ -206,7 +199,7 @@ class RhoEstimate:
     slope: float = -math.inf
 
 
-def estimate_rho(lhat: LaurentSeries, noise_floor: float = 1e-14) -> RhoEstimate:
+def estimate_rho(lhat: LaurentSeries) -> RhoEstimate:
     """Nevai-Totik radius from the geometric decay of the log-weight coefficients.
 
     Fits log |c_k| = a + k log(rho) + b log(k) over the upper half of the
@@ -218,7 +211,7 @@ def estimate_rho(lhat: LaurentSeries, noise_floor: float = 1e-14) -> RhoEstimate
     mags = np.abs(lhat.plus_coeffs[1:])  # k = 1 .. K
     if mags.size == 0 or np.max(mags) == 0.0:
         return RhoEstimate(0.0, True)
-    floor = max(noise_floor * float(np.max(mags)), 1e-15)
+    floor = max(1e-14 * float(np.max(mags)), 1e-15)
     reliable = np.nonzero(mags > floor)[0]
     if reliable.size < 4:
         return RhoEstimate(0.0, True)
@@ -241,10 +234,8 @@ def estimate_rho(lhat: LaurentSeries, noise_floor: float = 1e-14) -> RhoEstimate
 def lebesgue() -> AnalyticWeight:
     """The constant weight 1."""
     one = ExactSzego(
-        d_i=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
         d_e=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
         scattering=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-        log_coeff=lambda k: 0.0 + 0.0j,
         log_mean=0.0,
     )
     return AnalyticWeight("lebesgue", lambda th: np.ones_like(th), rho=0.0,
@@ -285,9 +276,6 @@ def rational_modulus(cs) -> AnalyticWeight:
             out = out * (cb * z) / (cb * z - 1.0)
         return out
 
-    def log_coeff(k):
-        return -sum(c ** (-k) for c in cs) / k
-
     rho = max(1.0 / abs(c) for c in cs)
     # repeated reflection points pile up into higher-order poles of D_e
     groups: dict = {}
@@ -310,7 +298,7 @@ def rational_modulus(cs) -> AnalyticWeight:
     return AnalyticWeight(
         "bernstein_szego" if len(cs) == 1 else "rational_modulus",
         w_theta, rho=rho, singularities=tuple(sings),
-        exact=ExactSzego(d_i, d_e, lambda z: d_i(z) * d_e(z), log_coeff, 0.0),
+        exact=ExactSzego(d_e, lambda z: d_i(z) * d_e(z), 0.0),
         params=kind)
 
 
@@ -331,10 +319,6 @@ def _essential_family(rho: float, sign: int) -> AnalyticWeight:
         z = np.asarray(z, dtype=complex)
         return sign * (1.0 / (z - rho) + z / (rho * z - 1.0))
 
-    def d_i(z):
-        z = np.asarray(z, dtype=complex)
-        return np.exp(sign * z / (rho * z - 1.0))
-
     def d_e(z):
         z = np.asarray(z, dtype=complex)
         return np.exp(sign * 1.0 / (z - rho))
@@ -343,8 +327,7 @@ def _essential_family(rho: float, sign: int) -> AnalyticWeight:
     return AnalyticWeight(
         name, w_theta, rho=rho,
         singularities=(Singularity(complex(rho), "essential"),),
-        exact=ExactSzego(d_i, d_e, lambda z: np.exp(exponent(z)),
-                         lambda k: complex(-sign * rho ** (k - 1)), 0.0),
+        exact=ExactSzego(d_e, lambda z: np.exp(exponent(z)), 0.0),
         params={"kind": name, "rho": rho})
 
 
@@ -375,11 +358,18 @@ def builtin_weights() -> dict:
 # JSON weight descriptions
 # ---------------------------------------------------------------------------
 
+def _number(x, name: str) -> float:
+    """A JSON number (int or float, not bool or str) as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{name} must be a number, got {x!r}")
+    return float(x)
+
+
 def weight_from_json(doc: dict) -> WeightSpec:
     """Build a catalog weight from its JSON description.
 
-    An optional "rho" entry overrides the derived Nevai-Totik radius (used
-    by diagnostics that cross-check a declared radius).
+    An optional "rho" entry in [0, 1) overrides the derived Nevai-Totik
+    radius (used by diagnostics that cross-check a declared radius).
     """
     if not isinstance(doc, dict):
         raise TypeError(f"a weight description must be a JSON object, got {doc!r}")
@@ -387,23 +377,27 @@ def weight_from_json(doc: dict) -> WeightSpec:
     if kind == "lebesgue":
         w = lebesgue()
     elif kind == "bernstein_szego":
-        w = bernstein_szego(float(doc["c"]))
+        w = bernstein_szego(_number(doc["c"], "c"))
     elif kind == "rational_modulus":
-        w = rational_modulus([float(c) for c in doc["cs"]])
+        w = rational_modulus([_number(c, "cs item") for c in doc["cs"]])
     elif kind == "essential":
-        w = essential(float(doc["rho"]))
+        w = essential(_number(doc["rho"], "rho"))
     elif kind == "inverse_essential":
-        w = inverse_essential(float(doc["rho"]))
+        w = inverse_essential(_number(doc["rho"], "rho"))
     elif kind == "zero_modified":
         base = weight_from_json(doc["base"])
         if not isinstance(base, AnalyticWeight):
             raise ValueError("zero_modified base must be an analytic weight")
-        return zero_modified(base, [(float(z["angle"]), float(z["beta"]))
+        return zero_modified(base, [(_number(z["angle"], "angle"),
+                                     _number(z["beta"], "beta"))
                                     for z in doc["zeros"]])
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
     if "rho" in doc and kind not in ("essential", "inverse_essential"):
-        w = AnalyticWeight(w.name, w.evaluate_theta, rho=float(doc["rho"]),
+        rho = _number(doc["rho"], "rho")
+        if not 0.0 <= rho < 1.0:
+            raise ValueError(f"rho override must lie in [0, 1), got {rho}")
+        w = AnalyticWeight(w.name, w.evaluate_theta, rho=rho,
                            singularities=w.singularities, exact=w.exact, params=dict(doc))
     return w
 

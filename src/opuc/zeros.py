@@ -34,15 +34,15 @@ class ZeroSet:
     clusters: tuple   # (representative, multiplicity) pairs
 
 
-def _polish(coeffs: np.ndarray, z: np.ndarray, steps: int = 3) -> tuple:
-    """Newton-polish each root, keeping the start where polishing made |p| worse
-    (a tiny derivative near a clustered root can throw a good root far off).
-    Returns the roots and |p| at each."""
+def _polish(coeffs: np.ndarray, z: np.ndarray) -> tuple:
+    """Three Newton steps on each root, keeping the start where polishing made
+    |p| worse (a tiny derivative near a clustered root can throw a good root
+    far off).  Returns the roots and |p| at each."""
     deriv = np.polynomial.polynomial.polyder(coeffs)
     start = z
     p = np.polynomial.polynomial.polyval(z, coeffs)
     start_resid = np.abs(p)
-    for _ in range(steps):
+    for _ in range(3):
         dp = np.polynomial.polynomial.polyval(z, deriv)
         ok = np.abs(dp) > 0
         step = np.zeros_like(z)
@@ -54,7 +54,7 @@ def _polish(coeffs: np.ndarray, z: np.ndarray, steps: int = 3) -> tuple:
     return np.where(better, z, start), np.where(better, np.abs(p), start_resid)
 
 
-def roots(monic_coeffs, cluster_tol: float = 1e-7) -> ZeroSet:
+def roots(monic_coeffs) -> ZeroSet:
     """Zeros of a monic polynomial given by ascending coefficients."""
     c = np.asarray(monic_coeffs, dtype=complex)
     if c.size < 2:
@@ -71,7 +71,7 @@ def roots(monic_coeffs, cluster_tol: float = 1e-7) -> ZeroSet:
     for i in order:
         if used[i]:
             continue
-        group = np.abs(zs - zs[i]) < cluster_tol
+        group = np.abs(zs - zs[i]) < 1e-7
         group &= ~used
         used |= group
         clusters.append((complex(np.mean(zs[group])), int(np.count_nonzero(group))))

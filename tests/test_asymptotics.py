@@ -81,6 +81,12 @@ def test_dominant_pole_eps_guard(bs2, bs2_szego):
         dominant_pole_phi(p, bs2_szego, 10, 0.52)
 
 
+def test_dominant_pole_only_inside_critical_circle(bs2, bs2_szego):
+    p = PolePrescription.from_weight(bs2)
+    with pytest.raises(ValueError, match="residue_predictor"):
+        dominant_pole_phi(p, bs2_szego, 10, 0.6j)
+
+
 def test_two_symmetric_poles_zero_parity():
     # |(1 - z/2)(1 + z/2)|^2: theta_2 = 1/2, so the predicted interior zero
     # alternates with the parity of the degree; the oracle zero sits at 0

@@ -6,8 +6,6 @@ import os
 import pytest
 
 from opuc.cli import main
-from opuc.oracle import moments, szego_recurrence
-from opuc.weights import bernstein_szego
 
 
 def write_config(path, weight, n_list, outputs, **extra):
@@ -18,7 +16,7 @@ def write_config(path, weight, n_list, outputs, **extra):
 
 
 def read_csv(path):
-    rows = [ln for ln in open(path) if not ln.startswith("#")]
+    rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     header = rows[0].strip().split(",")
     data = [ln.strip().split(",") for ln in rows[1:]]
     return header, data
@@ -39,7 +37,7 @@ def test_oracle_bernstein_first_row(tmp_path):
     assert main(["oracle", "--config", cfg]) == 0
     _, data = read_csv(tmp_path / "out" / "alpha.csv")
     assert abs(float(data[0][1]) + 0.4) <= 1e-12
-    phi = json.load(open(tmp_path / "out" / "phi_30.json"))
+    phi = json.loads((tmp_path / "out" / "phi_30.json").read_text())
     assert phi["n"] == 30 and len(phi["monic_coefficients"]) == 31
     assert phi["_meta"]["opuc_version"]
 
@@ -60,11 +58,26 @@ def test_full_pipeline_compare_passes(tmp_path):
     assert main(["oracle", "--config", cfg]) == 0
     assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
     assert main(["compare", "--config", cfg]) == 0
-    report = json.load(open(tmp_path / "out" / "report.json"))
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["all_pass"] is True
     names = {c["name"] for c in report["checks"]}
     assert {"nevai-totik-rho", "alpha-error-decreasing",
             "prediction-error-slope"} <= names
+
+
+def test_poles_pipeline_compare_passes(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       list(range(1, 13)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "poles", "--config", cfg]) == 0
+    assert main(["compare", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["method"] == "poles"
+    assert [c["name"] for c in report["checks"]] == [
+        "nevai-totik-rho", "alpha-error-decreasing", "prediction-error-slope"]
+    assert all(c["passed"] for c in report["checks"])
+    predicted = json.loads((tmp_path / "out" / "zeros_predicted.json").read_text())
+    assert sorted(predicted["predicted"], key=int) == [str(n) for n in range(1, 13)]
 
 
 def test_compare_trivial_weight_passes(tmp_path):
@@ -82,7 +95,7 @@ def test_compare_flags_wrong_rho(tmp_path):
     main(["oracle", "--config", cfg])
     main(["predict", "--method", "scattering", "--config", cfg])
     assert main(["compare", "--config", cfg]) == 1
-    report = json.load(open(tmp_path / "out" / "report.json"))
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
     failing = [c["name"] for c in report["checks"] if not c["passed"]]
     assert failing == ["nevai-totik-rho"]
 
@@ -121,7 +134,7 @@ def test_compare_reads_method_from_predictions(tmp_path):
     assert main(["oracle", "--config", cfg]) == 0
     assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
     assert main(["compare", "--config", cfg]) in (0, 1)
-    report = json.load(open(tmp_path / "out" / "report.json"))
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["method"] == "scattering"
 
 
@@ -132,7 +145,7 @@ def test_compare_essential_has_no_pole_slope_check(tmp_path):
     assert main(["oracle", "--config", cfg]) == 0
     assert main(["predict", "--method", "essential", "--config", cfg]) == 0
     assert main(["compare", "--config", cfg]) == 0
-    report = json.load(open(tmp_path / "out" / "report.json"))
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert [c["name"] for c in report["checks"]] == ["alpha-error-decreasing",
                                                      "saddle-residual"]
 
@@ -154,44 +167,36 @@ def test_predict_zero_weight_parity_and_compare(tmp_path, monkeypatch):
 
     monkeypatch.setattr("opuc.cli.roots", no_roots)
     assert main(["compare", "--config", cfg]) == 0
-    report = json.load(open(tmp_path / "out" / "report.json"))
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert any(c["name"] == "interior-zero-count" and c["passed"]
                for c in report["checks"])
 
 
 def test_oracle_reproducibility_artifacts(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
-                       [25], tmp_path / "out", format="json")
+                       [25], tmp_path / "out")
     assert main(["oracle", "--config", cfg]) == 0
     header, data = read_csv(tmp_path / "out" / "oracle.csv")
     assert header == ["n", "alpha_re", "alpha_im", "kappa", "log_det"]
     assert len(data) == 26
-    zeros_doc = json.load(open(tmp_path / "out" / "zeros_25.json"))
+    zeros_doc = json.loads((tmp_path / "out" / "zeros_25.json").read_text())
     labels = {z["class"] for z in zeros_doc["zeros"]}
     assert len(zeros_doc["zeros"]) == 25 and labels <= {"interior", "band", "other"}
     assert sum(z["class"] == "band" for z in zeros_doc["zeros"]) >= 23
-    result = json.load(open(tmp_path / "out" / "result.json"))
-    assert result["n_max"] == 25 and len(result["phi_monic"]) == 26
-    oracle = szego_recurrence(moments(bernstein_szego(2.0), 26), 25)
-    as_complex = lambda zs: [complex(z["re"], z["im"]) for z in zs]
-    assert as_complex(result["alpha"]) == oracle.alpha.tolist()
-    assert result["kappa"] == oracle.kappa.tolist()
-    assert result["log_det"] == oracle.log_det.tolist()
-    assert [as_complex(p) for p in result["phi_monic"]] == [
-        p.tolist() for p in oracle.phi_monic]
 
 
 def test_predict_scattering_manifest(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
-                       [4, 8], tmp_path / "out", r=0.7)
+                       [4, 8], tmp_path / "out")
     assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
     header, data = read_csv(tmp_path / "out" / "scattering.csv")
     assert header == ["k", "re", "im"]
     table = {int(float(r[0])): float(r[1]) for r in data}
     assert abs(table[0] - 0.75) <= 1e-12 and abs(table[1] + 0.5) <= 1e-12
-    manifest = json.load(open(tmp_path / "out" / "smatrix_manifest.json"))
+    manifest = json.loads((tmp_path / "out" / "smatrix_manifest.json").read_text())
     assert [e["n"] for e in manifest["entries"]] == [5, 9]
-    assert all(e["r"] == 0.7 and e["n_terms"] == 2 for e in manifest["entries"])
+    # the lens radius is default_lens_radius(0.5)
+    assert all(e["r"] == 0.75 and e["n_terms"] == 2 for e in manifest["entries"])
 
 
 def test_method_metadata_mismatch(tmp_path):
@@ -226,12 +231,22 @@ def test_invalid_configs(tmp_path):
     ({"kind": "bernstein_szego", "c": 2.0}, "scattering", {"K": 3.5}),
     ({"kind": "lebesgue"}, None, {"N_quad": 64.0}),
     ({"kind": "lebesgue"}, None, {"N_quad": 8}),
-    ({"kind": "bernstein_szego", "c": 2.0}, "scattering", {"r": "0.7"}),
     ({"kind": "lebesgue"}, None, {"n_list": "12"}),
     ({"kind": "lebesgue"}, None, {"n_list": [1.5]}),
     ({"kind": "lebesgue"}, None, {"n_list": [2, 2, 3]}),
     ({"kind": "lebesgue"}, None, {"n_list": [True]}),
     ({"kind": "lebesgue"}, None, {"outputs": 3}),
+    ({"kind": "bernstein_szego", "c": 2.0, "rho": 1.5}, None, {}),
+    ({"kind": "bernstein_szego", "c": 2.0, "rho": -0.5}, None, {}),
+    ({"kind": "bernstein_szego", "c": 2.0, "rho": True}, None, {}),
+    ({"kind": "bernstein_szego", "c": "2.0"}, None, {}),
+    ({"kind": "essential", "rho": "0.5"}, None, {}),
+    ({"kind": "rational_modulus", "cs": [1.5, "2"]}, None, {}),
+    ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
+      "zeros": [{"angle": "0", "beta": 0.5}]}, None, {}),
+    ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
+      "zeros": [{"angle": 0.0, "beta": "0.5"}]}, None, {}),
+    ({"kind": "bernstein_szego", "c": 2.0, "rho": 1.5}, "scattering", {}),
 ])
 def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra):
     doc = {"weight": weight, "n_list": [5] if method == "essential" else [2],
@@ -249,6 +264,17 @@ def test_compare_missing_inputs(tmp_path):
     assert main(["compare", "--config", cfg]) == 5
 
 
+def test_positivity_loss_exits_3(tmp_path, capsys):
+    # a beta = 8 zero on 1024 quadrature nodes loses positivity before degree 80
+    weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
+              "zeros": [{"angle": 0.0, "beta": 8.0}]}
+    cfg = write_config(tmp_path / "cfg.json", weight, [80], tmp_path / "out",
+                       N_quad=1024)
+    assert main(["oracle", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("opuc: |alpha_") and err.count("\n") == 1
+
+
 def test_outputs_are_deterministic(tmp_path):
     def run(outdir):
         cfg = write_config(tmp_path / f"{outdir}.json",
@@ -260,7 +286,7 @@ def test_outputs_are_deterministic(tmp_path):
         digests = {}
         root = tmp_path / outdir
         for name in sorted(os.listdir(root)):
-            blob = open(root / name, "rb").read()
+            blob = (root / name).read_bytes()
             # the embedded config hash differs through the outputs path; strip it
             blob = blob.replace(str(root).encode(), b"OUT")
             digests[name] = hashlib.sha256(blob).hexdigest()
@@ -272,8 +298,8 @@ def test_outputs_are_deterministic(tmp_path):
     second = run("det_a2")
     cfg_hashes = set()
     for name in first:
-        a = [ln for ln in open(tmp_path / "det_a" / name, "rb").read().split(b"\n")]
-        b = [ln for ln in open(tmp_path / "det_a2" / name, "rb").read().split(b"\n")]
+        a = [ln for ln in (tmp_path / "det_a" / name).read_bytes().split(b"\n")]
+        b = [ln for ln in (tmp_path / "det_a2" / name).read_bytes().split(b"\n")]
         diff = [(x, y) for x, y in zip(a, b) if x != y]
         for x, y in diff:
             assert b"config_sha256" in x and b"config_sha256" in y
@@ -282,7 +308,7 @@ def test_outputs_are_deterministic(tmp_path):
     cfg = write_config(tmp_path / "det_b.json", {"kind": "bernstein_szego", "c": 2.0},
                        [4, 8], tmp_path / "det_b")
     main(["oracle", "--config", cfg])
-    blob1 = open(tmp_path / "det_b" / "alpha.csv", "rb").read()
+    blob1 = (tmp_path / "det_b" / "alpha.csv").read_bytes()
     main(["oracle", "--config", cfg])
-    blob2 = open(tmp_path / "det_b" / "alpha.csv", "rb").read()
+    blob2 = (tmp_path / "det_b" / "alpha.csv").read_bytes()
     assert blob1 == blob2
