@@ -195,11 +195,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
                 for n in range(n_max + 1)])
     base = spec.base if isinstance(spec, ZeroModifiedWeight) else spec
     rho = base.rho or 0.0
+    last_n, last_zeros = None, None
     for n in cfg.n_list:
         _write_json(os.path.join(cfg.outputs, f"phi_{n}.json"), cfg,
                     {"schema": "opuc.phi/1", "n": n,
                      "monic_coefficients": [complex(c) for c in result.phi_monic[n]]})
-        zs = roots(result.phi_monic[n])
+        zs = roots(result.phi_monic[n], last_zeros if last_n == n - 1 else None)
+        last_n, last_zeros = n, zs.zeros
         labels = classify(zs, rho).labels
         _write_json(os.path.join(cfg.outputs, f"zeros_{n}.json"), cfg,
                     {"schema": "opuc.zeros/1", "n": n,

@@ -1,7 +1,12 @@
 """Root finding and zero statistics for the monic polynomials.
 
-Roots come from the companion-matrix eigenvalues with a few Newton polish
-steps; zeros are then split into the interior set, the band hugging the
+Roots come from Aberth-Ehrlich iteration, seeded with the zeros of the
+previous degree when the caller has them and with companion-matrix
+eigenvalues otherwise.  The eigenvalues alone are not enough: they are
+backward stable only in the norm of the whole coefficient vector, and the
+coefficients of Phi_n are graded, so once rho^n < eps the zeros near the
+critical circle lose their digits while |Phi_n| on them stays at rounding
+level.  Zeros are then split into the interior set, the band hugging the
 critical circle, and the rest, and the band is summarized by the statistics
 the clustering and equidistribution laws speak about.
 """
@@ -30,52 +35,108 @@ class ZeroSet:
 
     n: int
     zeros: np.ndarray
-    residual: float
-    clusters: tuple   # (representative, multiplicity) pairs
+    residual: float   # max |p(z)| over the zeros
+
+    @property
+    def clusters(self) -> tuple:
+        """(representative, multiplicity) pairs, grouping zeros within 1e-7."""
+        zs = self.zeros
+        clusters = []
+        used = np.zeros(self.n, dtype=bool)
+        for i in np.argsort(np.abs(zs)):
+            if used[i]:
+                continue
+            group = np.abs(zs - zs[i]) < 1e-7
+            group &= ~used
+            used |= group
+            clusters.append((complex(np.mean(zs[group])), int(np.count_nonzero(group))))
+        return tuple(clusters)
 
 
-def _polish(coeffs: np.ndarray, z: np.ndarray) -> tuple:
-    """Three Newton steps on each root, keeping the start where polishing made
-    |p| worse (a tiny derivative near a clustered root can throw a good root
-    far off).  Returns the roots and |p| at each."""
-    deriv = np.polynomial.polynomial.polyder(coeffs)
-    start = z
-    p = np.polynomial.polynomial.polyval(z, coeffs)
-    start_resid = np.abs(p)
-    for _ in range(3):
-        dp = np.polynomial.polynomial.polyval(z, deriv)
-        ok = np.abs(dp) > 0
-        step = np.zeros_like(z)
-        np.divide(p, dp, out=step, where=ok)
-        step = np.where(np.abs(step) < 0.5, step, 0.0)  # reject wild steps
-        z = z - step
-        p = np.polynomial.polynomial.polyval(z, coeffs)
-    better = np.abs(p) <= start_resid
-    return np.where(better, z, start), np.where(better, np.abs(p), start_resid)
+_EPS = np.finfo(float).eps
+_MAX_STEPS = 100   # Aberth converges only linearly onto a multiple root
 
 
-def roots(monic_coeffs) -> ZeroSet:
-    """Zeros of a monic polynomial given by ascending coefficients."""
+def _powers(u: np.ndarray, n: int) -> np.ndarray:
+    """Rows u_i^0, u_i^1, ..., u_i^n."""
+    table = np.empty((u.size, n + 1), dtype=complex)
+    table[:, 0] = 1.0
+    table[:, 1:] = u[:, None]
+    np.cumprod(table[:, 1:], axis=1, out=table[:, 1:])
+    return table
+
+
+def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Aberth-Ehrlich iteration (Aberth 1973, Ehrlich 1967) on the seeds z,
+    in place.
+
+    Each step updates every unfrozen root at once: p, p' and the rounding
+    bound e = sum |c_k| |z|^k come from one power table, evaluated in the
+    reversed polynomial where |z| > 1 so no power overflows, and the
+    repulsion sum_j 1/(z_i - z_j) from one difference table.  A root freezes
+    after the step whose correction is below 4 eps |z|, or after the step
+    taken from where |p| first falls to 4 eps e, the level below which p
+    carries no information (Bini 1996).
+    """
+    n = c.size - 1
+    k = np.arange(1, n + 1)
+    coeffs = np.stack([c, c[::-1]], axis=1)            # p(z); z^n p(1/z)
+    derivs = coeffs[1:] * k[:, None]
+    moduli = np.abs(coeffs)
+    active = np.ones(n, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        zi = z[idx]
+        outside = np.abs(zi) > 1.0
+        u = zi.copy()
+        u[outside] = 1.0 / u[outside]
+        table = _powers(u, n)
+        pick = (np.arange(idx.size), outside.astype(int))
+        p = (table @ coeffs)[pick]
+        dp = (table[:, :n] @ derivs)[pick]
+        bound = (np.abs(table) @ moduli)[pick]
+        # outside, p and dp are q(w) and q'(w) for q(w) = w^n p(1/w), w = 1/z,
+        # and p'(z)/p(z) = w (n q - w q') / q
+        dp = np.where(outside, u * (n * p - u * dp), dp)
+        diff = zi[:, None] - z[None, :]
+        inv = np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0)
+        den = dp - p * inv.sum(axis=1)
+        step = np.divide(p, den, out=np.zeros_like(p), where=den != 0)
+        z[idx] = zi - step
+        active[idx] = ((np.abs(p) > 4.0 * _EPS * bound)
+                       & (np.abs(step) > 4.0 * _EPS * np.abs(zi)))
+    return z
+
+
+def roots(monic_coeffs, previous=None) -> ZeroSet:
+    """Zeros of a monic polynomial given by ascending coefficients.
+
+    ``previous`` may hold the zeros of the polynomial one degree lower in
+    the same sequence; the seed is then those zeros plus the point that
+    makes the seeds sum to -c_{n-1} (Vieta), nudged off the real axis.
+    Otherwise the seed is the companion-matrix eigenvalues.  Either way the
+    zeros are those of the Aberth-Ehrlich iteration from the seed.
+    ``residual`` is max |p| over the zeros; it stays at rounding level even
+    where zeros are wrong.
+    """
     c = np.asarray(monic_coeffs, dtype=complex)
     if c.size < 2:
         raise ValueError("polynomial must have degree >= 1")
     if not np.all(np.isfinite(c.real) & np.isfinite(c.imag)):
         raise ValueError("non-finite coefficients")
     n = c.size - 1
-    zs = np.roots(c[::-1]).astype(complex)   # balanced companion eigenvalues
-    zs, resid_each = _polish(c, zs)
-    resid = float(np.max(resid_each))
-    clusters = []
-    used = np.zeros(n, dtype=bool)
-    order = np.argsort(np.abs(zs))
-    for i in order:
-        if used[i]:
-            continue
-        group = np.abs(zs - zs[i]) < 1e-7
-        group &= ~used
-        used |= group
-        clusters.append((complex(np.mean(zs[group])), int(np.count_nonzero(group))))
-    return ZeroSet(n, zs, resid, tuple(clusters))
+    if previous is not None and len(previous) == n - 1:
+        prev = np.asarray(previous, dtype=complex)
+        # off the real axis, so that a real polynomial's real seeds can
+        # become a conjugate pair without waiting on rounding noise
+        nudge = 0.01j * np.max(np.abs(prev), initial=0.0)
+        seed = np.append(prev, -c[-2] - prev.sum() + nudge)
+    else:
+        seed = np.roots(c[::-1]).astype(complex)
+    zs = _aberth(c, seed)
+    return ZeroSet(n, zs, float(np.max(np.abs(_powers(zs, n) @ c))))
 
 
 @dataclass(frozen=True, eq=False)

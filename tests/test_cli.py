@@ -6,6 +6,7 @@ import os
 import pytest
 
 from opuc.cli import main
+from opuc.zeros import match
 
 
 def write_config(path, weight, n_list, outputs, **extra):
@@ -13,6 +14,11 @@ def write_config(path, weight, n_list, outputs, **extra):
     doc.update(extra)
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def read_zeros(path):
+    doc = json.loads(path.read_text())["zeros"]
+    return [complex(z["re"], z["im"]) for z in doc], [z["class"] for z in doc]
 
 
 def read_csv(path):
@@ -44,7 +50,7 @@ def test_oracle_bernstein_first_row(tmp_path):
 
 def test_predict_scattering_columns(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
-                       [2, 4, 6, 8], tmp_path / "out", r=0.7)
+                       [2, 4, 6, 8], tmp_path / "out")
     assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
     header, data = read_csv(tmp_path / "out" / "predictions.csv")
     assert header == ["n", "alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
@@ -185,6 +191,24 @@ def test_oracle_reproducibility_artifacts(tmp_path):
     assert sum(z["class"] == "band" for z in zeros_doc["zeros"]) >= 23
 
 
+def test_warm_started_zeros_equal_cold_started(tmp_path):
+    # consecutive degrees seed each zero set with the one before; in the
+    # second list 20, 41 and 60 have no predecessor and start cold
+    weight = {"kind": "bernstein_szego", "c": 1.3}
+    warm = write_config(tmp_path / "warm.json", weight, list(range(1, 61)),
+                        tmp_path / "warm")
+    cold = write_config(tmp_path / "cold.json", weight, [20, 41, 60], tmp_path / "cold")
+    assert main(["oracle", "--config", warm]) == 0
+    assert main(["oracle", "--config", cold]) == 0
+    for n in (20, 41, 60):
+        z_warm, labels_warm = read_zeros(tmp_path / "warm" / f"zeros_{n}.json")
+        z_cold, labels_cold = read_zeros(tmp_path / "cold" / f"zeros_{n}.json")
+        paired = match(z_warm, z_cold)
+        assert len(paired.pairs) == n and paired.distances.max() <= 1e-13
+        assert ([labels_warm[i] for i, _, _ in paired.pairs]
+                == [labels_cold[j] for _, j, _ in paired.pairs])
+
+
 def test_predict_scattering_manifest(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
                        [4, 8], tmp_path / "out")
@@ -213,9 +237,6 @@ def test_invalid_configs(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"kind": "lebesgue"}, [3, 2, 1],
                        tmp_path / "out")
     assert main(["oracle", "--config", cfg]) == 2    # unsorted degrees
-    missing = write_config(tmp_path / "cfg2.json", {"kind": "lebesgue"}, [2],
-                           tmp_path / "out", r=0.7)
-    os.rename(missing, missing)  # keep flake quiet about unused name
     assert main(["oracle", "--config", str(tmp_path / "nope.json")]) == 2
 
 

@@ -1,9 +1,12 @@
 import itertools
+import json
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
+from opuc.cli import main
 from opuc.oracle import moments, szego_recurrence
 from opuc.weights import bernstein_szego
 from opuc.zeros import classify, equidistribution_check, match, roots
@@ -50,6 +53,37 @@ def test_polish_never_worsens_a_root():
     # step there throws an accurate eigenvalue far off (residual 0.41)
     phi = szego_recurrence(moments(bernstein_szego(1.334442), 137), 136).phi_monic[136]
     assert roots(phi).residual <= 1e-12
+
+
+def newton_corrections(coeffs, zs):
+    """|p/p'| at each float zero, in 40-digit arithmetic on the float
+    coefficients: the distance to the exact zero of the same polynomial,
+    to first order."""
+    with mpmath.workdps(40):
+        desc = [mpmath.mpc(complex(a)) for a in coeffs[::-1]]
+        corr = []
+        for z in zs:
+            p, dp = mpmath.polyval(desc, mpmath.mpc(complex(z)), derivative=True)
+            corr.append(float(abs(p / dp)))
+    return np.array(corr)
+
+
+def test_zeros_certified_past_eps_threshold(tmp_path):
+    # rho^136 < eps for |1 - z/1.334442|^2: the companion eigenvalues of
+    # Phi_136 are off by 0.3 while |Phi_136| stays at 1e-16 on them
+    phi = szego_recurrence(moments(bernstein_szego(1.334442), 137), 136).phi_monic[136]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weight": {"kind": "bernstein_szego", "c": 1.334442},
+                               "n_list": [135, 136], "outputs": str(tmp_path)}))
+    assert main(["oracle", "--config", str(cfg)]) == 0    # 136 seeded from 135
+    zeros_doc = json.loads((tmp_path / "zeros_136.json").read_text())
+    warm = np.array([complex(z["re"], z["im"]) for z in zeros_doc["zeros"]])
+    cold = roots(phi).zeros
+    for zs in (cold, warm):
+        assert zs.size == 136
+        assert np.max(newton_corrections(phi, zs)) <= 1e-14
+        gaps = np.abs(zs[:, None] - zs[None, :]) + np.eye(zs.size)
+        assert np.min(gaps) >= 1e-8     # 136 distinct zeros
 
 
 def test_vieta_sum(bs2_oracle):
