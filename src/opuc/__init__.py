@@ -3,7 +3,7 @@ Szego/scattering data, a moment-recursion oracle, canonical-series
 reconstruction and closed-form asymptotic predictors."""
 
 from .laurent import (CircleGrid, LaurentSeries, coefficients_from_samples,
-                      convolve, riesz_project)
+                      convolve)
 from .weights import (AnalyticWeight, CircleZero, ZeroModifiedWeight,
                       bernstein_szego, essential, estimate_rho,
                       inverse_essential, lebesgue, log_weight_coefficients,
@@ -13,8 +13,7 @@ from .szego import (ModifiedSzegoData, SzegoData, build_modified,
                     modified_szego, scattering, szego_data_for, szego_function,
                     theta_constants)
 from .oracle import (Moments, OpucResult, PositivityLossError, moments,
-                     orthonormality_residual, szego_recurrence,
-                     toeplitz_determinants)
+                     szego_recurrence, toeplitz_determinants)
 from .canonical import (PiecewiseSeries, SMatrixEntries, apply_M_exterior,
                         apply_M_interior, kappa_estimate, neumann_solve,
                         reconstruct_phi, verblunsky_estimate)
@@ -24,6 +23,6 @@ from .asymptotics import (LevelCurve, PolePrescription, SaddleData,
                           saddle_solve, verblunsky_essential_asymptote,
                           verblunsky_pole_asymptote, zero_weight_phi,
                           zero_weight_predicted_roots)
-from .zeros import classify, equidistribution_check, match, roots
+from .zeros import classify, match, roots
 
 __version__ = "0.1.0"

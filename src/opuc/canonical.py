@@ -4,8 +4,7 @@ The two Cauchy-type operators with symbols z^n S(z) and z^{-n}/S(z) are
 realized in Laurent-coefficient space as a convolution, an index shift and a
 Riesz projection.  Their alternating (Neumann) iterates sum to the four
 region-wise entries S_ij(n; .), from which Phi_n, the Verblunsky coefficient
-and the leading coefficient are reconstructed.  A direct contour-quadrature
-realization of the operators is kept as an independent test oracle.
+and the leading coefficient are reconstructed.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ __all__ = [
     "SMatrixEntries",
     "apply_M_exterior",
     "apply_M_interior",
-    "apply_M_interior_quadrature",
-    "apply_M_exterior_quadrature",
     "default_lens_radius",
     "default_truncation_order",
     "kappa_estimate",
@@ -131,47 +128,22 @@ def _piecewise(f: LaurentSeries, n: int, sz: SzegoData, interior: bool) -> Piece
                            LaurentSeries(outer, sz.K, lo, math.inf))
 
 
-def apply_M_interior(f: LaurentSeries, n: int, sz: SzegoData,
-                     r: float | None = None) -> PiecewiseSeries:
-    """Cauchy operator over the circle of radius r with symbol z^n S(z).
+def apply_M_interior(f: LaurentSeries, n: int, sz: SzegoData) -> PiecewiseSeries:
+    """Cauchy operator over a circle |t| = r, rho < r < 1, with symbol z^n S(z).
 
     The branches, inside and outside that circle, are those of _operator;
-    their coefficients do not depend on r.
+    their coefficients do not depend on r, so r is not an argument.
     """
     return _piecewise(f, n, sz, True)
 
 
-def apply_M_exterior(f: LaurentSeries, n: int, sz: SzegoData,
-                     r: float | None = None) -> PiecewiseSeries:
-    """Cauchy operator over the circle of radius 1/r with symbol z^{-n}/S(z).
+def apply_M_exterior(f: LaurentSeries, n: int, sz: SzegoData) -> PiecewiseSeries:
+    """Cauchy operator over a circle |t| = 1/r, rho < r < 1, with symbol z^{-n}/S(z).
 
     The branches, inside and outside that circle, are those of _operator;
-    their coefficients do not depend on r.
+    their coefficients do not depend on r, so r is not an argument.
     """
     return _piecewise(f, n, sz, False)
-
-
-def _quadrature_cauchy(boundary_vals, nodes, z, prefactor):
-    zarr = np.asarray(z, dtype=complex)
-    dt = nodes * (2j * np.pi / nodes.size)
-    return prefactor / (2j * np.pi) * np.sum(
-        boundary_vals * dt / (nodes - zarr[..., None]), axis=-1)
-
-
-def apply_M_interior_quadrature(f: LaurentSeries, n: int, sz: SzegoData, r: float, z):
-    """512-node trapezoid realization of the interior operator (test oracle)."""
-    t = r * np.exp(2j * np.pi * np.arange(512) / 512)
-    vals = f.evaluate(t) * sz.S.evaluate(t) * t ** n
-    return _quadrature_cauchy(vals, t, np.atleast_1d(np.asarray(z, dtype=complex)),
-                              -1.0 / sz.tau ** 2)
-
-
-def apply_M_exterior_quadrature(f: LaurentSeries, n: int, sz: SzegoData, r: float, z):
-    """512-node trapezoid realization of the exterior operator (test oracle)."""
-    t = (1.0 / r) * np.exp(2j * np.pi * np.arange(512) / 512)
-    vals = f.evaluate(t) / (sz.S.evaluate(t) * t ** n)
-    return _quadrature_cauchy(vals, t, np.atleast_1d(np.asarray(z, dtype=complex)),
-                              sz.tau ** 2)
 
 
 def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
@@ -256,7 +228,7 @@ def reconstruct_phi(e: SMatrixEntries, sz: SzegoData, z) -> complex:
     return zc ** e.n * szego_function(sz, zc, "exterior") * e.s11.outer.evaluate(zc) / tau
 
 
-def verblunsky_estimate(n: int, sz: SzegoData, level: int = 1, r: float | None = None,
+def verblunsky_estimate(n: int, sz: SzegoData, level: int = 1,
                         entries: SMatrixEntries | None = None) -> complex:
     """Verblunsky coefficient predicted from the scattering data.
 
@@ -270,14 +242,14 @@ def verblunsky_estimate(n: int, sz: SzegoData, level: int = 1, r: float | None =
     if level == 1:
         return -sz.S_inv.coeff(n + 1)
     if level == 2:
-        e = entries if entries is not None else neumann_solve(n + 1, sz, r=r)
+        e = entries if entries is not None else neumann_solve(n + 1, sz)
         if e.n != n + 1:
             raise ValueError(f"entries built for degree {e.n}, need {n + 1}")
         return complex(np.conj(sz.tau ** 2 * e.s12.inner.coeff(0)))
     raise ValueError("level must be 1 or 2")
 
 
-def kappa_estimate(n: int, sz: SzegoData, level: int = 1, r: float | None = None,
+def kappa_estimate(n: int, sz: SzegoData, level: int = 1,
                    entries: SMatrixEntries | None = None) -> float:
     """Predicted kappa_n^2.
 
@@ -293,7 +265,7 @@ def kappa_estimate(n: int, sz: SzegoData, level: int = 1, r: float | None = None
         total = float(np.sum(np.abs(sz.S.coeffs[mask]) ** 2))
         return sz.tau ** 2 / (2.0 * np.pi) * total
     if level == 2:
-        e = entries if entries is not None else neumann_solve(n + 1, sz, r=r)
+        e = entries if entries is not None else neumann_solve(n + 1, sz)
         if e.n != n + 1:
             raise ValueError(f"entries built for degree {e.n}, need {n + 1}")
         return float((sz.tau ** 2 / (2.0 * np.pi) * e.s22.inner.coeff(0)).real)

@@ -5,8 +5,9 @@ with 17 significant digits, and every file carries the sha256 of the config
 it was produced from plus the package version.
 
 Exit codes: 0 all good / comparisons pass, 1 comparison failures,
-2 config or weight validation failure, 3 positivity loss in the recursion,
-4 required weight metadata missing for the method, 5 missing input files.
+2 config or weight validation failure (including a weight the requested
+method cannot handle), 3 positivity loss in the recursion, 5 missing input
+files.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (PolePrescription, dominant_pole_predicted_roots,
-                          fisher_hartwig_fit, kappa_zero_weight, level_curve,
-                          saddle_solve, verblunsky_essential_asymptote,
+                          kappa_zero_weight, level_curve, saddle_solve,
+                          verblunsky_essential_asymptote,
                           verblunsky_pole_asymptote, zero_weight_predicted_roots)
 from .canonical import (default_truncation_order, kappa_estimate,
                         neumann_solve, verblunsky_estimate)
@@ -47,40 +48,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _dump_json(obj, fh, indent=0):
-    """json.dump with sorted keys and 17-significant-digit floats."""
-    pad = "  " * indent
+def _json(obj, pad: str = "") -> str:
+    """JSON text with sorted keys, a two-space indent, 17-significant-digit
+    floats, non-finite floats as null and complex numbers as {"im", "re"}."""
+    if isinstance(obj, complex):
+        obj = {"im": obj.imag, "re": obj.real}
+    inner = pad + "  "
     if isinstance(obj, dict):
-        if not obj:
-            fh.write("{}")
-            return
-        fh.write("{\n")
-        items = sorted(obj.items())
-        for i, (k, v) in enumerate(items):
-            fh.write(pad + "  " + json.dumps(str(k)) + ": ")
-            _dump_json(v, fh, indent + 1)
-            fh.write(",\n" if i + 1 < len(items) else "\n")
-        fh.write(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            fh.write("[]")
-            return
-        fh.write("[\n")
-        for i, v in enumerate(obj):
-            fh.write(pad + "  ")
-            _dump_json(v, fh, indent + 1)
-            fh.write(",\n" if i + 1 < len(obj) else "\n")
-        fh.write(pad + "]")
-    elif isinstance(obj, bool) or obj is None:
-        fh.write(json.dumps(obj))
-    elif isinstance(obj, float):
-        fh.write(_fmt(obj) if math.isfinite(obj) else json.dumps(None))
-    elif isinstance(obj, (int, str)):
-        fh.write(json.dumps(obj))
-    elif isinstance(obj, complex):
-        _dump_json({"re": obj.real, "im": obj.imag}, fh, indent)
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        items = [f"{inner}{json.dumps(str(k))}: {_json(v, inner)}"
+                 for k, v in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [inner + _json(v, inner) for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    if isinstance(obj, float):
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
+    if isinstance(obj, (int, str)) or obj is None:   # bool is an int
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 @dataclass
@@ -132,10 +117,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _manifest(cfg: RunConfig) -> dict:
-    return {"config_sha256": cfg.sha256, "opuc_version": __version__}
-
-
 def _write_csv(path: str, cfg: RunConfig, header: list, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# config_sha256={cfg.sha256} opuc_version={__version__}\n")
@@ -145,11 +126,9 @@ def _write_csv(path: str, cfg: RunConfig, header: list, rows) -> None:
 
 
 def _write_json(path: str, cfg: RunConfig, obj: dict) -> None:
-    obj = dict(obj)
-    obj["_meta"] = _manifest(cfg)
+    meta = {"config_sha256": cfg.sha256, "opuc_version": __version__}
     with open(path, "w", newline="\n") as fh:
-        _dump_json(obj, fh)
-        fh.write("\n")
+        fh.write(_json({**obj, "_meta": meta}) + "\n")
 
 
 def _load_weight(cfg: RunConfig):
@@ -314,14 +293,8 @@ def cmd_predict(cfg: RunConfig, method: str) -> int:
     os.makedirs(cfg.outputs, exist_ok=True)
     try:
         return _METHODS[method](cfg, spec)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise MissingMetadataError(str(exc))
-
-
-class MissingMetadataError(RuntimeError):
-    pass
+    except ValueError as exc:   # a ConfigError, or a weight the method cannot handle
+        raise ConfigError(str(exc))
 
 
 def _read_csv(path: str) -> dict:
@@ -470,9 +443,6 @@ def main(argv=None) -> int:
     except PositivityLossError as exc:
         print(f"opuc: {exc}", file=sys.stderr)
         return 3
-    except MissingMetadataError as exc:
-        print(f"opuc: missing weight metadata: {exc}", file=sys.stderr)
-        return 4
     except MissingInputError as exc:
         print(f"opuc: {exc}", file=sys.stderr)
         return 5

@@ -22,7 +22,6 @@ __all__ = [
     "coefficients_from_samples",
     "convolve",
     "default_grid_size",
-    "riesz_project",
 ]
 
 
@@ -92,16 +91,6 @@ class LaurentSeries:
     def constant(cls, value: complex, K: int = 0) -> "LaurentSeries":
         s = cls.zeros(K)
         s.coeffs[K] = value
-        return s
-
-    @classmethod
-    def from_pairs(cls, pairs: dict[int, complex], K: int,
-                   r_inner: float = 0.0, r_outer: float = math.inf) -> "LaurentSeries":
-        s = cls.zeros(K, r_inner, r_outer)
-        for k, v in pairs.items():
-            if abs(k) > K:
-                raise ValueError(f"index {k} outside window [-{K}, {K}]")
-            s.coeffs[k + K] = v
         return s
 
     # -- accessors ---------------------------------------------------------
@@ -198,18 +187,6 @@ def coefficients_from_samples(samples, K: int, grid: CircleGrid,
             raise ValueError("real_on_circle symmetrization is defined on the unit circle")
         coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1]))
     return LaurentSeries(coeffs, K, r_inner, r_outer)
-
-
-def riesz_project(s: LaurentSeries, part: str) -> LaurentSeries:
-    """Riesz projection: 'plus' keeps k >= 0, 'minus' keeps k < 0."""
-    out = s.coeffs.copy()
-    if part == "plus":
-        out[:s.K] = 0.0
-        return LaurentSeries(out, s.K, 0.0, s.r_outer)
-    if part == "minus":
-        out[s.K:] = 0.0
-        return LaurentSeries(out, s.K, s.r_inner, math.inf)
-    raise ValueError(f"part must be 'plus' or 'minus', got {part!r}")
 
 
 def convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeries:

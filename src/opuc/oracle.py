@@ -22,7 +22,6 @@ __all__ = [
     "PositivityLossError",
     "default_quadrature_size",
     "moments",
-    "orthonormality_residual",
     "szego_recurrence",
     "toeplitz_determinants",
 ]
@@ -154,17 +153,3 @@ def toeplitz_determinants(moms: Moments) -> np.ndarray:
             raise RuntimeError(
                 f"determinant cross-check failed at n = {n}: {ld} vs {logdet[n]}")
     return logdet
-
-
-def orthonormality_residual(spec, result: OpucResult, n_max: int,
-                            n_quad: int | None = None) -> float:
-    """max |<phi_n, phi_m> - delta_{nm}| over 0 <= m <= n <= n_max by quadrature."""
-    n_quad = default_quadrature_size(spec, n_max) if n_quad is None else n_quad
-    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
-    w = np.asarray(spec(theta), dtype=float) * (2.0 * np.pi / n_quad)
-    z = np.exp(1j * theta)
-    vals = np.array([result.kappa[n] *
-                     np.polynomial.polynomial.polyval(z, result.phi_monic[n])
-                     for n in range(n_max + 1)])
-    gram = (vals * w) @ np.conj(vals.T)
-    return float(np.max(np.abs(gram - np.eye(n_max + 1))))

@@ -347,13 +347,6 @@ def zero_modified(base: AnalyticWeight, zeros) -> ZeroModifiedWeight:
     return ZeroModifiedWeight(base, czeros)
 
 
-def builtin_weights() -> dict:
-    """The catalog constructors, keyed by the JSON kind names."""
-    return {"lebesgue": lebesgue, "bernstein_szego": bernstein_szego,
-            "rational_modulus": rational_modulus, "essential": essential,
-            "inverse_essential": inverse_essential, "zero_modified": zero_modified}
-
-
 # ---------------------------------------------------------------------------
 # JSON weight descriptions
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "ZeroClassification",
     "ZeroSet",
     "classify",
-    "equidistribution_check",
     "match",
     "roots",
 ]
@@ -177,29 +176,6 @@ def classify(zs: ZeroSet, rho: float, margin: float | None = None) -> ZeroClassi
                               float(np.mean(mods)),
                               float(np.max(mods) - np.min(mods)),
                               gaps, False)
-
-
-def equidistribution_check(cl: ZeroClassification, n: int, m: int = 1) -> dict:
-    """Band statistics against the equidistribution pattern.
-
-    Reports the fraction of consecutive angular gaps within 15 percent of
-    2 pi / n, the worst relative gap deviation, and the deviation of the mean
-    band modulus from rho (1 + log binom(n, m-1) / n).
-    """
-    if cl.degenerate:
-        return {"degenerate": True, "flag": "no band"}
-    target = 2.0 * np.pi / n
-    rel_dev = np.abs(cl.angular_gaps - target) / target
-    pred_mod = cl.rho * (1.0 + math.log(math.comb(n, m - 1)) / n)
-    return {
-        "degenerate": False,
-        "gap_target": target,
-        "gap_rel_dev_max": float(np.max(rel_dev)),
-        "gap_within_15pct": float(np.mean(rel_dev <= 0.15)),
-        "mean_modulus": cl.band_mean_modulus,
-        "mean_modulus_minus_pred": cl.band_mean_modulus - pred_mod,
-        "n_band": int(cl.band.size),
-    }
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,0 +1,105 @@
+"""Test oracles: objects the library computes one way, restated another way
+(contour quadrature, a dense Gram matrix), and helpers for building inputs."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from opuc.laurent import LaurentSeries
+from opuc.oracle import OpucResult, default_quadrature_size
+from opuc.szego import SzegoData
+from opuc.weights import (bernstein_szego, essential, inverse_essential,
+                          lebesgue, rational_modulus, zero_modified)
+from opuc.zeros import ZeroClassification
+
+
+def from_pairs(pairs: dict[int, complex], K: int,
+               r_inner: float = 0.0, r_outer: float = math.inf) -> LaurentSeries:
+    """The series with the given {k: c_k} entries and zeros elsewhere."""
+    s = LaurentSeries.zeros(K, r_inner, r_outer)
+    for k, v in pairs.items():
+        if abs(k) > K:
+            raise ValueError(f"index {k} outside window [-{K}, {K}]")
+        s.coeffs[k + K] = v
+    return s
+
+
+def riesz_project(s: LaurentSeries, part: str) -> LaurentSeries:
+    """Riesz projection: 'plus' keeps k >= 0, 'minus' keeps k < 0."""
+    out = s.coeffs.copy()
+    if part == "plus":
+        out[:s.K] = 0.0
+        return LaurentSeries(out, s.K, 0.0, s.r_outer)
+    if part == "minus":
+        out[s.K:] = 0.0
+        return LaurentSeries(out, s.K, s.r_inner, math.inf)
+    raise ValueError(f"part must be 'plus' or 'minus', got {part!r}")
+
+
+def _quadrature_cauchy(boundary_vals, nodes, z, prefactor):
+    zarr = np.asarray(z, dtype=complex)
+    dt = nodes * (2j * np.pi / nodes.size)
+    return prefactor / (2j * np.pi) * np.sum(
+        boundary_vals * dt / (nodes - zarr[..., None]), axis=-1)
+
+
+def apply_M_interior_quadrature(f: LaurentSeries, n: int, sz: SzegoData, r: float, z):
+    """512-node trapezoid realization of the interior operator on |t| = r."""
+    t = r * np.exp(2j * np.pi * np.arange(512) / 512)
+    vals = f.evaluate(t) * sz.S.evaluate(t) * t ** n
+    return _quadrature_cauchy(vals, t, np.atleast_1d(np.asarray(z, dtype=complex)),
+                              -1.0 / sz.tau ** 2)
+
+
+def apply_M_exterior_quadrature(f: LaurentSeries, n: int, sz: SzegoData, r: float, z):
+    """512-node trapezoid realization of the exterior operator on |t| = 1/r."""
+    t = (1.0 / r) * np.exp(2j * np.pi * np.arange(512) / 512)
+    vals = f.evaluate(t) / (sz.S.evaluate(t) * t ** n)
+    return _quadrature_cauchy(vals, t, np.atleast_1d(np.asarray(z, dtype=complex)),
+                              sz.tau ** 2)
+
+
+def orthonormality_residual(spec, result: OpucResult, n_max: int,
+                            n_quad: int | None = None) -> float:
+    """max |<phi_n, phi_m> - delta_{nm}| over 0 <= m <= n <= n_max by quadrature."""
+    n_quad = default_quadrature_size(spec, n_max) if n_quad is None else n_quad
+    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
+    w = np.asarray(spec(theta), dtype=float) * (2.0 * np.pi / n_quad)
+    z = np.exp(1j * theta)
+    vals = np.array([result.kappa[n] *
+                     np.polynomial.polynomial.polyval(z, result.phi_monic[n])
+                     for n in range(n_max + 1)])
+    gram = (vals * w) @ np.conj(vals.T)
+    return float(np.max(np.abs(gram - np.eye(n_max + 1))))
+
+
+def builtin_weights() -> dict:
+    """The catalog constructors, keyed by the JSON kind names."""
+    return {"lebesgue": lebesgue, "bernstein_szego": bernstein_szego,
+            "rational_modulus": rational_modulus, "essential": essential,
+            "inverse_essential": inverse_essential, "zero_modified": zero_modified}
+
+
+def equidistribution_check(cl: ZeroClassification, n: int, m: int = 1) -> dict:
+    """Band statistics against the equidistribution pattern.
+
+    Reports the fraction of consecutive angular gaps within 15 percent of
+    2 pi / n, the worst relative gap deviation, and the deviation of the mean
+    band modulus from rho (1 + log binom(n, m-1) / n).
+    """
+    if cl.degenerate:
+        return {"degenerate": True, "flag": "no band"}
+    target = 2.0 * np.pi / n
+    rel_dev = np.abs(cl.angular_gaps - target) / target
+    pred_mod = cl.rho * (1.0 + math.log(math.comb(n, m - 1)) / n)
+    return {
+        "degenerate": False,
+        "gap_target": target,
+        "gap_rel_dev_max": float(np.max(rel_dev)),
+        "gap_within_15pct": float(np.mean(rel_dev <= 0.15)),
+        "mean_modulus": cl.band_mean_modulus,
+        "mean_modulus_minus_pred": cl.band_mean_modulus - pred_mod,
+        "n_band": int(cl.band.size),
+    }

@@ -21,7 +21,8 @@ from opuc.canonical import (apply_M_exterior, apply_M_interior, kappa_estimate,
 from opuc.laurent import LaurentSeries
 from opuc.oracle import moments, szego_recurrence
 from opuc.szego import scattering_modified, szego_data_for, szego_function
-from opuc.zeros import classify, equidistribution_check, roots
+from opuc.zeros import classify, roots
+from oracles import equidistribution_check
 
 
 def report(num, name, ok, detail=""):

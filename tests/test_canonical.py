@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from opuc.canonical import (AmbiguousRegionError, NeumannDivergenceError,
-                            apply_M_exterior, apply_M_exterior_quadrature,
-                            apply_M_interior, apply_M_interior_quadrature,
+                            apply_M_exterior, apply_M_interior,
                             default_lens_radius, default_truncation_order,
                             kappa_estimate, neumann_solve, reconstruct_phi,
                             verblunsky_estimate)
 from opuc.laurent import LaurentSeries
 from opuc.szego import SzegoData, szego_function
+from oracles import (apply_M_exterior_quadrature, apply_M_interior_quadrature,
+                     from_pairs)
 
 R_LENS = 0.7
 
@@ -37,21 +38,21 @@ def test_exterior_operator_lebesgue(leb_szego):
 
 def test_interior_operator_reads_scattering_coefficient(bs2_szego):
     # value at the origin is -(S)_{-n} / tau^2
-    p = apply_M_interior(one_series(bs2_szego.K), 5, bs2_szego, R_LENS)
+    p = apply_M_interior(one_series(bs2_szego.K), 5, bs2_szego)
     assert abs(p.inner.coeff(0) + 3.0 / 128.0) <= 1e-13
 
 
 def test_exterior_operator_reads_reciprocal_coefficient(bs2_szego):
     # first exterior iterate at the origin picks up tau^2 (1/S)_n
-    p = apply_M_exterior(one_series(bs2_szego.K), 5, bs2_szego, R_LENS)
+    p = apply_M_exterior(one_series(bs2_szego.K), 5, bs2_szego)
     assert abs(p.inner.coeff(0) - 3.0 / 128.0) <= 1e-13
 
 
 def test_projection_branch_structure(bs2_szego):
     # plus-projection branches carry only k >= 0, minus branches only k < 0
-    f = LaurentSeries.from_pairs({0: 1.0, 2: 0.4j, -1: -0.7}, bs2_szego.K, 0.5, 2.0)
-    for p in (apply_M_interior(f, 6, bs2_szego, R_LENS),
-              apply_M_exterior(f, 6, bs2_szego, R_LENS)):
+    f = from_pairs({0: 1.0, 2: 0.4j, -1: -0.7}, bs2_szego.K, 0.5, 2.0)
+    for p in (apply_M_interior(f, 6, bs2_szego),
+              apply_M_exterior(f, 6, bs2_szego)):
         assert np.max(np.abs(p.inner.minus_coeffs), initial=0.0) == 0.0
         assert np.max(np.abs(p.outer.plus_coeffs)) == 0.0
 
@@ -61,7 +62,7 @@ def test_interior_operator_norm_bound(bs2_szego):
     zs = 0.3 * np.exp(2j * np.pi * np.arange(64) / 64)
     cs = []
     for n in range(5, 31):
-        p = apply_M_interior(one_series(bs2_szego.K), n, bs2_szego, R_LENS)
+        p = apply_M_interior(one_series(bs2_szego.K), n, bs2_szego)
         sup = np.max(np.abs(p.inner.evaluate(zs)))
         cs.append(sup * (R_LENS - 0.3) / R_LENS ** n)
     assert max(cs[1:]) <= cs[0]
@@ -69,17 +70,16 @@ def test_interior_operator_norm_bound(bs2_szego):
 
 def test_operators_match_contour_quadrature(bs2_szego):
     rng = np.random.default_rng(17)
-    f = LaurentSeries.from_pairs({0: 1.0, 1: 0.3, -2: 0.1 - 0.2j},
-                                 bs2_szego.K, 0.5, 2.0)
+    f = from_pairs({0: 1.0, 1: 0.3, -2: 0.1 - 0.2j}, bs2_szego.K, 0.5, 2.0)
     for n in (3, 8, 12):
-        p = apply_M_interior(f, n, bs2_szego, R_LENS)
+        p = apply_M_interior(f, n, bs2_szego)
         z_in = 0.4 * np.exp(2j * np.pi * rng.random(10))
         z_out = 1.1 * np.exp(2j * np.pi * rng.random(10))
         qi = apply_M_interior_quadrature(f, n, bs2_szego, R_LENS, z_in)
         qo = apply_M_interior_quadrature(f, n, bs2_szego, R_LENS, z_out)
         assert np.max(np.abs(qi - p.inner.evaluate(z_in))) <= 1e-9
         assert np.max(np.abs(qo - p.outer.evaluate(z_out))) <= 1e-9
-        pe = apply_M_exterior(f, n, bs2_szego, R_LENS)
+        pe = apply_M_exterior(f, n, bs2_szego)
         z_in = 1.2 * np.exp(2j * np.pi * rng.random(10))
         z_out = 1.7 * np.exp(2j * np.pi * rng.random(10))
         qi = apply_M_exterior_quadrature(f, n, bs2_szego, R_LENS, z_in)
@@ -92,9 +92,9 @@ def test_hankel_toeplitz_kernel_identity(bs2_szego):
     # composition against the explicit kernel sum, small orders
     n = 3
     for j in range(9):
-        zj = LaurentSeries.from_pairs({j: 1.0}, bs2_szego.K, 0.5, 2.0)
+        zj = from_pairs({j: 1.0}, bs2_szego.K, 0.5, 2.0)
         comp = apply_M_exterior(
-            apply_M_interior(zj, n, bs2_szego, R_LENS).outer, n, bs2_szego, R_LENS)
+            apply_M_interior(zj, n, bs2_szego).outer, n, bs2_szego)
         for i in range(9):
             kernel = sum(bs2_szego.S.coeff(k) * bs2_szego.S_inv.coeff(i - j - k)
                          for k in range(-bs2_szego.K, -n - j))
@@ -105,15 +105,15 @@ def test_neumann_solve_is_the_operator_composition(bs2_szego):
     # the solver sums exactly the iterates that the public operators chain
     n, sz = 10, bs2_szego
     one = one_series(sz.K)
-    f = [apply_M_interior(one, n, sz, R_LENS)]
-    g = [apply_M_exterior(one, n, sz, R_LENS)]
+    f = [apply_M_interior(one, n, sz)]
+    g = [apply_M_exterior(one, n, sz)]
     for k in range(4):
         if k % 2 == 0:
-            f.append(apply_M_exterior(f[-1].outer, n, sz, R_LENS))
-            g.append(apply_M_interior(g[-1].inner, n, sz, R_LENS))
+            f.append(apply_M_exterior(f[-1].outer, n, sz))
+            g.append(apply_M_interior(g[-1].inner, n, sz))
         else:
-            f.append(apply_M_interior(f[-1].inner, n, sz, R_LENS))
-            g.append(apply_M_exterior(g[-1].outer, n, sz, R_LENS))
+            f.append(apply_M_interior(f[-1].inner, n, sz))
+            g.append(apply_M_exterior(g[-1].outer, n, sz))
     e = neumann_solve(n, sz, 2, R_LENS)
     zero = np.zeros_like(one.coeffs)
     for entry, start, terms in ((e.s11, one.coeffs, f[1::2]), (e.s12, zero, f[0::2]),
@@ -141,7 +141,7 @@ def test_neumann_truncation_onset(bs2_szego):
     # the second Neumann term enters at the r^{5n} scale
     n = 10
     e = neumann_solve(n, bs2_szego, 2, R_LENS)
-    f1 = apply_M_interior(one_series(bs2_szego.K), n, bs2_szego, R_LENS)
+    f1 = apply_M_interior(one_series(bs2_szego.K), n, bs2_szego)
     assert abs(e.s12.inner.coeff(0) - f1.inner.coeff(0)) <= R_LENS ** (5 * n)
     assert e.tail_bound["s12"] == pytest.approx(R_LENS ** (7 * n))
 
@@ -149,8 +149,8 @@ def test_neumann_truncation_onset(bs2_szego):
 def test_partial_parseval_identity(bs2_szego):
     # 1 + g_n^(2)(0) equals the truncated Parseval sum
     for n in (3, 8):
-        g1 = apply_M_exterior(one_series(bs2_szego.K), n, bs2_szego, R_LENS)
-        g2 = apply_M_interior(g1.inner, n, bs2_szego, R_LENS)
+        g1 = apply_M_exterior(one_series(bs2_szego.K), n, bs2_szego)
+        g2 = apply_M_interior(g1.inner, n, bs2_szego)
         lhs = 1.0 + g2.inner.coeff(0)
         ks = np.arange(-bs2_szego.K, bs2_szego.K + 1)
         rhs = np.sum(np.abs(bs2_szego.S.coeffs[ks > -n]) ** 2)
@@ -233,10 +233,10 @@ def test_verblunsky_level1_values(bs2_szego):
 def test_level2_beats_level1(bs2_szego, bs2_oracle):
     for n in (4, 6, 8):
         e1 = abs(verblunsky_estimate(n, bs2_szego, 1) - bs2_oracle.alpha[n])
-        e2 = abs(verblunsky_estimate(n, bs2_szego, 2, r=R_LENS) - bs2_oracle.alpha[n])
+        e2 = abs(verblunsky_estimate(n, bs2_szego, 2) - bs2_oracle.alpha[n])
         assert e2 < 1e-4 * e1
         k1 = abs(kappa_estimate(n, bs2_szego, 1) - bs2_oracle.kappa[n] ** 2)
-        k2 = abs(kappa_estimate(n, bs2_szego, 2, r=R_LENS) - bs2_oracle.kappa[n] ** 2)
+        k2 = abs(kappa_estimate(n, bs2_szego, 2) - bs2_oracle.kappa[n] ** 2)
         assert k2 < k1
 
 

@@ -3,9 +3,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from opuc.cli import main
+from opuc.cli import RunConfig, _write_json, main
 from opuc.zeros import match
 
 
@@ -268,6 +269,10 @@ def test_invalid_configs(tmp_path):
     ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
       "zeros": [{"angle": 0.0, "beta": "0.5"}]}, None, {}),
     ({"kind": "bernstein_szego", "c": 2.0, "rho": 1.5}, "scattering", {}),
+    # two zeros 1e-5 apart: the second lies on the first one's branch cut
+    ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
+      "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": 1e-5, "beta": 0.5}]},
+     "zero-weight", {}),
 ])
 def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra):
     doc = {"weight": weight, "n_list": [5] if method == "essential" else [2],
@@ -333,3 +338,23 @@ def test_outputs_are_deterministic(tmp_path):
     main(["oracle", "--config", cfg])
     blob2 = (tmp_path / "det_b" / "alpha.csv").read_bytes()
     assert blob1 == blob2
+
+
+def test_json_renderer_bytes(tmp_path):
+    cfg = RunConfig(weight_doc={}, n_list=[1], outputs=str(tmp_path), sha256="ab" * 32)
+    _write_json(str(tmp_path / "doc.json"), cfg, {
+        "empty": [{}, []], "nested": [[1, [2.5]], []],
+        "nonfinite": [math.nan, math.inf, -math.inf], "flags": [True, False, None],
+        "int": 3, "float64": np.float64(0.1), "complex": 1 - 2j, "text": 'Szegő "S"'})
+    assert (tmp_path / "doc.json").read_bytes() == (
+        b'{\n  "_meta": {\n    "config_sha256": "' + b"ab" * 32 + b'",\n'
+        b'    "opuc_version": "0.1.0"\n  },\n'
+        b'  "complex": {\n    "im": -2,\n    "re": 1\n  },\n'
+        b'  "empty": [\n    {},\n    []\n  ],\n'
+        b'  "flags": [\n    true,\n    false,\n    null\n  ],\n'
+        b'  "float64": 0.10000000000000001,\n'
+        b'  "int": 3,\n'
+        b'  "nested": [\n    [\n      1,\n      [\n        2.5\n      ]\n    ],\n    []\n  ],\n'
+        b'  "nonfinite": [\n    null,\n    null,\n    null\n  ],\n'
+        b'  "text": "Szeg\\u0151 \\"S\\""\n'
+        b'}\n')

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import bs2_alpha_closed
 from opuc.oracle import (Moments, PositivityLossError, moments,
-                         orthonormality_residual, szego_recurrence,
-                         toeplitz_determinants)
+                         szego_recurrence, toeplitz_determinants)
+from oracles import orthonormality_residual
 
 
 def gamma_moment(k: int, beta: float = 0.5) -> float:

@@ -72,8 +72,8 @@ def test_tau_geometric_mean_relation(bs2_szego, ess05):
 
 
 def test_scattering_rejects_nonfinite():
-    from opuc.laurent import LaurentSeries
-    bad = LaurentSeries.from_pairs({1: np.nan}, 4)
+    from oracles import from_pairs
+    bad = from_pairs({1: np.nan}, 4)
     with pytest.raises(ValueError):
         scattering(bad, 4)
 

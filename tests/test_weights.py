@@ -167,7 +167,7 @@ def test_weight_json_unknown_kind():
 
 
 def test_builtin_catalog_matches_json_kinds():
-    from opuc.weights import builtin_weights
+    from oracles import builtin_weights
     catalog = builtin_weights()
     assert catalog["bernstein_szego"](2.0).rho == 0.5
     assert set(catalog) == {"lebesgue", "bernstein_szego", "rational_modulus",

@@ -9,7 +9,8 @@ import pytest
 from opuc.cli import main
 from opuc.oracle import moments, szego_recurrence
 from opuc.weights import bernstein_szego
-from opuc.zeros import classify, equidistribution_check, match, roots
+from opuc.zeros import classify, match, roots
+from oracles import equidistribution_check
 
 
 def test_pure_power_roots():
@@ -48,13 +49,6 @@ def test_residual_small(bs2_oracle):
     assert zs.residual <= 1e-8 * np.max(np.abs(bs2_oracle.phi_monic[25]))
 
 
-def test_polish_never_worsens_a_root():
-    # Phi_136 of |1 - z/1.334442|^2 has roots where Phi' is tiny; a Newton
-    # step there throws an accurate eigenvalue far off (residual 0.41)
-    phi = szego_recurrence(moments(bernstein_szego(1.334442), 137), 136).phi_monic[136]
-    assert roots(phi).residual <= 1e-12
-
-
 def newton_corrections(coeffs, zs):
     """|p/p'| at each float zero, in 40-digit arithmetic on the float
     coefficients: the distance to the exact zero of the same polynomial,
@@ -78,8 +72,9 @@ def test_zeros_certified_past_eps_threshold(tmp_path):
     assert main(["oracle", "--config", str(cfg)]) == 0    # 136 seeded from 135
     zeros_doc = json.loads((tmp_path / "zeros_136.json").read_text())
     warm = np.array([complex(z["re"], z["im"]) for z in zeros_doc["zeros"]])
-    cold = roots(phi).zeros
-    for zs in (cold, warm):
+    cold = roots(phi)
+    assert cold.residual <= 1e-12
+    for zs in (cold.zeros, warm):
         assert zs.size == 136
         assert np.max(newton_corrections(phi, zs)) <= 1e-14
         gaps = np.abs(zs[:, None] - zs[None, :]) + np.eye(zs.size)
