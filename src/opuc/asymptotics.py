@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .szego import ModifiedSzegoData, SzegoData, modified_szego, szego_function
-from .weights import AnalyticWeight, ZeroModifiedWeight, log_mean
+from .weights import AnalyticWeight, ZeroModifiedWeight
 
 __all__ = [
     "LevelCurve",
@@ -321,18 +321,14 @@ def saddle_solve(rho: float, n: int, inverse: bool = False) -> SaddleData:
     return SaddleData(rho, n, inverse, roots[0], roots[1], worst)
 
 
-def verblunsky_essential_asymptote(rho: float, n: int,
-                                   spec: AnalyticWeight | None = None) -> complex:
-    """alpha_n for the essential-singularity weight:
+def verblunsky_essential_asymptote(sd: SaddleData, spec: AnalyticWeight) -> complex:
+    """alpha_n for the essential-singularity weight, from the saddle of degree n:
     -(1/(2 sqrt(pi))) t_+^n S(w; t_+) (rho/n)^{3/4}."""
-    sd = saddle_solve(rho, n)
-    t = sd.t_plus
-    if spec is not None and spec.exact is not None:
-        s_val = complex(spec.exact.scattering(t))
-    else:
-        s_val = complex(np.exp(1.0 / (t - rho) + t / (rho * t - 1.0)))
+    if sd.inverse:
+        raise ValueError("the Verblunsky asymptote needs the plain weight's saddle")
+    s_val = complex(_require_exact_scattering(spec)(sd.t_plus))
     return complex(-1.0 / (2.0 * math.sqrt(math.pi))
-                   * t ** n * s_val * (rho / n) ** 0.75)
+                   * sd.t_plus ** sd.n * s_val * (sd.rho / sd.n) ** 0.75)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,12 +339,7 @@ class LevelCurve:
     component_ids: np.ndarray   # int id per point
     n_components: int
     level: float
-    saddle: SaddleData
     max_residual: float
-
-    def distance(self, z) -> np.ndarray:
-        zarr = np.atleast_1d(np.asarray(z, dtype=complex))
-        return np.min(np.abs(zarr[:, None] - self.points[None, :]), axis=1)
 
 
 # The level-curve grid: _RESOLUTION x _RESOLUTION polar cells over the radii
@@ -360,8 +351,9 @@ _EXCLUDE_FRACTION = 0.16
 _REFINE_TOL = 1e-10
 
 
-def level_curve(rho: float, n: int, inverse: bool = False) -> LevelCurve:
-    """Extract the level curve Re(Psi_n(z) - Psi_n(t_+)) = level on a polar grid.
+def level_curve(sd: SaddleData) -> LevelCurve:
+    """Extract the level curve Re(Psi_n(z) - Psi_n(t_+)) = level on a polar grid,
+    for the weight, radius and degree of the saddle sd.
 
     level = (1/n) log(rho^{3/4} / (2 sqrt(pi) n^{3/4})).  A cell is active when
     its corners take both signs and all lie clear of z = rho.  Each active cell
@@ -372,12 +364,12 @@ def level_curve(rho: float, n: int, inverse: bool = False) -> LevelCurve:
     the 8-connected sets of active cells, with the angle wrapping around,
     numbered in order of first appearance.
     """
-    sd = saddle_solve(rho, n, inverse=inverse)
+    rho, n = sd.rho, sd.n
     level = (1.0 / n) * math.log(rho ** 0.75 / (2.0 * math.sqrt(math.pi) * n ** 0.75))
     # keep the grid clear of the mirror singularity at 1/rho
     r_outer = min(_ANNULUS[1], 0.5 * (1.0 + 1.0 / rho ** 2))
     psi_ref = float(np.real(sd.psi(sd.t_plus)))
-    sign = -1.0 if inverse else 1.0
+    sign = -1.0 if sd.inverse else 1.0
 
     def F(z):
         lam = 1.0 / (z - rho) + z / (rho * z - 1.0)
@@ -432,7 +424,7 @@ def level_curve(rho: float, n: int, inverse: bool = False) -> LevelCurve:
     _, first, inv = np.unique(comp[np.searchsorted(cells, ci * m + cj)],
                               return_index=True, return_inverse=True)
     comp_ids = np.argsort(np.argsort(first))[inv]
-    return LevelCurve(points, comp_ids, first.size, psi_ref + level, sd,
+    return LevelCurve(points, comp_ids, first.size, psi_ref + level,
                       float(resid.max()))
 
 
@@ -479,11 +471,11 @@ def zero_weight_predicted_roots(spec: ZeroModifiedWeight, msz: ModifiedSzegoData
     return _rational_fraction_roots(w, locs)
 
 
-def kappa_zero_weight(spec: ZeroModifiedWeight, n: int) -> float:
-    """Predicted kappa_{n-1}^2 = (tau^2 / 2 pi)(1 - sum_k beta_k^2 / n)."""
-    tau = math.exp(-0.5 * log_mean(spec.base))
-    beta_sq = float(np.sum(spec.betas ** 2))
-    return tau ** 2 / (2.0 * math.pi) * (1.0 - beta_sq / n)
+def kappa_zero_weight(msz: ModifiedSzegoData, n: int) -> float:
+    """Predicted kappa_{n-1}^2 = (tau^2 / 2 pi)(1 - sum_k beta_k^2 / n), with
+    tau that of the analytic base weight."""
+    beta_sq = float(np.sum(msz.spec.betas ** 2))
+    return msz.base.tau ** 2 / (2.0 * math.pi) * (1.0 - beta_sq / n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ it was produced from plus the package version.
 
 Exit codes: 0 all good / comparisons pass, 1 comparison failures,
 2 config or weight validation failure (including a weight the requested
-method cannot handle), 3 positivity loss in the recursion, 5 missing input
-files.
+method cannot handle), 3 positivity loss in the recursion, 5 missing or
+empty input tables.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ class ConfigError(ValueError):
     pass
 
 
+class MissingInputError(RuntimeError):
+    pass
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
@@ -73,9 +77,13 @@ class RunConfig:
     weight_doc: dict
     n_list: list
     outputs: str
-    K: int | None = None
+    K: int | None = None      # Szego coefficient window; None: the default for n_max
     n_quad: int | None = None
     sha256: str = ""
+
+    def __post_init__(self):
+        if self.K is None:
+            self.K = default_truncation_order(self.n_max)
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
@@ -138,17 +146,23 @@ def _load_weight(cfg: RunConfig):
         raise ConfigError(f"weight spec is missing key {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid weight spec: {exc}")
-    base = spec.base if isinstance(spec, ZeroModifiedWeight) else spec
-    diag = validate(spec if isinstance(spec, AnalyticWeight) else base, 256)
+    diag = validate(spec.base, 256)
     if not diag.ok:
         raise ConfigError(f"weight validation failed: min={diag.min_value}, "
                           f"winding={diag.winding_number}")
     return spec
 
 
+def _make_outputs(cfg: RunConfig) -> None:
+    try:
+        os.makedirs(cfg.outputs, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create outputs directory {cfg.outputs!r}: {exc}")
+
+
 def cmd_oracle(cfg: RunConfig) -> int:
     spec = _load_weight(cfg)
-    os.makedirs(cfg.outputs, exist_ok=True)
+    _make_outputs(cfg)
     n_max = cfg.n_max
     try:
         moms = moments(spec, n_max + 1, cfg.n_quad)
@@ -172,8 +186,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
                  result.alpha[n].imag if n < n_max else float("nan"),
                  float(result.kappa[n]), float(result.log_det[n]))
                 for n in range(n_max + 1)])
-    base = spec.base if isinstance(spec, ZeroModifiedWeight) else spec
-    rho = base.rho or 0.0
+    rho = spec.base.rho or 0.0
     last_n, last_zeros = None, None
     for n in cfg.n_list:
         _write_json(os.path.join(cfg.outputs, f"phi_{n}.json"), cfg,
@@ -192,10 +205,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
 def _predict_scattering(cfg: RunConfig, spec) -> int:
     if not isinstance(spec, AnalyticWeight):
         raise ConfigError("method=scattering applies to analytic weights")
-    K = cfg.K or default_truncation_order(cfg.n_max)
-    if K < cfg.n_max + 1:
-        raise ConfigError(f"K = {K} is below n_max + 1 = {cfg.n_max + 1}")
-    sz = szego_data_for(spec, K)
+    sz = szego_data_for(spec, cfg.K)
     rows, manifests = [], []
     for n in cfg.n_list:
         e = neumann_solve(n + 1, sz, n_terms=2)
@@ -221,8 +231,7 @@ def _predict_poles(cfg: RunConfig, spec) -> int:
     if not isinstance(spec, AnalyticWeight) or not any(
             s.kind == "pole" for s in spec.singularities):
         raise ConfigError("method=poles requires declared pole metadata")
-    K = cfg.K or default_truncation_order(cfg.n_max)
-    sz = szego_data_for(spec, K)
+    sz = szego_data_for(spec, cfg.K)
     p = PolePrescription.from_weight(spec)
     rows, zero_doc = [], {}
     for n in cfg.n_list:
@@ -250,12 +259,12 @@ def _predict_essential(cfg: RunConfig, spec) -> int:
         except (RuntimeError, ValueError) as exc:
             raise ConfigError(f"degree {n} is outside the saddle regime at "
                               f"rho = {spec.rho}: {exc}")
-        a = (verblunsky_essential_asymptote(spec.rho, n, spec)
+        a = (verblunsky_essential_asymptote(sd, spec)
              if not inverse else complex(float("nan"), float("nan")))
         rows.append((n, a.real, a.imag, sd.t_plus.real, sd.t_plus.imag, sd.residual))
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
                ["n", "alpha_re", "alpha_im", "t_plus_re", "t_plus_im", "residual"], rows)
-    lc = level_curve(spec.rho, cfg.n_max, inverse=inverse)
+    lc = level_curve(sd)   # n_list ascends, so sd is the saddle of degree n_max
     _write_csv(os.path.join(cfg.outputs, "levelcurve.csv"), cfg,
                ["re", "im", "component_id"],
                [(float(p.real), float(p.imag), int(c))
@@ -266,15 +275,13 @@ def _predict_essential(cfg: RunConfig, spec) -> int:
 def _predict_zero_weight(cfg: RunConfig, spec) -> int:
     if not isinstance(spec, ZeroModifiedWeight):
         raise ConfigError("method=zero-weight requires a zero-modified weight")
-    K = cfg.K or default_truncation_order(cfg.n_max)
-    sz = szego_data_for(spec.base, K)
-    msz = build_modified(spec, sz)
+    msz = build_modified(spec, szego_data_for(spec.base, cfg.K))
     rows, zero_doc = [], {}
     for n in cfg.n_list:
         pr = [complex(z) for z in zero_weight_predicted_roots(spec, msz, n)
               if abs(z) < 1.0]
         zero_doc[str(n)] = pr
-        rows.append((n, kappa_zero_weight(spec, n), len(pr)))
+        rows.append((n, kappa_zero_weight(msz, n), len(pr)))
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
                ["n", "kappa_sq_pred", "n_predicted_interior_zeros"], rows)
     _write_json(os.path.join(cfg.outputs, "zeros_predicted.json"), cfg,
@@ -290,7 +297,7 @@ def cmd_predict(cfg: RunConfig, method: str) -> int:
     if method not in _METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
     spec = _load_weight(cfg)
-    os.makedirs(cfg.outputs, exist_ok=True)
+    _make_outputs(cfg)
     try:
         return _METHODS[method](cfg, spec)
     except ValueError as exc:   # a ConfigError, or a weight the method cannot handle
@@ -299,9 +306,11 @@ def cmd_predict(cfg: RunConfig, method: str) -> int:
 
 def _read_csv(path: str) -> dict:
     if not os.path.exists(path):
-        raise FileNotFoundError(path)
+        raise MissingInputError(f"missing input table: {path}")
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise MissingInputError(f"input table has no header line: {path}")
     header = lines[0].split(",")
     cols = {h: [] for h in header}
     for ln in lines[1:]:
@@ -314,26 +323,25 @@ def _slope(ns, ys):
     return float(np.polyfit(ns, ys, 1)[0])
 
 
-def _infer_method(pred_tab: dict) -> str:
-    """The method that wrote predictions.csv: its columns differ for each one."""
-    if "kappa_sq_pred" in pred_tab:
-        return "zero-weight"
-    if "t_plus_re" in pred_tab:
-        return "essential"
-    if "alpha1_re" in pred_tab:
-        return "scattering"
-    return "poles"
+def _infer_method(pred_tab: dict) -> tuple:
+    """The method that wrote predictions.csv, told by a column only it writes,
+    and the prefix of its alpha_n columns (None: it predicts no alpha_n)."""
+    for column, method, alpha_key in (("kappa_sq_pred", "zero-weight", None),
+                                      ("t_plus_re", "essential", "alpha"),
+                                      ("alpha1_re", "scattering", "alpha1"),
+                                      ("alpha_re", "poles", "alpha")):
+        if column in pred_tab:
+            return method, alpha_key
+    raise MissingInputError("predictions.csv has none of the columns a predict "
+                            "method writes")
 
 
 def cmd_compare(cfg: RunConfig) -> int:
     spec = _load_weight(cfg)
     out = cfg.outputs
-    try:
-        alpha_tab = _read_csv(os.path.join(out, "alpha.csv"))
-        pred_tab = _read_csv(os.path.join(out, "predictions.csv"))
-    except FileNotFoundError as exc:
-        raise MissingInputError(f"missing input table: {exc}")
-    method = _infer_method(pred_tab)
+    alpha_tab = _read_csv(os.path.join(out, "alpha.csv"))
+    pred_tab = _read_csv(os.path.join(out, "predictions.csv"))
+    method, alpha_key = _infer_method(pred_tab)
 
     checks = []
     alpha = alpha_tab["alpha_re"] + 1j * alpha_tab["alpha_im"]
@@ -342,10 +350,9 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     # declared Nevai-Totik radius vs the decay rate of the oracle alphas;
     # only pole-type weights converge fast enough for a sharp check
-    base = spec.base if isinstance(spec, ZeroModifiedWeight) else spec
-    declared_rho = base.rho
+    declared_rho = spec.base.rho
     pole_like = isinstance(spec, AnalyticWeight) and any(
-        s.kind == "pole" for s in base.singularities)
+        s.kind == "pole" for s in spec.singularities)
     if pole_like and declared_rho and np.count_nonzero(mags > floor) >= 8:
         ns = np.nonzero(mags > floor)[0]
         ns = ns[ns >= max(4, ns[-1] // 2)]
@@ -358,9 +365,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     # prediction error per degree: must not grow from first to last degree,
     # and on pole-type weights must fall at least like rho^{1.5 n}
     pred_ns = pred_tab["n"].astype(int)
-    if "alpha1_re" in pred_tab or "alpha_re" in pred_tab:
-        key = "alpha1" if "alpha1_re" in pred_tab else "alpha"
-        pred_alpha = pred_tab[f"{key}_re"] + 1j * pred_tab[f"{key}_im"]
+    if alpha_key is not None:
+        pred_alpha = pred_tab[f"{alpha_key}_re"] + 1j * pred_tab[f"{alpha_key}_im"]
         shared = [(n, p) for n, p in zip(pred_ns, pred_alpha)
                   if n < len(alpha) and np.isfinite(p)]
         if shared:
@@ -412,10 +418,6 @@ def cmd_compare(cfg: RunConfig) -> int:
               "checks": checks, "all_pass": all_pass}
     _write_json(os.path.join(out, "report.json"), cfg, report)
     return 0 if all_pass else 1
-
-
-class MissingInputError(RuntimeError):
-    pass
 
 
 def main(argv=None) -> int:

@@ -81,18 +81,6 @@ class LaurentSeries:
         if not (0.0 <= self.r_inner < self.r_outer):
             raise ValueError(f"invalid annulus ({self.r_inner}, {self.r_outer})")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, K: int, r_inner: float = 0.0, r_outer: float = math.inf) -> "LaurentSeries":
-        return cls(np.zeros(2 * K + 1, dtype=complex), K, r_inner, r_outer)
-
-    @classmethod
-    def constant(cls, value: complex, K: int = 0) -> "LaurentSeries":
-        s = cls.zeros(K)
-        s.coeffs[K] = value
-        return s
-
     # -- accessors ---------------------------------------------------------
 
     def coeff(self, k: int) -> complex:
@@ -157,9 +145,6 @@ class LaurentSeries:
 
     def __call__(self, z):
         return self.evaluate(z)
-
-    def sample(self, grid: CircleGrid) -> np.ndarray:
-        return self.evaluate(grid.nodes)
 
 
 def coefficients_from_samples(samples, K: int, grid: CircleGrid,

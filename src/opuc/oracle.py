@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .laurent import _next_pow2
 from .weights import ZeroModifiedWeight
 
 __all__ = [
@@ -54,9 +55,7 @@ class Moments:
 
 def default_quadrature_size(spec, max_k: int) -> int:
     base = 1 << 14 if isinstance(spec, ZeroModifiedWeight) else 4096
-    need = 8 * max_k
-    n = max(base, need)
-    return 1 << (n - 1).bit_length()
+    return _next_pow2(max(base, 8 * max_k))
 
 
 def moments(spec, max_k: int, n_quad: int | None = None) -> Moments:

@@ -30,7 +30,6 @@ __all__ = [
     "estimate_rho",
     "inverse_essential",
     "lebesgue",
-    "log_mean",
     "log_weight_coefficients",
     "rational_modulus",
     "validate",
@@ -56,12 +55,11 @@ class ExactSzego:
 
     d_e / scattering are analytic continuations valid off the singularities
     (in particular inside the critical circle, where the Laurent-series
-    representations diverge); log_mean is the mean value of log w.
+    representations diverge).
     """
 
     d_e: Callable
     scattering: Callable
-    log_mean: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -74,6 +72,11 @@ class AnalyticWeight:
     singularities: tuple = ()
     exact: Optional[ExactSzego] = None
     params: dict = field(default_factory=dict)
+
+    @property
+    def base(self) -> "AnalyticWeight":
+        """The analytic part: the weight itself (see ZeroModifiedWeight.base)."""
+        return self
 
     def __call__(self, theta):
         return self.evaluate_theta(np.asarray(theta, dtype=float))
@@ -178,25 +181,10 @@ def log_weight_coefficients(spec: AnalyticWeight, K: int) -> LaurentSeries:
     return lhat.denoised()
 
 
-def log_mean(spec: WeightSpec) -> float:
-    """Mean of log w over the circle (the coefficient c_0 of log w)."""
-    if isinstance(spec, AnalyticWeight) and spec.exact is not None:
-        return spec.exact.log_mean
-    base = spec.base if isinstance(spec, ZeroModifiedWeight) else spec
-    if isinstance(spec, ZeroModifiedWeight) and base.exact is not None:
-        # the circle-zero factors have zero logarithmic mean
-        return base.exact.log_mean
-    theta = 2.0 * np.pi * np.arange(4096) / 4096
-    vals = np.asarray(base(theta), dtype=float)
-    return float(np.mean(np.log(vals)))
-
-
 @dataclass(frozen=True)
 class RhoEstimate:
     value: float
     entire: bool
-    window: tuple = (0, 0)
-    slope: float = -math.inf
 
 
 def estimate_rho(lhat: LaurentSeries) -> RhoEstimate:
@@ -224,7 +212,7 @@ def estimate_rho(lhat: LaurentSeries) -> RhoEstimate:
         return RhoEstimate(0.0, True)
     design = np.column_stack([np.ones_like(ks), ks, np.log(ks)])[good]
     slope = float(np.linalg.lstsq(design, ys[good], rcond=None)[0][1])
-    return RhoEstimate(min(math.exp(slope), 1.0), False, (k_lo, k_hi), slope)
+    return RhoEstimate(min(math.exp(slope), 1.0), False)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +224,6 @@ def lebesgue() -> AnalyticWeight:
     one = ExactSzego(
         d_e=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
         scattering=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-        log_mean=0.0,
     )
     return AnalyticWeight("lebesgue", lambda th: np.ones_like(th), rho=0.0,
                           exact=one, params={"kind": "lebesgue"})
@@ -298,7 +285,7 @@ def rational_modulus(cs) -> AnalyticWeight:
     return AnalyticWeight(
         "bernstein_szego" if len(cs) == 1 else "rational_modulus",
         w_theta, rho=rho, singularities=tuple(sings),
-        exact=ExactSzego(d_e, lambda z: d_i(z) * d_e(z), 0.0),
+        exact=ExactSzego(d_e, lambda z: d_i(z) * d_e(z)),
         params=kind)
 
 
@@ -327,7 +314,7 @@ def _essential_family(rho: float, sign: int) -> AnalyticWeight:
     return AnalyticWeight(
         name, w_theta, rho=rho,
         singularities=(Singularity(complex(rho), "essential"),),
-        exact=ExactSzego(d_e, lambda z: np.exp(exponent(z)), 0.0),
+        exact=ExactSzego(d_e, lambda z: np.exp(exponent(z))),
         params={"kind": name, "rho": rho})
 
 

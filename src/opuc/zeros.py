@@ -30,26 +30,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ZeroSet:
-    """Roots of one monic polynomial, with multiplicity clustering."""
+    """Roots of one monic polynomial."""
 
     n: int
     zeros: np.ndarray
     residual: float   # max |p(z)| over the zeros
-
-    @property
-    def clusters(self) -> tuple:
-        """(representative, multiplicity) pairs, grouping zeros within 1e-7."""
-        zs = self.zeros
-        clusters = []
-        used = np.zeros(self.n, dtype=bool)
-        for i in np.argsort(np.abs(zs)):
-            if used[i]:
-                continue
-            group = np.abs(zs - zs[i]) < 1e-7
-            group &= ~used
-            used |= group
-            clusters.append((complex(np.mean(zs[group])), int(np.count_nonzero(group))))
-        return tuple(clusters)
 
 
 _EPS = np.finfo(float).eps
@@ -143,13 +128,11 @@ class ZeroClassification:
     """Partition of a zero set around the critical circle."""
 
     rho: float
-    margin: float
     interior: np.ndarray      # |z| <= rho - margin
     band: np.ndarray          # | |z| - rho | <= margin
     other: np.ndarray
     labels: np.ndarray        # "interior" / "band" / "other" per zero, input order
     band_mean_modulus: float
-    band_modulus_spread: float
     angular_gaps: np.ndarray  # consecutive gaps of band zeros sorted by argument
     degenerate: bool          # no band (rho = 0 or too few band zeros)
 
@@ -167,15 +150,12 @@ def classify(zs: ZeroSet, rho: float, margin: float | None = None) -> ZeroClassi
         labels[(absz <= rho - margin) & ~band_mask] = "interior"
     interior, band, other = (z[labels == name] for name in ("interior", "band", "other"))
     if band.size < 4:   # rho = 0 or too few band zeros
-        return ZeroClassification(rho, margin, interior, band, other, labels,
-                                  math.nan, math.nan, np.array([]), True)
+        return ZeroClassification(rho, interior, band, other, labels,
+                                  math.nan, np.array([]), True)
     args = np.sort(np.angle(band))
     gaps = np.diff(np.concatenate([args, args[:1] + 2.0 * np.pi]))
-    mods = np.abs(band)
-    return ZeroClassification(rho, margin, interior, band, other, labels,
-                              float(np.mean(mods)),
-                              float(np.max(mods) - np.min(mods)),
-                              gaps, False)
+    return ZeroClassification(rho, interior, band, other, labels,
+                              float(np.mean(np.abs(band))), gaps, False)
 
 
 @dataclass(frozen=True, eq=False)

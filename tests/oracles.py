@@ -7,18 +7,33 @@ import math
 
 import numpy as np
 
-from opuc.laurent import LaurentSeries
+from opuc.asymptotics import LevelCurve
+from opuc.laurent import CircleGrid, LaurentSeries
 from opuc.oracle import OpucResult, default_quadrature_size
 from opuc.szego import SzegoData
 from opuc.weights import (bernstein_szego, essential, inverse_essential,
                           lebesgue, rational_modulus, zero_modified)
-from opuc.zeros import ZeroClassification
+from opuc.zeros import ZeroClassification, ZeroSet
+
+
+def zero_series(K: int, r_inner: float = 0.0, r_outer: float = math.inf) -> LaurentSeries:
+    return LaurentSeries(np.zeros(2 * K + 1, dtype=complex), K, r_inner, r_outer)
+
+
+def constant_series(value: complex, K: int = 0) -> LaurentSeries:
+    s = zero_series(K)
+    s.coeffs[K] = value
+    return s
+
+
+def sample(s: LaurentSeries, grid: CircleGrid) -> np.ndarray:
+    return s.evaluate(grid.nodes)
 
 
 def from_pairs(pairs: dict[int, complex], K: int,
                r_inner: float = 0.0, r_outer: float = math.inf) -> LaurentSeries:
     """The series with the given {k: c_k} entries and zeros elsewhere."""
-    s = LaurentSeries.zeros(K, r_inner, r_outer)
+    s = zero_series(K, r_inner, r_outer)
     for k, v in pairs.items():
         if abs(k) > K:
             raise ValueError(f"index {k} outside window [-{K}, {K}]")
@@ -80,6 +95,27 @@ def builtin_weights() -> dict:
     return {"lebesgue": lebesgue, "bernstein_szego": bernstein_szego,
             "rational_modulus": rational_modulus, "essential": essential,
             "inverse_essential": inverse_essential, "zero_modified": zero_modified}
+
+
+def clusters(zs: ZeroSet) -> tuple:
+    """(representative, multiplicity) pairs, grouping zeros within 1e-7."""
+    z = zs.zeros
+    out = []
+    used = np.zeros(zs.n, dtype=bool)
+    for i in np.argsort(np.abs(z)):
+        if used[i]:
+            continue
+        group = np.abs(z - z[i]) < 1e-7
+        group &= ~used
+        used |= group
+        out.append((complex(np.mean(z[group])), int(np.count_nonzero(group))))
+    return tuple(out)
+
+
+def distance(lc: LevelCurve, z) -> np.ndarray:
+    """Distance from each point z to the nearest point of the level curve."""
+    zarr = np.atleast_1d(np.asarray(z, dtype=complex))
+    return np.min(np.abs(zarr[:, None] - lc.points[None, :]), axis=1)
 
 
 def equidistribution_check(cl: ZeroClassification, n: int, m: int = 1) -> dict:

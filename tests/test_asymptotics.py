@@ -16,6 +16,7 @@ from opuc.szego import build_modified, szego_data_for, szego_function
 from opuc.weights import (bernstein_szego, lebesgue, rational_modulus,
                           zero_modified)
 from opuc.zeros import match, roots
+from oracles import distance
 
 
 # -- residues and dominant poles ---------------------------------------------
@@ -192,15 +193,15 @@ def test_saddle_parameter_guards():
 
 
 def test_level_curve_components():
-    lc = level_curve(0.5, 30)
+    lc = level_curve(saddle_solve(0.5, 30))
     assert lc.n_components == 1
-    lci = level_curve(0.5, 30, inverse=True)
+    lci = level_curve(saddle_solve(0.5, 30, inverse=True))
     assert lci.n_components == 2
 
 
 def test_level_curve_points_satisfy_equation():
     for inverse in (False, True):
-        lc = level_curve(0.5, 30, inverse=inverse)
+        lc = level_curve(saddle_solve(0.5, 30, inverse=inverse))
         assert lc.max_residual <= 1e-8
         sign = -1.0 if inverse else 1.0
         z = lc.points
@@ -213,15 +214,20 @@ def test_zeros_hug_level_curve(ess_oracle, inv_ess_oracle):
     for result, inverse in ((ess_oracle, False), (inv_ess_oracle, True)):
         zs = roots(result.phi_monic[30]).zeros
         zs = zs[np.abs(zs - 0.5) > 0.1]
-        lc = level_curve(0.5, 30, inverse=inverse)
-        frac = np.mean(lc.distance(zs) <= 0.05)
+        lc = level_curve(saddle_solve(0.5, 30, inverse=inverse))
+        frac = np.mean(distance(lc, zs) <= 0.05)
         assert frac >= 0.8
+
+
+def test_verblunsky_essential_needs_plain_saddle(inv_ess05):
+    with pytest.raises(ValueError):
+        verblunsky_essential_asymptote(saddle_solve(0.5, 30, inverse=True), inv_ess05)
 
 
 def test_verblunsky_essential(ess05, ess_oracle):
     prev = None
     for n in range(20, 61):
-        pred = verblunsky_essential_asymptote(0.5, n, ess05)
+        pred = verblunsky_essential_asymptote(saddle_solve(0.5, n), ess05)
         assert pred.real < 0.0 and abs(pred.imag) <= 1e-15
         ratio = abs(ess_oracle.alpha[n] / pred - 1.0)
         assert ratio <= 3.0 / math.sqrt(n)
@@ -303,18 +309,19 @@ def test_zero_weight_phi_predicts_alpha(zmod2, zmod2_oracle, leb_szego):
         assert abs(pred - actual) <= 5.0 / (n + 1) ** 2
 
 
-def test_kappa_zero_weight_formula(zmod1, zmod2):
-    assert abs(kappa_zero_weight(zero_modified(lebesgue(), [(0.0, 0.0)]), 10)
-               - 1.0 / (2 * np.pi)) <= 1e-15
-    k1 = kappa_zero_weight(zmod1, 20)
+def test_kappa_zero_weight_formula(zmod1, zmod2, leb_szego):
+    plain = build_modified(zero_modified(lebesgue(), [(0.0, 0.0)]), leb_szego)
+    assert abs(kappa_zero_weight(plain, 10) - 1.0 / (2 * np.pi)) <= 1e-15
+    k1 = kappa_zero_weight(build_modified(zmod1, leb_szego), 20)
     assert abs(k1 - (1 - 1 / 80) / (2 * np.pi)) <= 1e-15
-    k2 = kappa_zero_weight(zmod2, 20)
+    k2 = kappa_zero_weight(build_modified(zmod2, leb_szego), 20)
     assert abs(k2 - (1 - 1 / 40) / (2 * np.pi)) <= 1e-15
 
 
-def test_kappa_zero_weight_vs_oracle(zmod1, zmod1_oracle):
+def test_kappa_zero_weight_vs_oracle(zmod1, zmod1_oracle, leb_szego):
+    msz = build_modified(zmod1, leb_szego)
     for n in range(16, 129):
-        pred = kappa_zero_weight(zmod1, n)
+        pred = kappa_zero_weight(msz, n)
         err = abs(zmod1_oracle.kappa[n - 1] ** 2 - pred)
         assert err <= (5.0 / n ** 2) / (2 * np.pi)
 

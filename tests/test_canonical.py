@@ -11,13 +11,13 @@ from opuc.canonical import (AmbiguousRegionError, NeumannDivergenceError,
 from opuc.laurent import LaurentSeries
 from opuc.szego import SzegoData, szego_function
 from oracles import (apply_M_exterior_quadrature, apply_M_interior_quadrature,
-                     from_pairs)
+                     constant_series, from_pairs, zero_series)
 
 R_LENS = 0.7
 
 
 def one_series(K):
-    return LaurentSeries.constant(1.0, K)
+    return constant_series(1.0, K)
 
 
 # -- operator building blocks ------------------------------------------------
@@ -162,7 +162,7 @@ def test_neumann_divergence_guard():
     K = 24
     ks = np.arange(-K, K + 1)
     bad = LaurentSeries(2.0 ** np.abs(ks) + 0j, K, 0.1, 10.0)
-    sz = SzegoData(LaurentSeries.zeros(K), 1.0, 1.0, bad, bad, 0.0)
+    sz = SzegoData(zero_series(K), 1.0, 1.0, bad, bad, 0.0)
     with pytest.raises(NeumannDivergenceError):
         neumann_solve(2, sz, 3, 0.7)
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from opuc.canonical import default_truncation_order
 from opuc.cli import RunConfig, _write_json, main
 from opuc.zeros import match
 
@@ -273,6 +274,9 @@ def test_invalid_configs(tmp_path):
     ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
       "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": 1e-5, "beta": 0.5}]},
      "zero-weight", {}),
+    # an outputs path that names an existing file
+    ({"kind": "lebesgue"}, None, {"outputs": __file__}),
+    ({"kind": "lebesgue"}, "scattering", {"outputs": __file__}),
 ])
 def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra):
     doc = {"weight": weight, "n_list": [5] if method == "essential" else [2],
@@ -288,6 +292,74 @@ def test_compare_missing_inputs(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"kind": "lebesgue"}, [5],
                        tmp_path / "fresh")
     assert main(["compare", "--config", cfg]) == 5
+
+
+@pytest.mark.parametrize("table, text", [
+    ("alpha.csv", None),                          # None: the config sha line alone
+    ("predictions.csv", None),
+    ("predictions.csv", "n,beta_re\n10,0.5\n"),   # no column a predict method writes
+])
+def test_compare_table_without_a_known_header_exits_5(tmp_path, capsys, table, text):
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       list(range(1, 11)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
+    path = tmp_path / "out" / table
+    path.write_text(text or path.read_text().splitlines(keepends=True)[0])
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("opuc: ") and table in err and err.count("\n") == 1
+
+
+def test_compare_counts_interior_zeros_per_degree(tmp_path):
+    weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
+              "zeros": [{"angle": 0.0, "beta": 0.5},
+                        {"angle": math.pi, "beta": 0.5}]}
+    cfg = write_config(tmp_path / "cfg.json", weight, [15, 16, 17, 18],
+                       tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "zero-weight", "--config", cfg]) == 0
+    path = tmp_path / "out" / "zeros_predicted.json"
+    doc = json.loads(path.read_text())
+    n_before = len(doc["predicted"]["16"])
+    doc["predicted"]["16"].append({"re": 0.0, "im": 0.0})
+    path.write_text(json.dumps(doc))
+    (tmp_path / "out" / "zeros_17.json").unlink()   # a degree without oracle zeros is skipped
+    assert main(["compare", "--config", cfg]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    check, = [c for c in report["checks"] if c["name"] == "interior-zero-count"]
+    assert not check["passed"]
+    mismatches = check["details"]["mismatches"]
+    assert [m["n"] for m in mismatches] == [16]
+    assert mismatches[0]["predicted"] == n_before + 1
+
+
+def test_essential_solves_each_saddle_once(tmp_path, monkeypatch):
+    import opuc.asymptotics
+    import opuc.cli
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (opuc.cli, opuc.asymptotics):
+        monkeypatch.setattr(module, "saddle_solve", counted(module.saddle_solve))
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "essential", "rho": 0.5},
+                       list(range(10, 21)), tmp_path / "out")
+    assert main(["predict", "--method", "essential", "--config", cfg]) == 0
+    assert len(calls) == 11
+
+
+def test_config_resolves_K(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "lebesgue"}, [3, 7], tmp_path / "out")
+    assert RunConfig.load(cfg).K == default_truncation_order(7)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "lebesgue"}, [3, 7], tmp_path / "out",
+                       K=50)
+    assert RunConfig.load(cfg).K == 50
 
 
 def test_positivity_loss_exits_3(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from opuc.laurent import (CircleGrid, DisjointAnnuliError, LaurentSeries,
                           OutOfAnnulusError, coefficients_from_samples,
                           convolve, default_grid_size)
-from oracles import from_pairs, riesz_project
+from oracles import constant_series, from_pairs, riesz_project, sample
 
 
 def test_constant_extraction():
@@ -43,7 +43,7 @@ def test_extraction_on_smaller_circle_rescales():
 
 
 def test_evaluate_constant():
-    s = LaurentSeries.constant(1.0)
+    s = constant_series(1.0)
     assert s.evaluate(0.3 + 0.1j) == 1.0
 
 
@@ -98,7 +98,7 @@ def test_riesz_idempotent():
 def test_convolve_identity_element():
     rng = np.random.default_rng(3)
     b = LaurentSeries(rng.normal(size=13) + 1j * rng.normal(size=13), 6)
-    one = LaurentSeries.constant(1.0)
+    one = constant_series(1.0)
     out = convolve(one, b, K_out=6)
     np.testing.assert_allclose(out.coeffs, b.coeffs, atol=0)
 
@@ -127,7 +127,7 @@ def test_round_trip_samples():
     coeffs *= 0.7 ** np.abs(np.arange(-K, K + 1))
     s = LaurentSeries(coeffs, K, 0.3, 3.0)
     grid = CircleGrid(1.0, 64)
-    back = coefficients_from_samples(s.sample(grid), K, grid)
+    back = coefficients_from_samples(sample(s, grid), K, grid)
     np.testing.assert_allclose(back.coeffs, s.coeffs, atol=1e-12)
 
 

@@ -10,14 +10,14 @@ from opuc.cli import main
 from opuc.oracle import moments, szego_recurrence
 from opuc.weights import bernstein_szego
 from opuc.zeros import classify, match, roots
-from oracles import equidistribution_check
+from oracles import clusters, equidistribution_check
 
 
 def test_pure_power_roots():
     zs = roots([0.0] * 8 + [1.0])
     assert zs.n == 8
     assert np.max(np.abs(zs.zeros)) <= 1e-7
-    assert len(zs.clusters) == 1 and zs.clusters[0][1] == 8
+    assert len(clusters(zs)) == 1 and clusters(zs)[0][1] == 8
 
 
 def test_first_degree_bernstein_root(bs2_oracle):
