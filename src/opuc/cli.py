@@ -6,8 +6,8 @@ it was produced from plus the package version.
 
 Exit codes: 0 all good / comparisons pass, 1 comparison failures,
 2 config or weight validation failure (including a weight the requested
-method cannot handle), 3 positivity loss in the recursion, 5 missing or
-empty input tables.
+method cannot handle), 3 positivity loss in the recursion, 5 missing,
+empty or malformed input files.
 """
 
 from __future__ import annotations
@@ -308,15 +308,35 @@ def _read_csv(path: str) -> dict:
     if not os.path.exists(path):
         raise MissingInputError(f"missing input table: {path}")
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise MissingInputError(f"input table has no header line: {path}")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     cols = {h: [] for h in header}
-    for ln in lines[1:]:
-        for h, v in zip(header, ln.split(",")):
-            cols[h].append(float(v))
+    for i, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise MissingInputError(f"{path} line {i}: {len(cells)} cells, "
+                                    f"the header has {len(header)}")
+        try:
+            for h, v in zip(header, cells):
+                cols[h].append(float(v))
+        except ValueError:
+            raise MissingInputError(f"{path} line {i}: non-numeric cell in {ln!r}")
     return {h: np.array(v) for h, v in cols.items()}
+
+
+def _read_json(path: str, parse):
+    """parse(document) for the JSON file at path; a file that is not JSON or
+    lacks what parse reads is malformed input."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except OSError as exc:
+        raise MissingInputError(str(exc))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise MissingInputError(f"malformed input {path}: {type(exc).__name__}: {exc}")
 
 
 def _slope(ns, ys):
@@ -393,23 +413,19 @@ def cmd_compare(cfg: RunConfig) -> int:
             raise MissingInputError("missing levelcurve.csv")
 
     if method == "zero-weight":
-        try:
-            with open(os.path.join(out, "zeros_predicted.json")) as fh:
-                zero_doc = json.load(fh)["predicted"]
-        except OSError as exc:
-            raise MissingInputError(str(exc))
+        predicted = _read_json(os.path.join(out, "zeros_predicted.json"),
+                               lambda doc: {int(n): len(pts)
+                                            for n, pts in doc["predicted"].items()})
         mismatches = []
-        for n_str, pts in zero_doc.items():
-            n = int(n_str)
+        for n, count in predicted.items():
             path = os.path.join(out, f"zeros_{n}.json")
             if not os.path.exists(path):
                 continue
-            with open(path) as fh:
-                zs = np.array([complex(z["re"], z["im"])
-                               for z in json.load(fh)["zeros"]])
+            zs = _read_json(path, lambda doc: np.array(
+                [complex(z["re"], z["im"]) for z in doc["zeros"]]))
             actual = int(np.sum(np.abs(zs) <= 0.4))
-            if actual != len(pts):
-                mismatches.append({"n": n, "predicted": len(pts), "actual": actual})
+            if actual != count:
+                mismatches.append({"n": n, "predicted": count, "actual": actual})
         checks.append({"name": "interior-zero-count", "passed": not mismatches,
                        "details": {"mismatches": mismatches}})
 

@@ -177,6 +177,12 @@ def coefficients_from_samples(samples, K: int, grid: CircleGrid,
 def convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeries:
     """Coefficients of the product a*b truncated to [-K_out, K_out].
 
+    Only the span from the first to the last nonzero coefficient of each
+    operand is multiplied, so exact-zero tails cost nothing, and a product
+    coefficient whose exponent no pair of the two spans reaches is an exact
+    zero.  The Neumann operators rely on this: denoised() is what leaves S
+    and 1/S banded, and each iterate is a Riesz-projected row, zero on one
+    half.
     The result is valid on the intersection of the two annuli.
     """
     if K_out > a.K + b.K:
@@ -186,6 +192,13 @@ def convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeries:
     if not lo < hi:
         raise DisjointAnnuliError(f"annuli ({a.r_inner}, {a.r_outer}) and "
                                   f"({b.r_inner}, {b.r_outer}) do not overlap")
-    full = np.convolve(a.coeffs, b.coeffs)
-    mid = a.K + b.K
-    return LaurentSeries(full[mid - K_out:mid + K_out + 1], K_out, lo, hi)
+    out = np.zeros(2 * K_out + 1, dtype=complex)
+    ia, ib = np.flatnonzero(a.coeffs), np.flatnonzero(b.coeffs)
+    if ia.size and ib.size:
+        band = np.convolve(a.coeffs[ia[0]:ia[-1] + 1], b.coeffs[ib[0]:ib[-1] + 1])
+        # band[0] has exponent (ia[0] - a.K) + (ib[0] - b.K), i.e. out index start
+        start = ia[0] + ib[0] - a.K - b.K + K_out
+        first, last = max(start, 0), min(start + band.size, out.size)
+        if first < last:
+            out[first:last] = band[first - start:last - start]
+    return LaurentSeries(out, K_out, lo, hi)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from opuc.asymptotics import LevelCurve
-from opuc.laurent import CircleGrid, LaurentSeries
+from opuc.laurent import CircleGrid, DisjointAnnuliError, LaurentSeries
 from opuc.oracle import OpucResult, default_quadrature_size
 from opuc.szego import SzegoData
 from opuc.weights import (bernstein_szego, essential, inverse_essential,
@@ -139,3 +139,18 @@ def equidistribution_check(cl: ZeroClassification, n: int, m: int = 1) -> dict:
         "mean_modulus_minus_pred": cl.band_mean_modulus - pred_mod,
         "n_band": int(cl.band.size),
     }
+
+
+def full_convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeries:
+    """The product a*b truncated to [-K_out, K_out] from the convolution of
+    the whole coefficient windows, exact-zero tails included."""
+    if K_out > a.K + b.K:
+        raise ValueError(f"K_out = {K_out} exceeds K_a + K_b = {a.K + b.K}")
+    lo = max(a.r_inner, b.r_inner)
+    hi = min(a.r_outer, b.r_outer)
+    if not lo < hi:
+        raise DisjointAnnuliError(f"annuli ({a.r_inner}, {a.r_outer}) and "
+                                  f"({b.r_inner}, {b.r_outer}) do not overlap")
+    full = np.convolve(a.coeffs, b.coeffs)
+    mid = a.K + b.K
+    return LaurentSeries(full[mid - K_out:mid + K_out + 1], K_out, lo, hi)

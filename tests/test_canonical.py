@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import opuc.canonical
 from opuc.canonical import (AmbiguousRegionError, NeumannDivergenceError,
                             apply_M_exterior, apply_M_interior,
                             default_lens_radius, default_truncation_order,
                             kappa_estimate, neumann_solve, reconstruct_phi,
                             verblunsky_estimate)
 from opuc.laurent import LaurentSeries
-from opuc.szego import SzegoData, szego_function
+from opuc.szego import SzegoData, szego_data_for, szego_function
+from opuc.weights import bernstein_szego
 from oracles import (apply_M_exterior_quadrature, apply_M_interior_quadrature,
-                     constant_series, from_pairs, zero_series)
+                     constant_series, from_pairs, full_convolve, zero_series)
 
 R_LENS = 0.7
 
@@ -121,6 +123,23 @@ def test_neumann_solve_is_the_operator_composition(bs2_szego):
         for side in ("inner", "outer"):
             expected = sum((getattr(t, side).coeffs for t in terms), start)
             assert np.array_equal(getattr(entry, side).coeffs, expected)
+
+
+def test_banded_product_keeps_neumann_entries(monkeypatch):
+    # the banded product in laurent.convolve against the full-window one, on
+    # the bs-dense sizes: denoised S and 1/S at c = 1.3 are banded, K = 668
+    sz = szego_data_for(bernstein_szego(1.3), default_truncation_order(150))
+    ns = (2, 76, 151)
+    banded = [neumann_solve(n, sz) for n in ns]
+    monkeypatch.setattr(opuc.canonical, "convolve", full_convolve)
+    for e, n in zip(banded, ns):
+        ref = neumann_solve(n, sz)
+        for name in ("s11", "s12", "s21", "s22"):
+            for side in ("inner", "outer"):
+                got = getattr(getattr(e, name), side).coeffs
+                want = getattr(getattr(ref, name), side).coeffs
+                assert np.max(np.abs(got - want)) <= 1e-15, (n, name, side)
+                np.testing.assert_array_equal(got == 0, want == 0)
 
 
 def test_iterates_vanish_for_unit_scattering(leb_szego):

@@ -312,6 +312,44 @@ def test_compare_table_without_a_known_header_exits_5(tmp_path, capsys, table, t
     assert err.startswith("opuc: ") and table in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("row", ["5,abc,1", "5,1", "5,1,2,3"])
+def test_compare_bad_csv_row_exits_5(tmp_path, capsys, row):
+    weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
+              "zeros": [{"angle": 0.0, "beta": 0.5}]}
+    cfg = write_config(tmp_path / "cfg.json", weight, [4, 5, 6], tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "zero-weight", "--config", cfg]) == 0
+    path = tmp_path / "out" / "predictions.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[3].startswith("5,")
+    lines[3] = row + "\n"    # the file's fourth line: comment, header, n = 4, n = 5
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("opuc: ") and err.count("\n") == 1
+    assert "predictions.csv line 4" in err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("zeros_predicted.json", '{"x": 1}'),                 # no "predicted"
+    ("zeros_predicted.json", "not json"),
+    ("zeros_5.json", '{"n": 5}'),                         # no "zeros"
+    ("zeros_5.json", '{"zeros": [{"im": 0.0}]}'),         # a zero without "re"
+])
+def test_compare_malformed_zero_json_exits_5(tmp_path, capsys, name, text):
+    weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
+              "zeros": [{"angle": 0.0, "beta": 0.5}]}
+    cfg = write_config(tmp_path / "cfg.json", weight, [5, 6], tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "zero-weight", "--config", cfg]) == 0
+    (tmp_path / "out" / name).write_text(text)
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("opuc: ") and name in err and err.count("\n") == 1
+
+
 def test_compare_counts_interior_zeros_per_degree(tmp_path):
     weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
               "zeros": [{"angle": 0.0, "beta": 0.5},

@@ -4,7 +4,8 @@ import pytest
 from opuc.laurent import (CircleGrid, DisjointAnnuliError, LaurentSeries,
                           OutOfAnnulusError, coefficients_from_samples,
                           convolve, default_grid_size)
-from oracles import constant_series, from_pairs, riesz_project, sample
+from oracles import (constant_series, from_pairs, full_convolve, riesz_project,
+                     sample, zero_series)
 
 
 def test_constant_extraction():
@@ -118,6 +119,57 @@ def test_convolve_inverse_pair():
     prod = convolve(lin, geom, K_out=16)
     assert abs(prod.coeff(0) - 1.0) <= 1e-12
     assert max(abs(prod.coeff(k)) for k in range(-16, 17) if k != 0) <= 1e-12
+
+
+def _banded(rng, K, first, last):
+    """A random series on [-K, K] whose nonzero span is [first, last]."""
+    c = np.zeros(2 * K + 1, dtype=complex)
+    m = last - first + 1
+    c[first + K:last + K + 1] = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return LaurentSeries(c, K)
+
+
+@pytest.mark.parametrize("K_a, span_a, K_b, span_b, K_out", [
+    (12, (-3, 7), 12, (-12, 12), 12),     # zero-padded tails on one operand
+    (12, (-12, -2), 12, (4, 11), 12),     # on both, spans on opposite sides
+    (20, (-5, 19), 7, (-7, 3), 9),        # K_a != K_b and K_out < K
+    (7, (-7, 7), 20, (-20, -1), 27),      # K_out = K_a + K_b
+    (30, (0, 0), 30, (-30, 30), 4),       # a monomial times a full series
+])
+def test_convolve_matches_full_product(K_a, span_a, K_b, span_b, K_out):
+    rng = np.random.default_rng(K_a + 100 * K_out)
+    a, b = _banded(rng, K_a, *span_a), _banded(rng, K_b, *span_b)
+    got = convolve(a, b, K_out).coeffs
+    want = full_convolve(a, b, K_out).coeffs
+    # both sum the same products in different orders: each coefficient is
+    # within the rounding bound 2 (m + 4) eps sum |a_i b_j|, m terms at most
+    m = min(a.coeffs.size, b.coeffs.size)
+    bound = full_convolve(LaurentSeries(np.abs(a.coeffs), K_a),
+                          LaurentSeries(np.abs(b.coeffs), K_b), K_out).coeffs.real
+    assert np.all(np.abs(got - want) <= 2 * (m + 4) * np.finfo(float).eps * bound)
+    np.testing.assert_array_equal(got == 0, want == 0)
+
+
+@pytest.mark.parametrize("span_a, span_b", [
+    ((8, 10), (5, 6)),          # product exponents 13..16, above the window
+    ((-10, -6), (-6, -5)),      # product exponents -16..-11, below it
+])
+def test_convolve_spans_outside_window_give_exact_zeros(span_a, span_b):
+    rng = np.random.default_rng(1)
+    a, b = _banded(rng, 10, *span_a), _banded(rng, 6, *span_b)
+    out = convolve(a, b, K_out=4)
+    assert out.coeffs.size == 9
+    assert np.all(out.coeffs == 0)
+    np.testing.assert_array_equal(out.coeffs, full_convolve(a, b, 4).coeffs)
+
+
+def test_convolve_all_zero_operand():
+    rng = np.random.default_rng(2)
+    b = _banded(rng, 6, -6, 6)
+    zero = zero_series(5)
+    for x, y in ((zero, b), (b, zero), (zero, zero)):
+        out = convolve(x, y, K_out=5)
+        assert out.K == 5 and np.all(out.coeffs == 0)
 
 
 def test_round_trip_samples():
