@@ -1,10 +1,10 @@
 """Closed-form asymptotic predictors for the monic polynomials.
 
-Covers: residue and dominant-pole formulas for weights whose exterior Szego
-function has isolated singularities on the critical circle, saddle points and
-level curves for the essential-singularity example, Verblunsky and leading
-coefficient laws, the interior predictor for weights with zeros on the
-circle, and the Fisher-Hartwig growth law of the Toeplitz determinants.
+Covers: dominant-pole formulas for weights whose exterior Szego function has
+poles on the critical circle, saddle points and level curves for the
+essential-singularity example, Verblunsky and leading coefficient laws, the
+interior predictor for weights with zeros on the circle, and the
+Fisher-Hartwig growth law of the Toeplitz determinants.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ __all__ = [
     "fisher_hartwig_fit",
     "kappa_zero_weight",
     "level_curve",
-    "residue_predictor",
-    "residue_quadrature",
     "saddle_solve",
     "verblunsky_essential_asymptote",
     "verblunsky_pole_asymptote",
@@ -82,64 +80,6 @@ class PolePrescription:
         return cls(tuple(dominant + rest), rho, len(dominant), m, thetas, rational)
 
 
-def _require_exact_scattering(spec: AnalyticWeight):
-    if spec.exact is None:
-        raise ValueError(
-            f"weight {spec.name!r} carries no exact scattering evaluator; "
-            "contour residues need values off the annulus of the series")
-    return spec.exact.scattering
-
-
-def _residue_radius(spec: AnalyticWeight) -> float:
-    locs = [s.location for s in spec.singularities]
-    delta = 2.0 * 0.05
-    if len(locs) > 1:
-        pair = min(abs(a - b) for i, a in enumerate(locs) for b in locs[i + 1:])
-        delta = min(delta, pair / 3.0)
-    rho = spec.rho or max(abs(a) for a in locs)
-    delta = min(delta, (1.0 - rho) / 2.0)
-    return min(delta / 2.0, 0.05)
-
-
-def residue_quadrature(spec: AnalyticWeight, a: complex, n: int, z: complex) -> complex:
-    """Residue of S(w; t) t^n / (t - z) at t = a by 64-node circle quadrature.
-
-    The circle shrinks automatically when z comes close to the singularity;
-    spectral accuracy of the trapezoid rule makes small radii harmless.
-    """
-    scattering = _require_exact_scattering(spec)
-    radius = min(_residue_radius(spec), 0.45 * abs(z - a))
-    if radius < 1e-6:
-        raise ValueError(f"evaluation point {z} too close to the singularity at {a}")
-    phi = 2.0 * np.pi * np.arange(64) / 64
-    t = a + radius * np.exp(1j * phi)
-    vals = scattering(t) * t ** n / (t - z)
-    return complex(radius * np.mean(vals * np.exp(1j * phi)))
-
-
-def residue_predictor(spec: AnalyticWeight, sz: SzegoData, n: int, z: complex,
-                      form: str = "auto") -> complex:
-    """First-order prediction of Phi_n(z) from the circle singularities.
-
-    'interior' uses (D_i(0)/D_i(z)) * sum of residues; 'annulus' adds the
-    exterior term z^n D_e(z)/tau and is valid on a slightly larger disk.
-    """
-    rho = spec.rho or 0.0
-    if form == "auto":
-        form = "interior" if abs(z) < rho else "annulus"
-    res_sum = sum(residue_quadrature(spec, s.location, n, z)
-                  for s in spec.singularities)
-    d_i_ratio = szego_function(sz, 0.0, "interior") / szego_function(sz, z, "interior")
-    value = d_i_ratio * res_sum
-    if form == "annulus":
-        if spec.exact is None:
-            raise ValueError("annulus form needs the exact exterior evaluator")
-        value = value + z ** n * complex(spec.exact.d_e(z)) / sz.tau
-    elif form != "interior":
-        raise ValueError(f"form must be 'interior', 'annulus' or 'auto', got {form!r}")
-    return complex(value)
-
-
 def _dominant_sum(p: PolePrescription, sz: SzegoData, n: int, z: complex) -> complex:
     m = p.multiplicity
     binom = math.comb(n, m - 1)
@@ -155,16 +95,16 @@ def dominant_pole_phi(p: PolePrescription, sz: SzegoData, n: int, z: complex) ->
     """Explicit dominant-pole prediction of Phi_n(z) for |z| < rho.
 
     Inside the critical circle only the pole sum (weighted by D_i(0)/D_i(z))
-    survives.  Beyond it the exterior term z^n D_e(z)/tau joins; that form is
-    residue_predictor(form="annulus").  A point within 0.05 of a pole, or
-    with |z| >= rho, raises ValueError.
+    survives; beyond it the exterior term z^n D_e(z)/tau joins, which this
+    form leaves out.  A point within 0.05 of a pole, or with |z| >= rho,
+    raises ValueError.
     """
     for s in p.poles:
         if abs(z - s.location) < 0.05:
             raise ValueError(f"z within 0.05 of the pole at {s.location}")
     if abs(z) >= p.rho:
         raise ValueError(f"|z| = {abs(z):.6g} is not inside the critical circle "
-                         f"|z| < {p.rho:.6g}; use residue_predictor(form='annulus')")
+                         f"|z| < {p.rho:.6g}; this form omits the exterior term")
     d_i_ratio = szego_function(sz, 0.0, "interior") / szego_function(sz, z, "interior")
     return complex(d_i_ratio * _dominant_sum(p, sz, n, z))
 
@@ -326,7 +266,9 @@ def verblunsky_essential_asymptote(sd: SaddleData, spec: AnalyticWeight) -> comp
     -(1/(2 sqrt(pi))) t_+^n S(w; t_+) (rho/n)^{3/4}."""
     if sd.inverse:
         raise ValueError("the Verblunsky asymptote needs the plain weight's saddle")
-    s_val = complex(_require_exact_scattering(spec)(sd.t_plus))
+    if spec.exact is None:
+        raise ValueError(f"weight {spec.name!r} carries no exact scattering evaluator")
+    s_val = complex(spec.exact.scattering(sd.t_plus))
     return complex(-1.0 / (2.0 * math.sqrt(math.pi))
                    * sd.t_plus ** sd.n * s_val * (sd.rho / sd.n) ** 0.75)
 

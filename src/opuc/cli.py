@@ -194,7 +194,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
                      "monic_coefficients": [complex(c) for c in result.phi_monic[n]]})
         zs = roots(result.phi_monic[n], last_zeros if last_n == n - 1 else None)
         last_n, last_zeros = n, zs.zeros
-        labels = classify(zs, rho).labels
+        labels = classify(zs, rho)
         _write_json(os.path.join(cfg.outputs, f"zeros_{n}.json"), cfg,
                     {"schema": "opuc.zeros/1", "n": n,
                      "zeros": [{"re": z.real, "im": z.imag, "class": label}
@@ -312,6 +312,8 @@ def _read_csv(path: str) -> dict:
                  if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise MissingInputError(f"input table has no header line: {path}")
+    if len(lines) == 1:
+        raise MissingInputError(f"input table has no data rows: {path}")
     header = lines[0][1].split(",")
     cols = {h: [] for h in header}
     for i, ln in lines[1:]:

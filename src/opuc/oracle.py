@@ -24,7 +24,6 @@ __all__ = [
     "default_quadrature_size",
     "moments",
     "szego_recurrence",
-    "toeplitz_determinants",
 ]
 
 
@@ -134,21 +133,3 @@ def szego_recurrence(moms: Moments, N: int) -> OpucResult:
         c = c_next
         phi.append(c.copy())
     return OpucResult(N, alpha, kappa, phi, log_det)
-
-
-def toeplitz_determinants(moms: Moments) -> np.ndarray:
-    """log Toeplitz determinants, accumulated through the recursion.
-
-    log D_n = log D_{n-1} - 2 log kappa_n, seeded with D_0 = d_0.  For
-    n <= 8 the values are cross-checked against dense determinants of the
-    moment matrix.
-    """
-    result = szego_recurrence(moms, moms.max_k)
-    logdet = result.log_det
-    for n in range(min(8, result.n_max) + 1):
-        T = np.array([[moms.d(j - i) for j in range(n + 1)] for i in range(n + 1)])
-        sign, ld = np.linalg.slogdet(T)
-        if sign.real <= 0 or abs(ld - logdet[n]) > 1e-8 * max(1.0, abs(logdet[n])):
-            raise RuntimeError(
-                f"determinant cross-check failed at n = {n}: {ld} vs {logdet[n]}")
-    return logdet

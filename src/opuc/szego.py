@@ -167,15 +167,14 @@ class ModifiedSzegoData:
     theta_disagreement: np.ndarray
 
 
-def modified_szego(spec: ZeroModifiedWeight, d: SzegoData, z, side: str,
-                   cut_tol: float = 1e-9):
+def modified_szego(spec: ZeroModifiedWeight, d: SzegoData, z, side: str):
     """Szego function of the zero-modified weight.
 
     Interior: q^2(z)/q^2(0) * D_i(w; z); exterior:
-    D_e(w; z) / (q^2(0) * conj(q(1/conj(z)))^2).  Points on the radial cuts
-    raise a CutError.
+    D_e(w; z) / (q^2(0) * conj(q(1/conj(z)))^2).  Points within 1e-9 of the
+    radial cuts raise a CutError.
     """
-    _check_off_cuts(spec, z, side, cut_tol)
+    _check_off_cuts(spec, z, side, 1e-9)
     zarr = np.asarray(z, dtype=complex)
     q2_0 = _branch_product(spec.zeros, 0.0, 1.0)
     if side == "interior":

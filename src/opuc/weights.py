@@ -10,7 +10,7 @@ builtin catalog), and their modifications by a finite set of zeros
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -21,20 +21,17 @@ __all__ = [
     "AnalyticWeight",
     "CircleZero",
     "ExactSzego",
-    "RhoEstimate",
     "Singularity",
     "WeightDiagnostics",
     "ZeroModifiedWeight",
     "bernstein_szego",
     "essential",
-    "estimate_rho",
     "inverse_essential",
     "lebesgue",
     "log_weight_coefficients",
     "rational_modulus",
     "validate",
     "weight_from_json",
-    "weight_to_json",
     "zero_modified",
 ]
 
@@ -71,7 +68,6 @@ class AnalyticWeight:
     rho: Optional[float] = None
     singularities: tuple = ()
     exact: Optional[ExactSzego] = None
-    params: dict = field(default_factory=dict)
 
     @property
     def base(self) -> "AnalyticWeight":
@@ -181,40 +177,6 @@ def log_weight_coefficients(spec: AnalyticWeight, K: int) -> LaurentSeries:
     return lhat.denoised()
 
 
-@dataclass(frozen=True)
-class RhoEstimate:
-    value: float
-    entire: bool
-
-
-def estimate_rho(lhat: LaurentSeries) -> RhoEstimate:
-    """Nevai-Totik radius from the geometric decay of the log-weight coefficients.
-
-    Fits log |c_k| = a + k log(rho) + b log(k) over the upper half of the
-    reliable index range; the log(k) regressor absorbs the 1/k prefactor of
-    pole-type weights, which would otherwise bias the slope by exp(-1/k).
-    All coefficients at noise level means the weight extends past every
-    annulus and 0 is returned with the entire flag set.
-    """
-    mags = np.abs(lhat.plus_coeffs[1:])  # k = 1 .. K
-    if mags.size == 0 or np.max(mags) == 0.0:
-        return RhoEstimate(0.0, True)
-    floor = max(1e-14 * float(np.max(mags)), 1e-15)
-    reliable = np.nonzero(mags > floor)[0]
-    if reliable.size < 4:
-        return RhoEstimate(0.0, True)
-    k_hi = int(reliable[-1]) + 1
-    k_lo = max(2, k_hi // 2)
-    ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    ys = np.log(mags[ks.astype(int) - 1])
-    good = np.isfinite(ys)
-    if np.count_nonzero(good) < 4:
-        return RhoEstimate(0.0, True)
-    design = np.column_stack([np.ones_like(ks), ks, np.log(ks)])[good]
-    slope = float(np.linalg.lstsq(design, ys[good], rcond=None)[0][1])
-    return RhoEstimate(min(math.exp(slope), 1.0), False)
-
-
 # ---------------------------------------------------------------------------
 # builtin catalog
 # ---------------------------------------------------------------------------
@@ -225,8 +187,7 @@ def lebesgue() -> AnalyticWeight:
         d_e=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
         scattering=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
     )
-    return AnalyticWeight("lebesgue", lambda th: np.ones_like(th), rho=0.0,
-                          exact=one, params={"kind": "lebesgue"})
+    return AnalyticWeight("lebesgue", lambda th: np.ones_like(th), rho=0.0, exact=one)
 
 
 def rational_modulus(cs) -> AnalyticWeight:
@@ -280,13 +241,10 @@ def rational_modulus(cs) -> AnalyticWeight:
             cb2 = np.conj(c2)
             coeff *= ((cb2 * a) / (cb2 * a - 1.0)) ** mult2
         sings.append(Singularity(complex(a), "pole", mult, complex(coeff)))
-    kind = {"kind": "bernstein_szego", "c": cs[0].real} if len(cs) == 1 else \
-           {"kind": "rational_modulus", "cs": [c.real for c in cs]}
     return AnalyticWeight(
         "bernstein_szego" if len(cs) == 1 else "rational_modulus",
         w_theta, rho=rho, singularities=tuple(sings),
-        exact=ExactSzego(d_e, lambda z: d_i(z) * d_e(z)),
-        params=kind)
+        exact=ExactSzego(d_e, lambda z: d_i(z) * d_e(z)))
 
 
 def bernstein_szego(c) -> AnalyticWeight:
@@ -314,8 +272,7 @@ def _essential_family(rho: float, sign: int) -> AnalyticWeight:
     return AnalyticWeight(
         name, w_theta, rho=rho,
         singularities=(Singularity(complex(rho), "essential"),),
-        exact=ExactSzego(d_e, lambda z: np.exp(exponent(z))),
-        params={"kind": name, "rho": rho})
+        exact=ExactSzego(d_e, lambda z: np.exp(exponent(z))))
 
 
 def essential(rho: float) -> AnalyticWeight:
@@ -339,10 +296,17 @@ def zero_modified(base: AnalyticWeight, zeros) -> ZeroModifiedWeight:
 # ---------------------------------------------------------------------------
 
 def _number(x, name: str) -> float:
-    """A JSON number (int or float, not bool or str) as a float."""
+    """A JSON number (int or float, not bool or str) as a finite float: NaN,
+    +-Infinity and integers beyond the float range are refused."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise TypeError(f"{name} must be a number, got {x!r}")
-    return float(x)
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite float, got {x!r}")
+    return value
 
 
 def weight_from_json(doc: dict) -> WeightSpec:
@@ -377,14 +341,5 @@ def weight_from_json(doc: dict) -> WeightSpec:
         rho = _number(doc["rho"], "rho")
         if not 0.0 <= rho < 1.0:
             raise ValueError(f"rho override must lie in [0, 1), got {rho}")
-        w = AnalyticWeight(w.name, w.evaluate_theta, rho=rho,
-                           singularities=w.singularities, exact=w.exact, params=dict(doc))
+        w = replace(w, rho=rho)
     return w
-
-
-def weight_to_json(spec: WeightSpec) -> dict:
-    if isinstance(spec, ZeroModifiedWeight):
-        return {"kind": "zero_modified",
-                "base": weight_to_json(spec.base),
-                "zeros": [{"angle": z.angle, "beta": z.beta} for z in spec.zeros]}
-    return dict(spec.params)

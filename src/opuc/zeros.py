@@ -1,4 +1,4 @@
-"""Root finding and zero statistics for the monic polynomials.
+"""Roots of the monic polynomials, their labels and point matching.
 
 Roots come from Aberth-Ehrlich iteration, seeded with the zeros of the
 previous degree when the caller has them and with companion-matrix
@@ -6,9 +6,8 @@ eigenvalues otherwise.  The eigenvalues alone are not enough: they are
 backward stable only in the norm of the whole coefficient vector, and the
 coefficients of Phi_n are graded, so once rho^n < eps the zeros near the
 critical circle lose their digits while |Phi_n| on them stays at rounding
-level.  Zeros are then split into the interior set, the band hugging the
-critical circle, and the rest, and the band is summarized by the statistics
-the clustering and equidistribution laws speak about.
+level.  Zeros are then labelled as interior, in the band hugging the
+critical circle, or other, and predicted points are matched to them.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "MatchResult",
-    "ZeroClassification",
     "ZeroSet",
     "classify",
     "match",
@@ -123,39 +121,19 @@ def roots(monic_coeffs, previous=None) -> ZeroSet:
     return ZeroSet(n, zs, float(np.max(np.abs(_powers(zs, n) @ c))))
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroClassification:
-    """Partition of a zero set around the critical circle."""
-
-    rho: float
-    interior: np.ndarray      # |z| <= rho - margin
-    band: np.ndarray          # | |z| - rho | <= margin
-    other: np.ndarray
-    labels: np.ndarray        # "interior" / "band" / "other" per zero, input order
-    band_mean_modulus: float
-    angular_gaps: np.ndarray  # consecutive gaps of band zeros sorted by argument
-    degenerate: bool          # no band (rho = 0 or too few band zeros)
-
-
-def classify(zs: ZeroSet, rho: float, margin: float | None = None) -> ZeroClassification:
-    """Split zeros into interior / critical-band / other and collect band stats."""
+def classify(zs: ZeroSet, rho: float, margin: float | None = None) -> np.ndarray:
+    """Label each zero, in input order, "interior" (|z| <= rho - margin),
+    "band" (| |z| - rho | <= margin) or "other"; with rho = 0 every zero is
+    "other".  The default margin is 0.15 rho."""
     if margin is None:
-        margin = 0.15 * rho if rho > 0 else 0.0
-    z = zs.zeros
-    absz = np.abs(z)
-    labels = np.full(z.size, "other", dtype="<U8")
+        margin = 0.15 * rho
+    absz = np.abs(zs.zeros)
+    labels = np.full(absz.size, "other", dtype="<U8")
     if rho > 0.0:
-        band_mask = np.abs(absz - rho) <= margin
-        labels[band_mask] = "band"
-        labels[(absz <= rho - margin) & ~band_mask] = "interior"
-    interior, band, other = (z[labels == name] for name in ("interior", "band", "other"))
-    if band.size < 4:   # rho = 0 or too few band zeros
-        return ZeroClassification(rho, interior, band, other, labels,
-                                  math.nan, np.array([]), True)
-    args = np.sort(np.angle(band))
-    gaps = np.diff(np.concatenate([args, args[:1] + 2.0 * np.pi]))
-    return ZeroClassification(rho, interior, band, other, labels,
-                              float(np.mean(np.abs(band))), gaps, False)
+        band = np.abs(absz - rho) <= margin
+        labels[band] = "band"
+        labels[(absz <= rho - margin) & ~band] = "interior"
+    return labels
 
 
 @dataclass(frozen=True, eq=False)

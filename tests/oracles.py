@@ -1,5 +1,6 @@
 """Test oracles: objects the library computes one way, restated another way
-(contour quadrature, a dense Gram matrix), and helpers for building inputs."""
+(contour quadrature, a dense Gram matrix), statistics the tests read, and
+helpers for building inputs."""
 
 from __future__ import annotations
 
@@ -10,10 +11,11 @@ import numpy as np
 from opuc.asymptotics import LevelCurve
 from opuc.laurent import CircleGrid, DisjointAnnuliError, LaurentSeries
 from opuc.oracle import OpucResult, default_quadrature_size
-from opuc.szego import SzegoData
-from opuc.weights import (bernstein_szego, essential, inverse_essential,
-                          lebesgue, rational_modulus, zero_modified)
-from opuc.zeros import ZeroClassification, ZeroSet
+from opuc.szego import SzegoData, szego_function
+from opuc.weights import (AnalyticWeight, bernstein_szego, essential,
+                          inverse_essential, lebesgue, rational_modulus,
+                          zero_modified)
+from opuc.zeros import ZeroSet
 
 
 def zero_series(K: int, r_inner: float = 0.0, r_outer: float = math.inf) -> LaurentSeries:
@@ -118,27 +120,83 @@ def distance(lc: LevelCurve, z) -> np.ndarray:
     return np.min(np.abs(zarr[:, None] - lc.points[None, :]), axis=1)
 
 
-def equidistribution_check(cl: ZeroClassification, n: int, m: int = 1) -> dict:
-    """Band statistics against the equidistribution pattern.
+def angular_gaps(points) -> np.ndarray:
+    """Consecutive angular gaps of the points sorted by argument, the last one
+    wrapping around to the first."""
+    args = np.sort(np.angle(points))
+    return np.diff(np.concatenate([args, args[:1] + 2.0 * np.pi]))
+
+
+def equidistribution_check(zeros, labels, rho: float, n: int, m: int = 1) -> dict:
+    """Statistics of the band zeros (labels == "band") against the
+    equidistribution pattern.
 
     Reports the fraction of consecutive angular gaps within 15 percent of
     2 pi / n, the worst relative gap deviation, and the deviation of the mean
-    band modulus from rho (1 + log binom(n, m-1) / n).
+    band modulus from rho (1 + log binom(n, m-1) / n).  Fewer than four band
+    zeros are reported as degenerate.
     """
-    if cl.degenerate:
+    band = np.asarray(zeros)[labels == "band"]
+    if band.size < 4:
         return {"degenerate": True, "flag": "no band"}
     target = 2.0 * np.pi / n
-    rel_dev = np.abs(cl.angular_gaps - target) / target
-    pred_mod = cl.rho * (1.0 + math.log(math.comb(n, m - 1)) / n)
+    rel_dev = np.abs(angular_gaps(band) - target) / target
+    mean_modulus = float(np.mean(np.abs(band)))
+    pred_mod = rho * (1.0 + math.log(math.comb(n, m - 1)) / n)
     return {
         "degenerate": False,
         "gap_target": target,
         "gap_rel_dev_max": float(np.max(rel_dev)),
         "gap_within_15pct": float(np.mean(rel_dev <= 0.15)),
-        "mean_modulus": cl.band_mean_modulus,
-        "mean_modulus_minus_pred": cl.band_mean_modulus - pred_mod,
-        "n_band": int(cl.band.size),
+        "mean_modulus": mean_modulus,
+        "mean_modulus_minus_pred": mean_modulus - pred_mod,
+        "n_band": int(band.size),
     }
+
+
+def _residue_radius(spec: AnalyticWeight) -> float:
+    locs = [s.location for s in spec.singularities]
+    delta = 2.0 * 0.05
+    if len(locs) > 1:
+        pair = min(abs(a - b) for i, a in enumerate(locs) for b in locs[i + 1:])
+        delta = min(delta, pair / 3.0)
+    rho = spec.rho or max(abs(a) for a in locs)
+    delta = min(delta, (1.0 - rho) / 2.0)
+    return min(delta / 2.0, 0.05)
+
+
+def residue_quadrature(spec: AnalyticWeight, a: complex, n: int, z: complex) -> complex:
+    """Residue of S(w; t) t^n / (t - z) at t = a by 64-node circle quadrature,
+    with S the weight's exact scattering function.
+
+    The circle shrinks automatically when z comes close to the singularity;
+    spectral accuracy of the trapezoid rule makes small radii harmless.
+    """
+    radius = min(_residue_radius(spec), 0.45 * abs(z - a))
+    if radius < 1e-6:
+        raise ValueError(f"evaluation point {z} too close to the singularity at {a}")
+    phi = 2.0 * np.pi * np.arange(64) / 64
+    t = a + radius * np.exp(1j * phi)
+    vals = spec.exact.scattering(t) * t ** n / (t - z)
+    return complex(radius * np.mean(vals * np.exp(1j * phi)))
+
+
+def residue_predictor(spec: AnalyticWeight, sz: SzegoData, n: int, z: complex,
+                      form: str) -> complex:
+    """First-order prediction of Phi_n(z) from the circle singularities.
+
+    'interior' uses (D_i(0)/D_i(z)) * sum of residues; 'annulus' adds the
+    exterior term z^n D_e(z)/tau and is valid on a slightly larger disk.
+    """
+    if form not in ("interior", "annulus"):
+        raise ValueError(f"form must be 'interior' or 'annulus', got {form!r}")
+    res_sum = sum(residue_quadrature(spec, s.location, n, z)
+                  for s in spec.singularities)
+    d_i_ratio = szego_function(sz, 0.0, "interior") / szego_function(sz, z, "interior")
+    value = d_i_ratio * res_sum
+    if form == "annulus":
+        value = value + z ** n * complex(spec.exact.d_e(z)) / sz.tau
+    return complex(value)
 
 
 def full_convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeries:

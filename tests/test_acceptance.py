@@ -122,7 +122,7 @@ def test_criterion_06_dominant_pole_zero_structure(bs2_oracle):
     for n in range(20, 41):
         zs = roots(bs2_oracle.phi_monic[n])
         ok &= not np.any(np.abs(zs.zeros) <= 0.3)
-        rep = equidistribution_check(classify(zs, 0.5, 0.15), n, 1)
+        rep = equidistribution_check(zs.zeros, classify(zs, 0.5, 0.15), 0.5, n, 1)
         worst_frac = min(worst_frac, rep["gap_within_15pct"])
     report(6, "no interior zeros and >= 90% regular angular gaps (n in [20,40])",
            ok and worst_frac >= 0.9, f"worst gap fraction {worst_frac:.3f}")

@@ -277,6 +277,15 @@ def test_invalid_configs(tmp_path):
     # an outputs path that names an existing file
     ({"kind": "lebesgue"}, None, {"outputs": __file__}),
     ({"kind": "lebesgue"}, "scattering", {"outputs": __file__}),
+    # non-finite numbers, which Python's json reads as NaN and Infinity
+    ({"kind": "bernstein_szego", "c": math.inf}, None, {}),
+    ({"kind": "bernstein_szego", "c": math.nan}, None, {}),
+    ({"kind": "rational_modulus", "cs": [1.5, -math.inf]}, None, {}),
+    ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
+      "zeros": [{"angle": math.inf, "beta": 0.0}]}, None, {}),
+    ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
+      "zeros": [{"angle": 0.0, "beta": math.inf}]}, "zero-weight", {}),
+    ({"kind": "bernstein_szego", "c": 10 ** 400}, None, {}),   # beyond the float range
 ])
 def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra):
     doc = {"weight": weight, "n_list": [5] if method == "essential" else [2],
@@ -298,6 +307,9 @@ def test_compare_missing_inputs(tmp_path):
     ("alpha.csv", None),                          # None: the config sha line alone
     ("predictions.csv", None),
     ("predictions.csv", "n,beta_re\n10,0.5\n"),   # no column a predict method writes
+    # the scattering and the essential header, with no data row to check
+    ("predictions.csv", "n,alpha1_re,alpha1_im,alpha2_re,alpha2_im,kappa1_sq,kappa2_sq\n"),
+    ("predictions.csv", "n,alpha_re,alpha_im,t_plus_re,t_plus_im,residual\n"),
 ])
 def test_compare_table_without_a_known_header_exits_5(tmp_path, capsys, table, text):
     cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},

@@ -111,9 +111,9 @@ def test_modified_cut_jump(zmod1, leb_szego):
 
 def test_modified_cut_error(zmod1, leb_szego):
     with pytest.raises(CutError):
-        modified_szego(zmod1, leb_szego, 1.3, "interior", cut_tol=1e-9)
+        modified_szego(zmod1, leb_szego, 1.3, "interior")
     # interior evaluation below the circle on the same ray is fine
-    modified_szego(zmod1, leb_szego, 0.7, "interior", cut_tol=1e-9)
+    modified_szego(zmod1, leb_szego, 0.7, "interior")
 
 
 def test_theta_single_zero(zmod1, leb_szego):

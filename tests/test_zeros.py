@@ -10,7 +10,7 @@ from opuc.cli import main
 from opuc.oracle import moments, szego_recurrence
 from opuc.weights import bernstein_szego
 from opuc.zeros import classify, match, roots
-from oracles import clusters, equidistribution_check
+from oracles import angular_gaps, clusters, equidistribution_check
 
 
 def test_pure_power_roots():
@@ -97,11 +97,12 @@ def test_conjugation_symmetry(bs2_oracle):
 
 def test_classify_bernstein(bs2_oracle):
     zs = roots(bs2_oracle.phi_monic[30])
-    cl = classify(zs, 0.5, 0.15)
-    assert cl.interior.size == 0
-    assert cl.band.size >= 28
-    assert not cl.degenerate
-    assert abs(cl.band_mean_modulus - 0.5) <= 0.05
+    labels = classify(zs, 0.5, 0.15)
+    assert zs.zeros[labels == "interior"].size == 0
+    assert zs.zeros[labels == "band"].size >= 28
+    report = equidistribution_check(zs.zeros, labels, 0.5, 30)
+    assert not report["degenerate"]
+    assert abs(report["mean_modulus"] - 0.5) <= 0.05
 
 
 def test_classify_labels_partition():
@@ -110,26 +111,25 @@ def test_classify_labels_partition():
     for r in true_roots:
         coeffs = np.convolve(coeffs, [-r, 1.0])
     zs = roots(coeffs)
-    cl = classify(zs, 0.5, 0.1)
-    assert sorted(cl.labels) == ["band"] * 4 + ["interior"] * 2 + ["other"] * 3
-    for name in ("interior", "band", "other"):
-        np.testing.assert_array_equal(zs.zeros[cl.labels == name], getattr(cl, name))
+    labels = classify(zs, 0.5, 0.1)
+    assert sorted(labels) == ["band"] * 4 + ["interior"] * 2 + ["other"] * 3
+    expected = {"interior": true_roots[:2], "band": true_roots[2:6],
+                "other": true_roots[6:]}
+    for name, points in expected.items():
+        assert match(zs.zeros[labels == name], points).distances.max() <= 1e-12
 
 
 def test_classify_degenerate_at_origin():
     zs = roots([0.0] * 10 + [1.0])
-    cl = classify(zs, 0.0)
-    assert cl.degenerate
-    assert list(cl.labels) == ["other"] * 10
-    np.testing.assert_array_equal(zs.zeros[cl.labels == "other"], cl.other)
-    report = equidistribution_check(cl, 10)
+    labels = classify(zs, 0.0)
+    assert list(labels) == ["other"] * 10
+    report = equidistribution_check(zs.zeros, labels, 0.0, 10)
     assert report["degenerate"] and report["flag"] == "no band"
 
 
 def test_equidistribution_statistics(bs2_oracle):
     zs = roots(bs2_oracle.phi_monic[40])
-    cl = classify(zs, 0.5, 0.15)
-    report = equidistribution_check(cl, 40, 1)
+    report = equidistribution_check(zs.zeros, classify(zs, 0.5, 0.15), 0.5, 40, 1)
     assert report["gap_within_15pct"] >= 0.9
     assert abs(report["mean_modulus_minus_pred"]) <= 3 * np.log(40) / 40
 
@@ -139,8 +139,9 @@ def test_gap_concentration_tightens(bs2_oracle):
     # tighten toward 2 pi / n as the degree grows
     stats = {}
     for n in (20, 40):
-        cl = classify(roots(bs2_oracle.phi_monic[n]), 0.5, 0.15)
-        dev = np.sort(np.abs(cl.angular_gaps - 2 * np.pi / n) / (2 * np.pi / n))
+        zs = roots(bs2_oracle.phi_monic[n])
+        band = zs.zeros[classify(zs, 0.5, 0.15) == "band"]
+        dev = np.sort(np.abs(angular_gaps(band) - 2 * np.pi / n) / (2 * np.pi / n))
         stats[n] = (np.median(dev), dev[-2])   # drop the one doubled gap
     assert stats[40][0] < stats[20][0]
     assert stats[40][1] < stats[20][1]
@@ -203,8 +204,8 @@ def test_match_empty_raises():
 def test_interior_counts_respect_pole_bound(bs2_oracle):
     # one dominant pole: no interior zeros at large degree
     for n in range(20, 41, 5):
-        cl = classify(roots(bs2_oracle.phi_monic[n]), 0.5, 0.15)
-        assert cl.interior.size == 0
+        zs = roots(bs2_oracle.phi_monic[n])
+        assert zs.zeros[classify(zs, 0.5, 0.15) == "interior"].size == 0
 
 
 def test_interior_counts_respect_zero_bound(zmod2_oracle):
