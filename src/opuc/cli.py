@@ -63,13 +63,45 @@ def _json(obj, pad: str = "") -> str:
                  for k, v in sorted(obj.items())]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        items = [inner + _json(v, inner) for v in obj]
+        items = _rows(obj, inner)
+        if items is None:
+            items = [inner + _json(v, inner) for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
     if isinstance(obj, float):
         return format(obj, ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, (int, str)) or obj is None:   # bool is an int
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _rows(items, pad: str):
+    """The items of a list rendered at indent pad without a call per number,
+    when they are all finite complex numbers or all non-empty dicts of
+    finite float and str values; None for any other list, which _json then
+    renders item by item."""
+    inner = pad + "  "
+    if all(isinstance(v, complex) for v in items):
+        if not np.all(np.isfinite(np.array(items, dtype=complex))):
+            return None
+        return [f'{pad}{{\n{inner}"im": {v.imag:.17g},\n{inner}"re": {v.real:.17g}\n{pad}}}'
+                for v in items]
+    if not all(isinstance(v, dict) and v for v in items):
+        return None
+    quoted = {}   # json.dumps of each key and str value
+    rows = []
+    for row in items:
+        fields = []
+        for k, v in sorted(row.items()):
+            if isinstance(v, float) and math.isfinite(v):
+                v = format(v, ".17g")
+            elif isinstance(v, str):
+                v = quoted.get(v) or quoted.setdefault(v, json.dumps(v))
+            else:
+                return None
+            k = str(k)
+            fields.append(f"{inner}{quoted.get(k) or quoted.setdefault(k, json.dumps(k))}: {v}")
+        rows.append(f"{pad}{{\n" + ",\n".join(fields) + f"\n{pad}}}")
+    return rows
 
 
 @dataclass
@@ -187,13 +219,15 @@ def cmd_oracle(cfg: RunConfig) -> int:
                  float(result.kappa[n]), float(result.log_det[n]))
                 for n in range(n_max + 1)])
     rho = spec.base.rho or 0.0
-    last_n, last_zeros = None, None
+    # zeros of the last three degrees written; across a gap in n_list their
+    # sizes are not n - 1, n - 2, n - 3, and roots leaves them out
+    history = ()
     for n in cfg.n_list:
         _write_json(os.path.join(cfg.outputs, f"phi_{n}.json"), cfg,
                     {"schema": "opuc.phi/1", "n": n,
                      "monic_coefficients": [complex(c) for c in result.phi_monic[n]]})
-        zs = roots(result.phi_monic[n], last_zeros if last_n == n - 1 else None)
-        last_n, last_zeros = n, zs.zeros
+        zs = roots(result.phi_monic[n], history)
+        history = (zs.zeros, *history[:2])
         labels = classify(zs, rho)
         _write_json(os.path.join(cfg.outputs, f"zeros_{n}.json"), cfg,
                     {"schema": "opuc.zeros/1", "n": n,

@@ -59,10 +59,6 @@ class CircleGrid:
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.N) / self.N
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.radius * np.exp(1j * self.angles)
-
 
 @dataclass(frozen=True, eq=False)
 class LaurentSeries:

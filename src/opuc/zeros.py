@@ -1,13 +1,14 @@
 """Roots of the monic polynomials, their labels and point matching.
 
 Roots come from Aberth-Ehrlich iteration, seeded with the zeros of the
-previous degree when the caller has them and with companion-matrix
-eigenvalues otherwise.  The eigenvalues alone are not enough: they are
-backward stable only in the norm of the whole coefficient vector, and the
-coefficients of Phi_n are graded, so once rho^n < eps the zeros near the
-critical circle lose their digits while |Phi_n| on them stays at rounding
-level.  Zeros are then labelled as interior, in the band hugging the
-critical circle, or other, and predicted points are matched to them.
+previous degree, moved along their tracks over the last two degrees, when
+the caller has them and with companion-matrix eigenvalues otherwise.  The
+eigenvalues alone are not enough: they are backward stable only in the
+norm of the whole coefficient vector, and the coefficients of Phi_n are
+graded, so once rho^n < eps the zeros near the critical circle lose their
+digits while |Phi_n| on them stays at rounding level.  Zeros are then
+labelled as interior, in the band hugging the critical circle, or other,
+and predicted points are matched to them.
 """
 
 from __future__ import annotations
@@ -92,16 +93,22 @@ def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def roots(monic_coeffs, previous=None) -> ZeroSet:
+def roots(monic_coeffs, history=()) -> ZeroSet:
     """Zeros of a monic polynomial given by ascending coefficients.
 
-    ``previous`` may hold the zeros of the polynomial one degree lower in
-    the same sequence; the seed is then those zeros plus the point that
+    ``history`` may hold the zeros of the polynomials one, two and three
+    degrees lower in the same sequence, most recent first, each in the
+    order the call for its degree returned; an entry is used only if its
+    size fits.  With the zeros of degree n - 1, zero i of that degree seeds
+    track i.  With those of n - 2 and n - 3 as well, a track i that the
+    three degrees all hold moves on by its last step, d1 = z_{n-1} - z_{n-2},
+    when that step would have predicted the previous one, d2 = z_{n-2} -
+    z_{n-3}, to within half its size: |d1 - d2| < |d1| / 2.  One more seed
     makes the seeds sum to -c_{n-1} (Vieta), nudged off the real axis.
-    Otherwise the seed is the companion-matrix eigenvalues.  Either way the
-    zeros are those of the Aberth-Ehrlich iteration from the seed.
-    ``residual`` is max |p| over the zeros; it stays at rounding level even
-    where zeros are wrong.
+    Without history the seed is the companion-matrix eigenvalues.  Either
+    way the zeros are those of the Aberth-Ehrlich iteration from the seed,
+    in the seed's order.  ``residual`` is max |p| over the zeros; it stays
+    at rounding level even where zeros are wrong.
     """
     c = np.asarray(monic_coeffs, dtype=complex)
     if c.size < 2:
@@ -109,12 +116,23 @@ def roots(monic_coeffs, previous=None) -> ZeroSet:
     if not np.all(np.isfinite(c.real) & np.isfinite(c.imag)):
         raise ValueError("non-finite coefficients")
     n = c.size - 1
-    if previous is not None and len(previous) == n - 1:
-        prev = np.asarray(previous, dtype=complex)
+    prev = [np.asarray(h, dtype=complex) for h in history[:3]]
+    sizes = [h.size for h in prev]
+    if sizes[:1] == [n - 1]:
+        seed = prev[0].copy()
+        if sizes[1:] == [n - 2, n - 3]:
+            m = n - 3    # tracks with three points
+            d1 = prev[0][:m] - prev[1][:m]
+            d2 = prev[1][:m] - prev[2]
+            # where a degree kept the zeros before it (Phi_{n-2} = z Phi_{n-3}
+            # when alpha_{n-3} = 0), d2 is rounding noise and |d1 - d2| ~ |d1|:
+            # a bare |d1 - d2| < |d1| would pass on the noise alone
+            fits = np.abs(d1 - d2) < 0.5 * np.abs(d1)
+            seed[:m][fits] += d1[fits]
         # off the real axis, so that a real polynomial's real seeds can
         # become a conjugate pair without waiting on rounding noise
-        nudge = 0.01j * np.max(np.abs(prev), initial=0.0)
-        seed = np.append(prev, -c[-2] - prev.sum() + nudge)
+        nudge = 0.01j * np.max(np.abs(prev[0]), initial=0.0)
+        seed = np.append(seed, -c[-2] - seed.sum() + nudge)
     else:
         seed = np.roots(c[::-1]).astype(complex)
     zs = _aberth(c, seed)

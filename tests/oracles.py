@@ -4,6 +4,7 @@ helpers for building inputs."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -28,8 +29,13 @@ def constant_series(value: complex, K: int = 0) -> LaurentSeries:
     return s
 
 
+def nodes(grid: CircleGrid) -> np.ndarray:
+    """The grid's sampling points, radius * exp(i angle)."""
+    return grid.radius * np.exp(1j * grid.angles)
+
+
 def sample(s: LaurentSeries, grid: CircleGrid) -> np.ndarray:
-    return s.evaluate(grid.nodes)
+    return s.evaluate(nodes(grid))
 
 
 def from_pairs(pairs: dict[int, complex], K: int,
@@ -212,3 +218,24 @@ def full_convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeri
     full = np.convolve(a.coeffs, b.coeffs)
     mid = a.K + b.K
     return LaurentSeries(full[mid - K_out:mid + K_out + 1], K_out, lo, hi)
+
+
+def json_reference(obj, pad: str = "") -> str:
+    """The CLI's JSON text rendered item by item, one call per value: sorted
+    keys, a two-space indent, 17-significant-digit floats, non-finite floats
+    as null and complex numbers as {"im", "re"}."""
+    if isinstance(obj, complex):
+        obj = {"im": obj.imag, "re": obj.real}
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{json.dumps(str(k))}: {json_reference(v, inner)}"
+                 for k, v in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [inner + json_reference(v, inner) for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    if isinstance(obj, float):
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
+    if isinstance(obj, (int, str)) or obj is None:   # bool is an int
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")

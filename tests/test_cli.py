@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from opuc import __version__, cli
 from opuc.canonical import default_truncation_order
 from opuc.cli import RunConfig, _write_json, main
 from opuc.zeros import match
+from oracles import json_reference
 
 
 def write_config(path, weight, n_list, outputs, **extra):
@@ -480,3 +482,36 @@ def test_json_renderer_bytes(tmp_path):
         b'  "nonfinite": [\n    null,\n    null,\n    null\n  ],\n'
         b'  "text": "Szeg\\u0151 \\"S\\""\n'
         b'}\n')
+
+
+def test_json_renderer_matches_reference_on_oracle_documents(tmp_path, monkeypatch):
+    docs = []
+
+    def write_json(path, cfg, obj):
+        docs.append((path, {**obj, "_meta": {"config_sha256": cfg.sha256,
+                                             "opuc_version": __version__}}))
+        _write_json(path, cfg, obj)
+
+    monkeypatch.setattr(cli, "_write_json", write_json)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 1.3},
+                       list(range(1, 41)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert len(docs) == 80
+    for path, doc in docs:
+        with open(path) as fh:
+            assert fh.read() == json_reference(doc) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    [complex(math.nan, 1.0), complex(-math.inf, math.inf), complex(-0.0, 0.0), 2j],
+    [complex(0.5, -0.0), np.complex128(1e-300 - 3j)],
+    [], (), {"a": [], "b": {}, "c": [[], [{}]]},
+    [1 + 2j, 0.5, -1j, 3.0], [0.5, 1 + 2j], [1 + 2j, None, True],
+    [{"re": 0.1, "im": -0.0, "class": "band"}, {"re": 1e300, "im": 2.5, "class": "other"}],
+    [{"re": 0.1, "im": math.nan, "class": "band"}, {"re": 0.2, "im": 0.3, "class": "x"}],
+    [{"re": 0.1, "class": "band"}, {"im": 0.2, "flag": True}, {"n": 3, "s": 'Szegő "S"'}],
+    [{"b": 1.5, "a": "x"}, {}, {"c": [1.0, {"d": 1j}]}],
+    {"z": {"y": {"x": [{"w": 0.25}, [1j, {"v": -math.inf}]]}}, "a": [np.float64(0.1)]},
+])
+def test_json_renderer_matches_reference(obj):
+    assert cli._json(obj) == json_reference(obj)

@@ -4,8 +4,8 @@ import pytest
 from opuc.laurent import (CircleGrid, DisjointAnnuliError, LaurentSeries,
                           OutOfAnnulusError, coefficients_from_samples,
                           convolve, default_grid_size)
-from oracles import (constant_series, from_pairs, full_convolve, riesz_project,
-                     sample, zero_series)
+from oracles import (constant_series, from_pairs, full_convolve, nodes,
+                     riesz_project, sample, zero_series)
 
 
 def test_constant_extraction():
@@ -19,7 +19,7 @@ def test_constant_extraction():
 
 def test_finite_laurent_polynomial():
     grid = CircleGrid(1.0, 64)
-    f = grid.nodes + 2.0 / grid.nodes
+    f = nodes(grid) + 2.0 / nodes(grid)
     s = coefficients_from_samples(f, 4, grid)
     assert abs(s.coeff(1) - 1.0) <= 1e-14
     assert abs(s.coeff(-1) - 2.0) <= 1e-14
@@ -30,7 +30,7 @@ def test_finite_laurent_polynomial():
 def test_geometric_series_coefficients():
     # oracle: Taylor coefficients of 1/(1 - z/2) are 2^{-k}
     grid = CircleGrid(1.0, 256)
-    s = coefficients_from_samples(1.0 / (1.0 - grid.nodes / 2.0), 16, grid)
+    s = coefficients_from_samples(1.0 / (1.0 - nodes(grid) / 2.0), 16, grid)
     for k in range(17):
         assert abs(s.coeff(k) - 2.0 ** (-k)) <= 1e-13
     assert max(abs(s.coeff(-k)) for k in range(1, 17)) <= 1e-12
@@ -38,7 +38,7 @@ def test_geometric_series_coefficients():
 
 def test_extraction_on_smaller_circle_rescales():
     grid = CircleGrid(0.5, 256)
-    s = coefficients_from_samples(1.0 / (1.0 - grid.nodes / 2.0), 10, grid)
+    s = coefficients_from_samples(1.0 / (1.0 - nodes(grid) / 2.0), 10, grid)
     for k in range(11):
         assert abs(s.coeff(k) - 2.0 ** (-k)) <= 1e-12
 
@@ -59,7 +59,7 @@ def test_evaluate_geometric_closed_form():
     # the grid-extracted series reaches the same value once the roundoff
     # floor in the negative-index coefficients is dropped
     grid = CircleGrid(1.0, 256)
-    ext = coefficients_from_samples(1.0 / (1.0 - grid.nodes / 2.0), 32, grid,
+    ext = coefficients_from_samples(1.0 / (1.0 - nodes(grid) / 2.0), 32, grid,
                                     r_inner=0.0, r_outer=2.0).denoised()
     assert abs(ext.evaluate(0.5) - 4.0 / 3.0) <= 1e-12
 
@@ -114,7 +114,7 @@ def test_convolve_polynomial_square():
 
 def test_convolve_inverse_pair():
     grid = CircleGrid(1.0, 256)
-    geom = coefficients_from_samples(1.0 / (1.0 - grid.nodes / 2.0), 32, grid)
+    geom = coefficients_from_samples(1.0 / (1.0 - nodes(grid) / 2.0), 32, grid)
     lin = from_pairs({0: 1.0, 1: -0.5}, 1)
     prod = convolve(lin, geom, K_out=16)
     assert abs(prod.coeff(0) - 1.0) <= 1e-12
@@ -202,7 +202,7 @@ def test_projection_and_convolution_linearity():
 
 def test_real_on_circle_symmetry():
     grid = CircleGrid(1.0, 128)
-    vals = np.abs(1.0 - grid.nodes / 2.0) ** 2
+    vals = np.abs(1.0 - nodes(grid) / 2.0) ** 2
     s = coefficients_from_samples(vals, 16, grid, real_on_circle=True)
     for k in range(1, 17):
         assert abs(s.coeff(-k) - np.conj(s.coeff(k))) <= 1e-12
@@ -210,7 +210,7 @@ def test_real_on_circle_symmetry():
 
 def test_denoised_drops_roundoff_floor():
     grid = CircleGrid(1.0, 256)
-    s = coefficients_from_samples(1.0 / (1.0 - grid.nodes / 2.0), 80, grid)
+    s = coefficients_from_samples(1.0 / (1.0 - nodes(grid) / 2.0), 80, grid)
     d = s.denoised()
     assert d.coeff(-40) == 0.0
     assert abs(d.coeff(10) - 2.0 ** -10) <= 1e-14

@@ -68,8 +68,9 @@ def test_zeros_certified_past_eps_threshold(tmp_path):
     phi = szego_recurrence(moments(bernstein_szego(1.334442), 137), 136).phi_monic[136]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"weight": {"kind": "bernstein_szego", "c": 1.334442},
-                               "n_list": [135, 136], "outputs": str(tmp_path)}))
-    assert main(["oracle", "--config", str(cfg)]) == 0    # 136 seeded from 135
+                               "n_list": list(range(130, 137)), "outputs": str(tmp_path)}))
+    # 136 is seeded from the tracks of 133..135
+    assert main(["oracle", "--config", str(cfg)]) == 0
     zeros_doc = json.loads((tmp_path / "zeros_136.json").read_text())
     warm = np.array([complex(z["re"], z["im"]) for z in zeros_doc["zeros"]])
     cold = roots(phi)
@@ -79,6 +80,30 @@ def test_zeros_certified_past_eps_threshold(tmp_path):
         assert np.max(newton_corrections(phi, zs)) <= 1e-14
         gaps = np.abs(zs[:, None] - zs[None, :]) + np.eye(zs.size)
         assert np.min(gaps) >= 1e-8     # 136 distinct zeros
+
+
+def test_track_predicted_seeds_give_the_cold_zeros(bs2):
+    phi = szego_recurrence(moments(bs2, 61), 60).phi_monic
+    history = ()
+    for n in range(1, 61):
+        c = phi[n]
+        zs = roots(c, history)
+        paired = match(zs.zeros, roots(c).zeros)
+        assert len(paired.pairs) == n and paired.distances.max() <= 1e-13
+        history = (zs.zeros, *history[:2])
+
+
+def test_track_predictor_skips_rounding_level_steps(zmod2_oracle):
+    # alpha_n = 0 for even n on the symmetric two-zero weight, so each odd
+    # degree keeps the zeros before it and adds 0: at odd n the step before
+    # the last is rounding noise, and no track may be extrapolated
+    history = ()
+    for n in range(1, 130):
+        c = zmod2_oracle.phi_monic[n]
+        zs = roots(c, history)
+        if history:
+            assert np.array_equal(zs.zeros, roots(c, history[:1]).zeros)
+        history = (zs.zeros, *history[:2])
 
 
 def test_vieta_sum(bs2_oracle):
