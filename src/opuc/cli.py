@@ -225,7 +225,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     for n in cfg.n_list:
         _write_json(os.path.join(cfg.outputs, f"phi_{n}.json"), cfg,
                     {"schema": "opuc.phi/1", "n": n,
-                     "monic_coefficients": [complex(c) for c in result.phi_monic[n]]})
+                     "monic_coefficients": result.phi_monic[n].tolist()})
         zs = roots(result.phi_monic[n], history)
         history = (zs.zeros, *history[:2])
         labels = classify(zs, rho)

@@ -1,8 +1,10 @@
 """Roots of the monic polynomials, their labels and point matching.
 
 Roots come from Aberth-Ehrlich iteration, seeded with the zeros of the
-previous degree, moved along their tracks over the last two degrees, when
-the caller has them and with companion-matrix eigenvalues otherwise.  The
+previous degree, moved along their tracks over the last two degrees (after
+a degree that kept the zeros before it, over two-degree steps, with the new
+pair from the low-order part of the polynomial), when the caller has them
+and with companion-matrix eigenvalues otherwise.  The
 eigenvalues alone are not enough: they are backward stable only in the
 norm of the whole coefficient vector, and the coefficients of Phi_n are
 graded, so once rho^n < eps the zeros near the critical circle lose their
@@ -93,6 +95,49 @@ def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _origin(z: np.ndarray, scale: float) -> int | None:
+    """Index of the zero in z that sits at the origin to rounding,
+    |z_i| <= 1e-8 scale, or None."""
+    i = int(np.argmin(np.abs(z)))
+    return i if abs(z[i]) <= 1e-8 * scale else None
+
+
+def _kept_degree_seed(c: np.ndarray, prev: list) -> np.ndarray | None:
+    """Seed for degree n after a degree that kept the zeros before it, or
+    None when degree n - 1 has no zero at the origin.
+
+    A kept degree, Phi_{n-1} = z Phi_{n-2} (alpha_{n-2} = 0), adds a zero at
+    the origin.  From there it and a Vieta seed would split into the new
+    pair of degree n only linearly, so both give way to the zeros of
+    c_0 + c_1 z + c_2 z^2, the low-order part of Phi_n, turned by 1 + 0.01i:
+    a real polynomial in z^2 is symmetric under z -> -conj(z), and seeds on
+    the imaginary axis would stay there until rounding noise broke the
+    symmetry.  Degree n - 1 adds nothing to the other tracks, so when
+    degree n - 3 was a kept degree too, track i moves on by its step over
+    two degrees, from degree n - 4 (degree n - 3 without its origin zero)
+    to n - 2.
+    """
+    n = c.size - 1
+    if n < 2:
+        return None
+    # at n = 2 the one zero of degree 1 cannot be its own scale: the
+    # geometric mean |c_0|^(1/n) of degree n's zeros stands in
+    scale = max(float(np.max(np.abs(prev[0]))), abs(c[0]) ** (1.0 / n))
+    i = _origin(prev[0], scale)
+    if i is None:
+        return None
+    pair = np.roots(c[2::-1])
+    if pair.size != 2 or pair[0] == pair[1]:   # coincident seeds never part
+        return None
+    tracks = np.delete(prev[0], i)
+    if [h.size for h in prev[1:]] == [n - 2, n - 3]:
+        j = _origin(prev[2], scale)
+        if j is not None:
+            m = n - 4
+            tracks[:m] += prev[1][:m] - np.delete(prev[2], j)
+    return np.concatenate([tracks, pair * (1.0 + 0.01j)])
+
+
 def roots(monic_coeffs, history=()) -> ZeroSet:
     """Zeros of a monic polynomial given by ascending coefficients.
 
@@ -100,15 +145,17 @@ def roots(monic_coeffs, history=()) -> ZeroSet:
     degrees lower in the same sequence, most recent first, each in the
     order the call for its degree returned; an entry is used only if its
     size fits.  With the zeros of degree n - 1, zero i of that degree seeds
-    track i.  With those of n - 2 and n - 3 as well, a track i that the
-    three degrees all hold moves on by its last step, d1 = z_{n-1} - z_{n-2},
-    when that step would have predicted the previous one, d2 = z_{n-2} -
-    z_{n-3}, to within half its size: |d1 - d2| < |d1| / 2.  One more seed
-    makes the seeds sum to -c_{n-1} (Vieta), nudged off the real axis.
-    Without history the seed is the companion-matrix eigenvalues.  Either
-    way the zeros are those of the Aberth-Ehrlich iteration from the seed,
-    in the seed's order.  ``residual`` is max |p| over the zeros; it stays
-    at rounding level even where zeros are wrong.
+    track i.  If one of them sits at the origin, degree n - 1 kept the
+    zeros before it, and the seed is that of ``_kept_degree_seed``.
+    Otherwise, with the zeros of n - 2 and n - 3 as well, a track i that
+    the three degrees all hold moves on by its last step, d1 = z_{n-1} -
+    z_{n-2}, when that step would have predicted the previous one, d2 =
+    z_{n-2} - z_{n-3}, to within half its size: |d1 - d2| < |d1| / 2.  One
+    more seed makes the seeds sum to -c_{n-1} (Vieta), nudged off the real
+    axis.  Without history the seed is the companion-matrix eigenvalues.
+    Either way the zeros are those of the Aberth-Ehrlich iteration from the
+    seed, in the seed's order.  ``residual`` is max |p| over the zeros; it
+    stays at rounding level even where zeros are wrong.
     """
     c = np.asarray(monic_coeffs, dtype=complex)
     if c.size < 2:
@@ -118,7 +165,9 @@ def roots(monic_coeffs, history=()) -> ZeroSet:
     n = c.size - 1
     prev = [np.asarray(h, dtype=complex) for h in history[:3]]
     sizes = [h.size for h in prev]
-    if sizes[:1] == [n - 1]:
+    if sizes[:1] != [n - 1]:
+        seed = np.roots(c[::-1]).astype(complex)
+    elif (seed := _kept_degree_seed(c, prev)) is None:
         seed = prev[0].copy()
         if sizes[1:] == [n - 2, n - 3]:
             m = n - 3    # tracks with three points
@@ -133,8 +182,6 @@ def roots(monic_coeffs, history=()) -> ZeroSet:
         # become a conjugate pair without waiting on rounding noise
         nudge = 0.01j * np.max(np.abs(prev[0]), initial=0.0)
         seed = np.append(seed, -c[-2] - seed.sum() + nudge)
-    else:
-        seed = np.roots(c[::-1]).astype(complex)
     zs = _aberth(c, seed)
     return ZeroSet(n, zs, float(np.max(np.abs(_powers(zs, n) @ c))))
 

@@ -1,11 +1,13 @@
 import itertools
 import json
+import math
 import time
 
 import mpmath
 import numpy as np
 import pytest
 
+from opuc import zeros
 from opuc.cli import main
 from opuc.oracle import moments, szego_recurrence
 from opuc.weights import bernstein_szego
@@ -82,6 +84,25 @@ def test_zeros_certified_past_eps_threshold(tmp_path):
         assert np.min(gaps) >= 1e-8     # 136 distinct zeros
 
 
+def test_kept_degree_zeros_certified(tmp_path):
+    # Phi_127 = z Phi_126 on the symmetric two-zero weight: zeros_128 starts
+    # from the pair of its low-order part and the tracks of 124 and 126
+    weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
+              "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weight": weight, "n_list": list(range(120, 129)),
+                               "N_quad": 1 << 17, "outputs": str(tmp_path)}))
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    phi_doc = json.loads((tmp_path / "phi_128.json").read_text())
+    phi = np.array([complex(c["re"], c["im"]) for c in phi_doc["monic_coefficients"]])
+    zeros_doc = json.loads((tmp_path / "zeros_128.json").read_text())
+    zs = np.array([complex(z["re"], z["im"]) for z in zeros_doc["zeros"]])
+    assert zs.size == 128
+    assert np.max(newton_corrections(phi, zs)) <= 1e-14
+    gaps = np.abs(zs[:, None] - zs[None, :]) + np.eye(zs.size)
+    assert np.min(gaps) >= 1e-8     # 128 distinct zeros
+
+
 def test_track_predicted_seeds_give_the_cold_zeros(bs2):
     phi = szego_recurrence(moments(bs2, 61), 60).phi_monic
     history = ()
@@ -96,13 +117,40 @@ def test_track_predicted_seeds_give_the_cold_zeros(bs2):
 def test_track_predictor_skips_rounding_level_steps(zmod2_oracle):
     # alpha_n = 0 for even n on the symmetric two-zero weight, so each odd
     # degree keeps the zeros before it and adds 0: at odd n the step before
-    # the last is rounding noise, and no track may be extrapolated
+    # the last is rounding noise, and no track may be extrapolated.  Even n
+    # follow a kept degree and step their tracks from history[1:]
     history = ()
     for n in range(1, 130):
         c = zmod2_oracle.phi_monic[n]
         zs = roots(c, history)
-        if history:
+        if history and n % 2:
             assert np.array_equal(zs.zeros, roots(c, history[:1]).zeros)
+        history = (zs.zeros, *history[:2])
+
+
+def test_degree_after_a_kept_degree_splits_the_origin_pair(zmod2_oracle, monkeypatch):
+    # each odd degree keeps the zeros before it and adds one at the origin;
+    # the even degree after it is seeded with the new pair and the tracks
+    # stepped over two degrees, so it converges in a few Aberth steps where
+    # a pair split from the origin needs up to 44
+    tables = []
+    powers = zeros._powers
+
+    def counted(u, n):
+        tables.append(n)
+        return powers(u, n)
+
+    monkeypatch.setattr(zeros, "_powers", counted)
+    history = ()
+    for n in range(1, 130):
+        c = zmod2_oracle.phi_monic[n]
+        before = len(tables)
+        zs = roots(c, history)
+        steps = len(tables) - before - 1    # one table per step, one for the residual
+        if n % 2 == 0:
+            assert steps <= 12, n
+        paired = match(zs.zeros, roots(c).zeros)
+        assert len(paired.pairs) == n and paired.distances.max() <= 1e-13
         history = (zs.zeros, *history[:2])
 
 
