@@ -2,8 +2,7 @@
 Szego/scattering data, a moment-recursion oracle, canonical-series
 reconstruction and closed-form asymptotic predictors."""
 
-from .laurent import (CircleGrid, LaurentSeries, coefficients_from_samples,
-                      convolve)
+from .laurent import CircleGrid, LaurentSeries, coefficients_from_samples
 from .weights import (AnalyticWeight, CircleZero, ZeroModifiedWeight,
                       bernstein_szego, essential, inverse_essential, lebesgue,
                       log_weight_coefficients, rational_modulus, validate,

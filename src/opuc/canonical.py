@@ -2,9 +2,10 @@
 
 The two Cauchy-type operators with symbols z^n S(z) and z^{-n}/S(z) are
 realized in Laurent-coefficient space as a convolution, an index shift and a
-Riesz projection.  Their alternating (Neumann) iterates sum to the four
-region-wise entries S_ij(n; .), from which Phi_n, the Verblunsky coefficient
-and the leading coefficient are reconstructed.
+Riesz projection, each on the band of nonzero coefficients of its rows.  Their
+alternating (Neumann) iterates sum to the four region-wise entries
+S_ij(n; .), from which Phi_n, the Verblunsky coefficient and the leading
+coefficient are reconstructed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laurent import DisjointAnnuliError, LaurentSeries, convolve
+from .laurent import DisjointAnnuliError, LaurentSeries, band
 from .szego import SzegoData, szego_function
 
 __all__ = [
@@ -86,46 +87,60 @@ class SMatrixEntries:
                 "tail_bound": {k: float(v) for k, v in self.tail_bound.items()}}
 
 
-def _operator(f: np.ndarray, n: int, sz: SzegoData, interior: bool) -> np.ndarray:
-    """One operator step on a coefficient array, as the (inner, outer) rows.
+def _operator(f: tuple, n: int, sz: SzegoData, interior: bool) -> tuple:
+    """One operator step on a banded row, as the (inner, outer) banded rows.
 
+    A banded row is (first, c): the index of c[0] in the window [-K, K] of
+    sz, counted from 0 at -K, and the coefficients from the first to the
+    last nonzero one (laurent.band).
     Interior (symbol z^n S): with h = S * f, the branch inside the circle is
     -tau^{-2} P_+(z^n h) and the branch outside is +tau^{-2} P_-(z^n h).
     Exterior (symbol z^{-n}/S): with h = f / S, the branches are
-    +tau^2 P_+(z^{-n} h) and -tau^2 P_-(z^{-n} h).  Both rows are truncated
-    back to the window [-K, K] of sz; P_+ keeps exponents >= 0, P_- the rest.
+    +tau^2 P_+(z^{-n} h) and -tau^2 P_-(z^{-n} h).  h is truncated to the
+    window before the shift and the shifted rows again after it; P_+ keeps
+    exponents >= 0, P_- the rest.  Only the bands are multiplied, so an
+    exponent that no pair of the two bands reaches is an exact zero, and
+    denoised() is what leaves S and 1/S banded.
     """
     K = sz.K
     if n > K:
         raise ValueError(f"degree {n} exceeds coefficient window K = {K}")
     if interior:
-        symbol, shift, scale = sz.S, n, -1.0 / sz.tau ** 2
+        (s_first, s), shift, scale = sz.bands[0], n, -1.0 / sz.tau ** 2
     else:
-        symbol, shift, scale = sz.S_inv, -n, sz.tau ** 2
-    h = convolve(symbol, LaurentSeries(f, (f.size - 1) // 2), K_out=K).coeffs
-    out = np.zeros((2, 2 * K + 1), dtype=complex)
-    if shift >= 0:
-        out[:, shift:] = h[:2 * K + 1 - shift]
-    else:
-        out[:, :shift] = h[-shift:]
-    out[0, :K] = 0.0
-    out[1, K:] = 0.0
-    out[0] *= scale
-    out[1] *= -scale
+        (s_first, s), shift, scale = sz.bands[1], -n, sz.tau ** 2
+    first, c = f
+    if not (s.size and c.size):
+        return (K, c[:0]), (K, c[:0])
+    h = np.convolve(s, c)
+    start = s_first + first - K     # window index of h[0]
+    lo, hi = max(start, 0), min(start + h.size, 2 * K + 1)
+    start, lo, hi = start + shift, max(lo + shift, 0), min(hi + shift, 2 * K + 1)
+
+    def piece(a: int, b: int, factor: float) -> tuple:
+        return band(h[a - start:b - start] * factor, a) if a < b else (a, h[:0])
+
+    return piece(max(lo, K), hi, scale), piece(lo, min(hi, K), -scale)
+
+
+def _window(row: tuple, K: int) -> np.ndarray:
+    first, c = row
+    out = np.zeros(2 * K + 1, dtype=complex)
+    out[first:first + c.size] = c
     return out
 
 
 def _piecewise(f: LaurentSeries, n: int, sz: SzegoData, interior: bool) -> PiecewiseSeries:
     """The operator step on a series; the branches are valid where f and the
-    symbol both are, as for the product in laurent.convolve."""
+    symbol both are."""
     symbol = sz.S if interior else sz.S_inv
     lo, hi = max(f.r_inner, symbol.r_inner), min(f.r_outer, symbol.r_outer)
     if not lo < hi:
         raise DisjointAnnuliError(f"annuli ({f.r_inner}, {f.r_outer}) and "
                                   f"({symbol.r_inner}, {symbol.r_outer}) do not overlap")
-    inner, outer = _operator(f.coeffs, n, sz, interior)
-    return PiecewiseSeries(LaurentSeries(inner, sz.K, 0.0, hi),
-                           LaurentSeries(outer, sz.K, lo, math.inf))
+    inner, outer = _operator(band(f.coeffs, sz.K - f.K), n, sz, interior)
+    return PiecewiseSeries(LaurentSeries(_window(inner, sz.K), sz.K, 0.0, hi),
+                           LaurentSeries(_window(outer, sz.K), sz.K, lo, math.inf))
 
 
 def apply_M_interior(f: LaurentSeries, n: int, sz: SzegoData) -> PiecewiseSeries:
@@ -160,31 +175,37 @@ def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
         raise ValueError("n_terms must be >= 1")
     r = default_lens_radius(sz.rho) if r is None else r
     K = sz.K
-    one = np.zeros(2 * K + 1, dtype=complex)
-    one[K] = 1.0
+    one = (K, np.ones(1, dtype=complex))
 
     # rows s11, s12, s21, s22, each an (inner, outer) pair; s11 and s21
     # split at 1/r, s12 and s22 at r
     acc = np.zeros((4, 2, 2 * K + 1), dtype=complex)
     acc[0, :, K] = acc[3, :, K] = 1.0   # f^(0) = 1 and g^(0) = 1 on both sides
 
+    def add(i: int, pair: tuple) -> None:
+        for row, (first, c) in zip(acc[i], pair):
+            row[first:first + c.size] += c
+
+    def norm(pair: tuple) -> float:
+        return np.maximum(*(np.abs(c).max(initial=0.0) for _, c in pair))
+
     f_cur = _operator(one, n, sz, True)     # f^(1)
     g_cur = _operator(one, n, sz, False)    # g^(1)
-    f_norm, g_norm = np.max(np.abs(f_cur)), np.max(np.abs(g_cur))
+    f_norm, g_norm = norm(f_cur), norm(g_cur)
     for k in range(1, 2 * n_terms + 2):
         if k % 2 == 1:
-            acc[1] += f_cur     # odd f iterates into s12
-            acc[2] += g_cur     # odd g iterates into s21
+            add(1, f_cur)     # odd f iterates into s12
+            add(2, g_cur)     # odd g iterates into s21
             if k == 2 * n_terms + 1:
                 break
             f_next = _operator(f_cur[1], n, sz, False)
             g_next = _operator(g_cur[0], n, sz, True)
         else:
-            acc[0] += f_cur     # even f iterates into s11
-            acc[3] += g_cur     # even g iterates into s22
+            add(0, f_cur)     # even f iterates into s11
+            add(3, g_cur)     # even g iterates into s22
             f_next = _operator(f_cur[0], n, sz, True)
             g_next = _operator(g_cur[1], n, sz, False)
-        fn, gn = np.max(np.abs(f_next)), np.max(np.abs(g_next))
+        fn, gn = norm(f_next), norm(g_next)
         if (fn > f_norm and f_norm > 1e-300) or (gn > g_norm and g_norm > 1e-300):
             raise NeumannDivergenceError(
                 f"iterate norms grow at step {k} ({f_norm:.3e} -> {fn:.3e}); "

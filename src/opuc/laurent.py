@@ -19,8 +19,8 @@ __all__ = [
     "DisjointAnnuliError",
     "LaurentSeries",
     "OutOfAnnulusError",
+    "band",
     "coefficients_from_samples",
-    "convolve",
     "default_grid_size",
 ]
 
@@ -35,6 +35,20 @@ class DisjointAnnuliError(ValueError):
 
 def _next_pow2(n: int) -> int:
     return 1 << max(1, n - 1).bit_length()
+
+
+def band(c: np.ndarray, first: int = 0) -> tuple[int, np.ndarray]:
+    """The band of a coefficient row whose c[0] sits at window index first:
+    the index of its first nonzero entry and the entries from there to the
+    last nonzero one, an empty array if c is zero.  Only exact-zero edges are
+    trimmed, so a row whose two edges are nonzero is returned without a scan.
+    """
+    if c.size and c[0] != 0 and c[-1] != 0:
+        return first, c
+    nz = np.flatnonzero(c)
+    if not nz.size:
+        return first, c[:0]
+    return first + int(nz[0]), c[nz[0]:nz[-1] + 1]
 
 
 def default_grid_size(K: int) -> int:
@@ -168,33 +182,3 @@ def coefficients_from_samples(samples, K: int, grid: CircleGrid,
             raise ValueError("real_on_circle symmetrization is defined on the unit circle")
         coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1]))
     return LaurentSeries(coeffs, K, r_inner, r_outer)
-
-
-def convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeries:
-    """Coefficients of the product a*b truncated to [-K_out, K_out].
-
-    Only the span from the first to the last nonzero coefficient of each
-    operand is multiplied, so exact-zero tails cost nothing, and a product
-    coefficient whose exponent no pair of the two spans reaches is an exact
-    zero.  The Neumann operators rely on this: denoised() is what leaves S
-    and 1/S banded, and each iterate is a Riesz-projected row, zero on one
-    half.
-    The result is valid on the intersection of the two annuli.
-    """
-    if K_out > a.K + b.K:
-        raise ValueError(f"K_out = {K_out} exceeds K_a + K_b = {a.K + b.K}")
-    lo = max(a.r_inner, b.r_inner)
-    hi = min(a.r_outer, b.r_outer)
-    if not lo < hi:
-        raise DisjointAnnuliError(f"annuli ({a.r_inner}, {a.r_outer}) and "
-                                  f"({b.r_inner}, {b.r_outer}) do not overlap")
-    out = np.zeros(2 * K_out + 1, dtype=complex)
-    ia, ib = np.flatnonzero(a.coeffs), np.flatnonzero(b.coeffs)
-    if ia.size and ib.size:
-        band = np.convolve(a.coeffs[ia[0]:ia[-1] + 1], b.coeffs[ib[0]:ib[-1] + 1])
-        # band[0] has exponent (ia[0] - a.K) + (ib[0] - b.K), i.e. out index start
-        start = ia[0] + ib[0] - a.K - b.K + K_out
-        first, last = max(start, 0), min(start + band.size, out.size)
-        if first < last:
-            out[first:last] = band[first - start:last - start]
-    return LaurentSeries(out, K_out, lo, hi)

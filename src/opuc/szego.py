@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .laurent import (CircleGrid, LaurentSeries, coefficients_from_samples,
-                      default_grid_size)
+from .laurent import (CircleGrid, LaurentSeries, band,
+                      coefficients_from_samples, default_grid_size)
 from .weights import AnalyticWeight, ZeroModifiedWeight, log_weight_coefficients
 
 __all__ = [
@@ -59,6 +60,11 @@ class SzegoData:
     @property
     def K(self) -> int:
         return self.S.K
+
+    @cached_property
+    def bands(self) -> tuple:
+        """The bands of S and S_inv (see laurent.band), trimmed once."""
+        return band(self.S.coeffs), band(self.S_inv.coeffs)
 
 
 def scattering(lhat: LaurentSeries, K: int, rho: float = 0.0) -> SzegoData:

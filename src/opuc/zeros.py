@@ -35,7 +35,12 @@ class ZeroSet:
 
     n: int
     zeros: np.ndarray
-    residual: float   # max |p(z)| over the zeros
+    coeffs: np.ndarray   # ascending coefficients of the polynomial
+
+    @property
+    def residual(self) -> float:
+        """max |p(z)| over the zeros, computed when read."""
+        return float(np.max(np.abs(_powers(self.zeros, self.n) @ self.coeffs)))
 
 
 _EPS = np.finfo(float).eps
@@ -182,8 +187,7 @@ def roots(monic_coeffs, history=()) -> ZeroSet:
         # become a conjugate pair without waiting on rounding noise
         nudge = 0.01j * np.max(np.abs(prev[0]), initial=0.0)
         seed = np.append(seed, -c[-2] - seed.sum() + nudge)
-    zs = _aberth(c, seed)
-    return ZeroSet(n, zs, float(np.max(np.abs(_powers(zs, n) @ c))))
+    return ZeroSet(n, _aberth(c, seed), c)
 
 
 def classify(zs: ZeroSet, rho: float, margin: float | None = None) -> np.ndarray:

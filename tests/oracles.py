@@ -220,6 +220,86 @@ def full_convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeri
     return LaurentSeries(full[mid - K_out:mid + K_out + 1], K_out, lo, hi)
 
 
+def convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeries:
+    """The product a*b truncated to [-K_out, K_out], from the convolution of
+    only the span between each operand's first and last nonzero coefficient;
+    a product coefficient whose exponent no pair of the two spans reaches is
+    an exact zero.  The result is valid on the intersection of the two
+    annuli."""
+    if K_out > a.K + b.K:
+        raise ValueError(f"K_out = {K_out} exceeds K_a + K_b = {a.K + b.K}")
+    lo = max(a.r_inner, b.r_inner)
+    hi = min(a.r_outer, b.r_outer)
+    if not lo < hi:
+        raise DisjointAnnuliError(f"annuli ({a.r_inner}, {a.r_outer}) and "
+                                  f"({b.r_inner}, {b.r_outer}) do not overlap")
+    out = np.zeros(2 * K_out + 1, dtype=complex)
+    ia, ib = np.flatnonzero(a.coeffs), np.flatnonzero(b.coeffs)
+    if ia.size and ib.size:
+        band = np.convolve(a.coeffs[ia[0]:ia[-1] + 1], b.coeffs[ib[0]:ib[-1] + 1])
+        # band[0] has exponent (ia[0] - a.K) + (ib[0] - b.K), i.e. out index start
+        start = ia[0] + ib[0] - a.K - b.K + K_out
+        first, last = max(start, 0), min(start + band.size, out.size)
+        if first < last:
+            out[first:last] = band[first - start:last - start]
+    return LaurentSeries(out, K_out, lo, hi)
+
+
+def window_operator(f: np.ndarray, n: int, sz: SzegoData, interior: bool,
+                    product=full_convolve) -> np.ndarray:
+    """One Neumann operator step on the whole window [-K, K], as a (2, 2K+1)
+    (inner, outer) array: the product of f with S (interior) or 1/S
+    (exterior) by ``product``, truncated to the window, the shift by +n or
+    -n, the projections P_+ (inner) and P_- (outer), and the scales
+    -tau^{-2}, +tau^{-2} (interior) or +tau^2, -tau^2 (exterior)."""
+    K = sz.K
+    if n > K:
+        raise ValueError(f"degree {n} exceeds coefficient window K = {K}")
+    if interior:
+        symbol, shift, scale = sz.S, n, -1.0 / sz.tau ** 2
+    else:
+        symbol, shift, scale = sz.S_inv, -n, sz.tau ** 2
+    h = product(symbol, LaurentSeries(f, (f.size - 1) // 2), K).coeffs
+    out = np.zeros((2, 2 * K + 1), dtype=complex)
+    if shift >= 0:
+        out[:, shift:] = h[:2 * K + 1 - shift]
+    else:
+        out[:, :shift] = h[-shift:]
+    out[0, :K] = 0.0
+    out[1, K:] = 0.0
+    out[0] *= scale
+    out[1] *= -scale
+    return out
+
+
+def window_neumann(n: int, sz: SzegoData, n_terms: int = 2,
+                   product=full_convolve) -> np.ndarray:
+    """The four Neumann sums s11, s12, s21, s22 of window_operator iterates,
+    as a (4, 2, 2K+1) array of (inner, outer) rows, in the summation order
+    of canonical.neumann_solve."""
+    K = sz.K
+    one = np.zeros(2 * K + 1, dtype=complex)
+    one[K] = 1.0
+    acc = np.zeros((4, 2, 2 * K + 1), dtype=complex)
+    acc[0, :, K] = acc[3, :, K] = 1.0
+    f = window_operator(one, n, sz, True, product)
+    g = window_operator(one, n, sz, False, product)
+    for k in range(1, 2 * n_terms + 2):
+        if k % 2 == 1:
+            acc[1] += f
+            acc[2] += g
+            if k == 2 * n_terms + 1:
+                break
+            f = window_operator(f[1], n, sz, False, product)
+            g = window_operator(g[0], n, sz, True, product)
+        else:
+            acc[0] += f
+            acc[3] += g
+            f = window_operator(f[0], n, sz, True, product)
+            g = window_operator(g[1], n, sz, False, product)
+    return acc
+
+
 def json_reference(obj, pad: str = "") -> str:
     """The CLI's JSON text rendered item by item, one call per value: sorted
     keys, a two-space indent, 17-significant-digit floats, non-finite floats

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import opuc.canonical
 from opuc.canonical import (AmbiguousRegionError, NeumannDivergenceError,
                             apply_M_exterior, apply_M_interior,
                             default_lens_radius, default_truncation_order,
@@ -11,9 +10,10 @@ from opuc.canonical import (AmbiguousRegionError, NeumannDivergenceError,
                             verblunsky_estimate)
 from opuc.laurent import LaurentSeries
 from opuc.szego import SzegoData, szego_data_for, szego_function
-from opuc.weights import bernstein_szego
+from opuc.weights import bernstein_szego, essential
 from oracles import (apply_M_exterior_quadrature, apply_M_interior_quadrature,
-                     constant_series, from_pairs, full_convolve, zero_series)
+                     constant_series, convolve, from_pairs, full_convolve,
+                     window_neumann, window_operator, zero_series)
 
 R_LENS = 0.7
 
@@ -125,21 +125,49 @@ def test_neumann_solve_is_the_operator_composition(bs2_szego):
             assert np.array_equal(getattr(entry, side).coeffs, expected)
 
 
-def test_banded_product_keeps_neumann_entries(monkeypatch):
-    # the banded product in laurent.convolve against the full-window one, on
-    # the bs-dense sizes: denoised S and 1/S at c = 1.3 are banded, K = 668
+ENTRIES = [(name, side) for name in ("s11", "s12", "s21", "s22") for side in ("inner", "outer")]
+
+
+def entry_rows(e):
+    """The eight (entry, branch) coefficient rows, in window_neumann's order."""
+    return [getattr(getattr(e, name), side).coeffs for name, side in ENTRIES]
+
+
+def test_banded_product_keeps_neumann_entries():
+    # the banded solve against whole-window iterates with the full-window
+    # product, on the bs-dense sizes: denoised S and 1/S at c = 1.3 are
+    # banded, K = 668
     sz = szego_data_for(bernstein_szego(1.3), default_truncation_order(150))
-    ns = (2, 76, 151)
-    banded = [neumann_solve(n, sz) for n in ns]
-    monkeypatch.setattr(opuc.canonical, "convolve", full_convolve)
-    for e, n in zip(banded, ns):
-        ref = neumann_solve(n, sz)
-        for name in ("s11", "s12", "s21", "s22"):
-            for side in ("inner", "outer"):
-                got = getattr(getattr(e, name), side).coeffs
-                want = getattr(getattr(ref, name), side).coeffs
-                assert np.max(np.abs(got - want)) <= 1e-15, (n, name, side)
-                np.testing.assert_array_equal(got == 0, want == 0)
+    for n in (2, 76, 151):
+        ref = window_neumann(n, sz, product=full_convolve).reshape(8, -1)
+        for got, want, entry in zip(entry_rows(neumann_solve(n, sz)), ref, ENTRIES):
+            assert np.max(np.abs(got - want)) <= 1e-15, (n, entry)
+            np.testing.assert_array_equal(got == 0, want == 0)
+
+
+@pytest.mark.parametrize("weight", [bernstein_szego(1.05), essential(0.5)],
+                         ids=["bs-1.05", "ess-0.5"])
+@pytest.mark.parametrize("K", [8, 20])
+def test_banded_solve_keeps_window_edges(weight, K):
+    # at small K the bands of S and 1/S fill the window, and the banded
+    # iterates must match whole-window ones with the same banded product.
+    # Within the solve a projected row keeps each product on the side of the
+    # window that the shift moves away from; a row that fills the window
+    # makes the product reach past -K and K on both sides, where it is
+    # truncated to the window before the shift, not only after it
+    sz = szego_data_for(weight, K)
+    full = LaurentSeries(np.linspace(1.0, 2.0, 2 * K + 1) + 0.5j, K)
+    for n in (1, K // 2, K - 1, K):
+        ref = window_neumann(n, sz, product=convolve).reshape(8, -1)
+        for got, want, entry in zip(entry_rows(neumann_solve(n, sz)), ref, ENTRIES):
+            assert np.array_equal(got, want), (n, entry)
+        for apply, interior in ((apply_M_interior, True), (apply_M_exterior, False)):
+            p = apply(full, n, sz)
+            want = window_operator(full.coeffs, n, sz, interior, product=convolve)
+            assert np.array_equal(p.inner.coeffs, want[0]), (n, interior)
+            assert np.array_equal(p.outer.coeffs, want[1]), (n, interior)
+    with pytest.raises(ValueError, match="exceeds coefficient window"):
+        neumann_solve(K + 1, sz)
 
 
 def test_iterates_vanish_for_unit_scattering(leb_szego):

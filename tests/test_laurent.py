@@ -3,9 +3,9 @@ import pytest
 
 from opuc.laurent import (CircleGrid, DisjointAnnuliError, LaurentSeries,
                           OutOfAnnulusError, coefficients_from_samples,
-                          convolve, default_grid_size)
-from oracles import (constant_series, from_pairs, full_convolve, nodes,
-                     riesz_project, sample, zero_series)
+                          default_grid_size)
+from oracles import (constant_series, convolve, from_pairs, full_convolve,
+                     nodes, riesz_project, sample, zero_series)
 
 
 def test_constant_extraction():

@@ -146,7 +146,7 @@ def test_degree_after_a_kept_degree_splits_the_origin_pair(zmod2_oracle, monkeyp
         c = zmod2_oracle.phi_monic[n]
         before = len(tables)
         zs = roots(c, history)
-        steps = len(tables) - before - 1    # one table per step, one for the residual
+        steps = len(tables) - before    # one table per step
         if n % 2 == 0:
             assert steps <= 12, n
         paired = match(zs.zeros, roots(c).zeros)
