@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,7 +52,6 @@ class PolePrescription:
     ell: int
     multiplicity: int
     theta_args: tuple
-    rational_args: bool
 
     @property
     def dominant(self) -> tuple:
@@ -75,9 +73,7 @@ class PolePrescription:
         thetas = tuple(float(((np.angle(p.location) - np.angle(a1))
                               / (2.0 * np.pi)) % 1.0)
                        for p in dominant)
-        rational = all(
-            abs(t - Fraction(t).limit_denominator(64)) < 1e-9 for t in thetas)
-        return cls(tuple(dominant + rest), rho, len(dominant), m, thetas, rational)
+        return cls(tuple(dominant + rest), rho, len(dominant), m, thetas)
 
 
 def _dominant_sum(p: PolePrescription, sz: SzegoData, n: int, z: complex) -> complex:

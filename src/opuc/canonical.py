@@ -28,6 +28,8 @@ __all__ = [
     "default_lens_radius",
     "default_truncation_order",
     "kappa_estimate",
+    "neumann_alpha",
+    "neumann_kappa_sq",
     "neumann_solve",
     "reconstruct_phi",
     "verblunsky_estimate",
@@ -39,7 +41,7 @@ class AmbiguousRegionError(ValueError):
 
 
 class NeumannDivergenceError(RuntimeError):
-    """Iterate norms grew: the lens radius is too close to 1 or to rho."""
+    """Iterate norms grew: the Neumann iterates do not contract at this degree."""
 
 
 def default_lens_radius(rho: float) -> float:
@@ -209,7 +211,7 @@ def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
         if (fn > f_norm and f_norm > 1e-300) or (gn > g_norm and g_norm > 1e-300):
             raise NeumannDivergenceError(
                 f"iterate norms grow at step {k} ({f_norm:.3e} -> {fn:.3e}); "
-                "lens radius too close to 1 or rho")
+                "the Neumann iterates do not contract at this degree")
         f_cur, g_cur, f_norm, g_norm = f_next, g_next, fn, gn
 
     r_plus = (1.0 / sz.rho) if sz.rho > 0.0 else math.inf
@@ -249,45 +251,32 @@ def reconstruct_phi(e: SMatrixEntries, sz: SzegoData, z) -> complex:
     return zc ** e.n * szego_function(sz, zc, "exterior") * e.s11.outer.evaluate(zc) / tau
 
 
-def verblunsky_estimate(n: int, sz: SzegoData, level: int = 1,
-                        entries: SMatrixEntries | None = None) -> complex:
-    """Verblunsky coefficient predicted from the scattering data.
-
-    level 1 reads the Laurent coefficient: alpha_n ~ -(1/S)_{n+1}; level 2
-    evaluates the full truncated Neumann sum at the origin:
-    alpha_n = conj(tau^2 S_12(n+1; 0)).  A precomputed entries object (for
-    degree n + 1) may be passed to share the Neumann solve.
-    """
+def verblunsky_estimate(n: int, sz: SzegoData) -> complex:
+    """Level-1 Verblunsky coefficient from the Laurent coefficients of 1/S:
+    alpha_n ~ -(1/S)_{n+1}."""
     if n + 1 > sz.K:
         raise ValueError(f"need scattering coefficients to order {n + 1}, have K = {sz.K}")
-    if level == 1:
-        return -sz.S_inv.coeff(n + 1)
-    if level == 2:
-        e = entries if entries is not None else neumann_solve(n + 1, sz)
-        if e.n != n + 1:
-            raise ValueError(f"entries built for degree {e.n}, need {n + 1}")
-        return complex(np.conj(sz.tau ** 2 * e.s12.inner.coeff(0)))
-    raise ValueError("level must be 1 or 2")
+    return -sz.S_inv.coeff(n + 1)
 
 
-def kappa_estimate(n: int, sz: SzegoData, level: int = 1,
-                   entries: SMatrixEntries | None = None) -> float:
-    """Predicted kappa_n^2.
-
-    level 1 is the partial Parseval sum
-    (tau^2 / 2 pi) * sum_{k > -n-1} |S_k|^2; level 2 evaluates
-    (tau^2 / 2 pi) * S_22(n+1; 0) from the Neumann sums.
-    """
+def kappa_estimate(n: int, sz: SzegoData) -> float:
+    """Level-1 kappa_n^2, the partial Parseval sum
+    (tau^2 / 2 pi) * sum_{k > -n-1} |S_k|^2."""
     if n + 1 > sz.K:
         raise ValueError(f"need scattering coefficients to order {n + 1}, have K = {sz.K}")
-    if level == 1:
-        ks = np.arange(-sz.K, sz.K + 1)
-        mask = ks > -(n + 1)
-        total = float(np.sum(np.abs(sz.S.coeffs[mask]) ** 2))
-        return sz.tau ** 2 / (2.0 * np.pi) * total
-    if level == 2:
-        e = entries if entries is not None else neumann_solve(n + 1, sz)
-        if e.n != n + 1:
-            raise ValueError(f"entries built for degree {e.n}, need {n + 1}")
-        return float((sz.tau ** 2 / (2.0 * np.pi) * e.s22.inner.coeff(0)).real)
-    raise ValueError("level must be 1 or 2")
+    ks = np.arange(-sz.K, sz.K + 1)
+    mask = ks > -(n + 1)
+    total = float(np.sum(np.abs(sz.S.coeffs[mask]) ** 2))
+    return sz.tau ** 2 / (2.0 * np.pi) * total
+
+
+def neumann_alpha(e: SMatrixEntries, sz: SzegoData) -> complex:
+    """Level-2 Verblunsky coefficient alpha_{e.n - 1} from the Neumann sums of
+    degree e.n: conj(tau^2 S_12(e.n; 0))."""
+    return complex(np.conj(sz.tau ** 2 * e.s12.inner.coeff(0)))
+
+
+def neumann_kappa_sq(e: SMatrixEntries, sz: SzegoData) -> float:
+    """Level-2 kappa_{e.n - 1}^2 from the Neumann sums of degree e.n:
+    (tau^2 / 2 pi) * S_22(e.n; 0)."""
+    return float((sz.tau ** 2 / (2.0 * np.pi) * e.s22.inner.coeff(0)).real)

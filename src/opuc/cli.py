@@ -5,9 +5,9 @@ with 17 significant digits, and every file carries the sha256 of the config
 it was produced from plus the package version.
 
 Exit codes: 0 all good / comparisons pass, 1 comparison failures,
-2 config or weight validation failure (including a weight the requested
-method cannot handle), 3 positivity loss in the recursion, 5 missing,
-empty or malformed input files.
+2 config or weight validation failure (including a weight or degree the
+requested method cannot handle), 3 positivity loss in the recursion,
+5 missing, empty or malformed input files.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .asymptotics import (PolePrescription, dominant_pole_predicted_roots,
                           kappa_zero_weight, level_curve, saddle_solve,
                           verblunsky_essential_asymptote,
                           verblunsky_pole_asymptote, zero_weight_predicted_roots)
-from .canonical import (default_truncation_order, kappa_estimate,
+from .canonical import (NeumannDivergenceError, default_truncation_order,
+                        kappa_estimate, neumann_alpha, neumann_kappa_sq,
                         neumann_solve, verblunsky_estimate)
 from .oracle import PositivityLossError, moments, szego_recurrence
 from .szego import build_modified, szego_data_for
@@ -178,7 +179,7 @@ def _load_weight(cfg: RunConfig):
         raise ConfigError(f"weight spec is missing key {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid weight spec: {exc}")
-    diag = validate(spec.base, 256)
+    diag = validate(spec.base)
     if not diag.ok:
         raise ConfigError(f"weight validation failed: min={diag.min_value}, "
                           f"winding={diag.winding_number}")
@@ -242,11 +243,14 @@ def _predict_scattering(cfg: RunConfig, spec) -> int:
     sz = szego_data_for(spec, cfg.K)
     rows, manifests = [], []
     for n in cfg.n_list:
-        e = neumann_solve(n + 1, sz, n_terms=2)
-        a1 = verblunsky_estimate(n, sz, 1)
-        a2 = verblunsky_estimate(n, sz, 2, entries=e)
-        k1 = kappa_estimate(n, sz, 1)
-        k2 = kappa_estimate(n, sz, 2, entries=e)
+        try:
+            e = neumann_solve(n + 1, sz, n_terms=2)
+        except NeumannDivergenceError as exc:
+            raise ConfigError(f"degree {n} (K = {cfg.K}): {exc}")
+        a1 = verblunsky_estimate(n, sz)
+        a2 = neumann_alpha(e, sz)
+        k1 = kappa_estimate(n, sz)
+        k2 = neumann_kappa_sq(e, sz)
         rows.append((n, a1.real, a1.imag, a2.real, a2.imag, k1, k2))
         manifests.append(e.to_manifest())
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
@@ -452,16 +456,20 @@ def cmd_compare(cfg: RunConfig) -> int:
         predicted = _read_json(os.path.join(out, "zeros_predicted.json"),
                                lambda doc: {int(n): len(pts)
                                             for n, pts in doc["predicted"].items()})
-        mismatches = []
+        mismatches, checked = [], 0
         for n, count in predicted.items():
             path = os.path.join(out, f"zeros_{n}.json")
             if not os.path.exists(path):
                 continue
+            checked += 1
             zs = _read_json(path, lambda doc: np.array(
                 [complex(z["re"], z["im"]) for z in doc["zeros"]]))
             actual = int(np.sum(np.abs(zs) <= 0.4))
             if actual != count:
                 mismatches.append({"n": n, "predicted": count, "actual": actual})
+        if not checked:
+            raise MissingInputError("no degree that zeros_predicted.json names "
+                                    f"has a zeros_<n>.json in {out}")
         checks.append({"name": "interior-zero-count", "passed": not mismatches,
                        "details": {"mismatches": mismatches}})
 

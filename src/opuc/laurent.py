@@ -2,9 +2,9 @@
 
 A series is a coefficient window c_{-K}..c_{K} together with the annulus
 r_inner < |z| < r_outer on which the expansion is declared valid.
-Coefficients are extracted from equispaced samples on a circle by FFT; for
-functions analytic in a neighborhood of the sampling circle the aliasing
-error decays geometrically in the grid size.
+Coefficients are extracted from equispaced samples on the unit circle by
+FFT; for functions analytic in a neighborhood of the circle the aliasing
+error decays geometrically in the number of samples.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
-    "CircleGrid",
     "DisjointAnnuliError",
     "LaurentSeries",
     "OutOfAnnulusError",
@@ -54,24 +53,6 @@ def band(c: np.ndarray, first: int = 0) -> tuple[int, np.ndarray]:
 def default_grid_size(K: int) -> int:
     """Power-of-two grid size with comfortable oversampling for order K."""
     return _next_pow2(max(256, 8 * (K + 1)))
-
-
-@dataclass(frozen=True)
-class CircleGrid:
-    """Equispaced sampling nodes z_j = radius * exp(2*pi*i*j/N)."""
-
-    radius: float
-    N: int
-
-    def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if self.N < 2 or self.N & (self.N - 1):
-            raise ValueError(f"N must be a power of two >= 2, got {self.N}")
-
-    @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.N) / self.N
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,32 +134,26 @@ class LaurentSeries:
             out = out + u * np.polynomial.polynomial.polyval(u, minus)
         return complex(out[0]) if scalar else out
 
-    def __call__(self, z):
-        return self.evaluate(z)
 
-
-def coefficients_from_samples(samples, K: int, grid: CircleGrid,
-                              r_inner: float = 0.0, r_outer: float = math.inf,
+def coefficients_from_samples(samples, K: int, r_inner: float = 0.0,
+                              r_outer: float = math.inf,
                               real_on_circle: bool = False) -> LaurentSeries:
-    """Laurent coefficients of order K from samples on a circle grid.
-
-    c_k = radius^{-k} / N * sum_j samples_j exp(-2 pi i j k / N); the annulus
-    arguments declare where the caller knows the expansion to be valid.
+    """Laurent coefficients of order K from the N = len(samples) samples at
+    the unit-circle angles 2 pi j / N: c_k = 1/N * sum_j samples_j
+    exp(-2 pi i j k / N).  The annulus arguments declare where the caller
+    knows the expansion to be valid; real_on_circle enforces c_{-k} = conj(c_k).
     """
     samples = np.asarray(samples, dtype=complex)
-    if samples.shape != (grid.N,):
-        raise ValueError(f"expected {grid.N} samples, got shape {samples.shape}")
+    if samples.ndim != 1:
+        raise ValueError(f"expected a 1-D array of samples, got shape {samples.shape}")
+    N = samples.size
     if not np.all(np.isfinite(samples.real) & np.isfinite(samples.imag)):
         raise ValueError("non-finite sample values")
-    if grid.N < 2 * K + 2:
-        raise ValueError(f"grid size {grid.N} too small for order {K} (need >= {2 * K + 2})")
-    spectrum = np.fft.fft(samples) / grid.N
+    if N < 2 * K + 2:
+        raise ValueError(f"{N} samples too few for order {K} (need >= {2 * K + 2})")
+    spectrum = np.fft.fft(samples) / N
     ks = np.arange(-K, K + 1)
-    coeffs = spectrum[np.mod(ks, grid.N)]
-    if grid.radius != 1.0:
-        coeffs = coeffs * grid.radius ** (-ks.astype(float))
+    coeffs = spectrum[np.mod(ks, N)]
     if real_on_circle:
-        if grid.radius != 1.0:
-            raise ValueError("real_on_circle symmetrization is defined on the unit circle")
         coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1]))
     return LaurentSeries(coeffs, K, r_inner, r_outer)

@@ -16,8 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .laurent import (CircleGrid, LaurentSeries, band,
-                      coefficients_from_samples, default_grid_size)
+from .laurent import LaurentSeries, band, coefficients_from_samples, default_grid_size
 from .weights import AnalyticWeight, ZeroModifiedWeight, log_weight_coefficients
 
 __all__ = [
@@ -67,7 +66,7 @@ class SzegoData:
         return band(self.S.coeffs), band(self.S_inv.coeffs)
 
 
-def scattering(lhat: LaurentSeries, K: int, rho: float = 0.0) -> SzegoData:
+def scattering(lhat: LaurentSeries, K: int, rho: float) -> SzegoData:
     """Build scattering data from the log-weight coefficients.
 
     S = exp(sum_{k>=1} (L_k z^k - conj(L_k) z^{-k})) is evaluated on the
@@ -84,10 +83,9 @@ def scattering(lhat: LaurentSeries, K: int, rho: float = 0.0) -> SzegoData:
     exponent = 2j * plus_part.imag                 # L_k z^k - conj(L_k) z^{-k}
     if np.any(~np.isfinite(exponent)):
         raise ValueError("scattering exponent is not finite on the grid")
-    grid = CircleGrid(1.0, N)
     r_in, r_out = (rho, 1.0 / rho) if rho > 0.0 else (0.0, math.inf)
-    S = coefficients_from_samples(np.exp(exponent), K, grid, r_in, r_out).denoised()
-    S_inv = coefficients_from_samples(np.exp(-exponent), K, grid, r_in, r_out).denoised()
+    S = coefficients_from_samples(np.exp(exponent), K, r_in, r_out).denoised()
+    S_inv = coefficients_from_samples(np.exp(-exponent), K, r_in, r_out).denoised()
     return SzegoData(lhat, math.exp(-0.5 * l0), math.exp(l0), S, S_inv, rho)
 
 
@@ -203,13 +201,17 @@ def scattering_modified(spec: ZeroModifiedWeight, d: SzegoData, z):
     return q2 / (q2_0 ** 2 * qbar2) * d.S.evaluate(zarr)
 
 
-def theta_constants(spec: ZeroModifiedWeight, d: SzegoData, tol: float = 1e-6):
+_THETA_TOL = 1e-6
+
+
+def theta_constants(spec: ZeroModifiedWeight, d: SzegoData):
     """Unimodular constants at the circle zeros.
 
     Each theta_k is the common value of e^{+i pi beta_k} S(W; z) along the
     arc arg z > angle_k and of e^{-i pi beta_k} S(W; z) along arg z < angle_k
     as z -> a_k on the circle; both one-sided limits are computed by linear
-    extrapolation from the arc lengths 1e-5 and 5e-6 and must agree to tol.
+    extrapolation from the arc lengths 1e-5 and 5e-6 and must agree to
+    _THETA_TOL.
     """
     thetas = np.zeros(len(spec.zeros), dtype=complex)
     spreads = np.zeros(len(spec.zeros))
@@ -221,7 +223,7 @@ def theta_constants(spec: ZeroModifiedWeight, d: SzegoData, tol: float = 1e-6):
             v2 = phase * scattering_modified(spec, d, np.exp(1j * (zk.angle + sgn * 1e-5 / 2.0)))
             vals[sgn] = 2.0 * v2 - v1
         spreads[i] = abs(vals[+1] - vals[-1])
-        if spreads[i] > tol:
+        if spreads[i] > _THETA_TOL:
             raise BranchConfigurationError(
                 f"one-sided scattering limits at angle {zk.angle:.6g} differ by {spreads[i]:.3e}")
         thetas[i] = 0.5 * (vals[+1] + vals[-1])

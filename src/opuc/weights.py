@@ -15,7 +15,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .laurent import CircleGrid, LaurentSeries, coefficients_from_samples, default_grid_size
+from .laurent import LaurentSeries, coefficients_from_samples, default_grid_size
 
 __all__ = [
     "AnalyticWeight",
@@ -144,14 +144,12 @@ class WeightDiagnostics:
         return self.min_value > 0.0 and self.winding_number == 0
 
 
-def validate(spec: WeightSpec, grid_size: int = 256) -> WeightDiagnostics:
-    """Positivity and winding diagnostics on a uniform grid.
+def validate(spec: WeightSpec) -> WeightDiagnostics:
+    """Positivity and winding diagnostics on 256 uniform angles.
 
     Failures are reported, not raised; callers decide what is fatal.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
-    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    theta = 2.0 * np.pi * np.arange(256) / 256
     vals = np.asarray(spec(theta), dtype=complex)
     phases = np.angle(np.where(vals == 0.0, 1.0, vals))
     dphi = np.diff(np.concatenate([phases, phases[:1]]))
@@ -166,14 +164,14 @@ def log_weight_coefficients(spec: AnalyticWeight, K: int) -> LaurentSeries:
     The coefficients are symmetrized so that c_{-k} = conj(c_k) exactly,
     which encodes that w is real on the circle.
     """
-    grid = CircleGrid(1.0, default_grid_size(K))
-    vals = np.asarray(spec(grid.angles), dtype=float)
+    N = default_grid_size(K)
+    vals = np.asarray(spec(2.0 * np.pi * np.arange(N) / N), dtype=float)
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
         raise ValueError("weight must be finite and strictly positive on the sampling grid")
     rho = spec.rho or 0.0
     r_out = math.inf if rho == 0.0 else 1.0 / rho
-    lhat = coefficients_from_samples(np.log(vals), K, grid,
-                                      r_inner=rho, r_outer=r_out, real_on_circle=True)
+    lhat = coefficients_from_samples(np.log(vals), K, r_inner=rho, r_outer=r_out,
+                                      real_on_circle=True)
     return lhat.denoised()
 
 

@@ -190,12 +190,11 @@ def roots(monic_coeffs, history=()) -> ZeroSet:
     return ZeroSet(n, _aberth(c, seed), c)
 
 
-def classify(zs: ZeroSet, rho: float, margin: float | None = None) -> np.ndarray:
+def classify(zs: ZeroSet, rho: float) -> np.ndarray:
     """Label each zero, in input order, "interior" (|z| <= rho - margin),
-    "band" (| |z| - rho | <= margin) or "other"; with rho = 0 every zero is
-    "other".  The default margin is 0.15 rho."""
-    if margin is None:
-        margin = 0.15 * rho
+    "band" (| |z| - rho | <= margin) or "other", with margin = 0.15 rho;
+    with rho = 0 every zero is "other"."""
+    margin = 0.15 * rho
     absz = np.abs(zs.zeros)
     labels = np.full(absz.size, "other", dtype="<U8")
     if rho > 0.0:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from opuc.asymptotics import LevelCurve
-from opuc.laurent import CircleGrid, DisjointAnnuliError, LaurentSeries
+from opuc.laurent import DisjointAnnuliError, LaurentSeries
 from opuc.oracle import OpucResult, default_quadrature_size
 from opuc.szego import SzegoData, szego_function
 from opuc.weights import (AnalyticWeight, bernstein_szego, essential,
@@ -29,13 +29,13 @@ def constant_series(value: complex, K: int = 0) -> LaurentSeries:
     return s
 
 
-def nodes(grid: CircleGrid) -> np.ndarray:
-    """The grid's sampling points, radius * exp(i angle)."""
-    return grid.radius * np.exp(1j * grid.angles)
+def nodes(N: int) -> np.ndarray:
+    """The N sampling points exp(2 pi i j / N) of coefficients_from_samples."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(N) / N))
 
 
-def sample(s: LaurentSeries, grid: CircleGrid) -> np.ndarray:
-    return s.evaluate(nodes(grid))
+def sample(s: LaurentSeries, N: int) -> np.ndarray:
+    return s.evaluate(nodes(N))
 
 
 def from_pairs(pairs: dict[int, complex], K: int,

@@ -17,7 +17,8 @@ from opuc.asymptotics import (fisher_hartwig_fit, kappa_zero_weight,
                               level_curve, saddle_solve,
                               verblunsky_essential_asymptote)
 from opuc.canonical import (apply_M_exterior, apply_M_interior, kappa_estimate,
-                            neumann_solve, reconstruct_phi, verblunsky_estimate)
+                            neumann_alpha, neumann_kappa_sq, neumann_solve,
+                            reconstruct_phi, verblunsky_estimate)
 from opuc.oracle import moments, szego_recurrence
 from opuc.szego import (build_modified, scattering_modified, szego_data_for,
                         szego_function)
@@ -44,8 +45,9 @@ def test_criterion_01_lebesgue_exactness(leb, leb_szego):
         for z in (0.3, 1.3, 2.7):
             ok_canon &= abs(reconstruct_phi(e, leb_szego, z) - z ** n) \
                 <= 1e-12 * max(1.0, abs(z) ** n)
-        ok_canon &= verblunsky_estimate(n, leb_szego, 2) == 0.0
-        ok_canon &= abs(kappa_estimate(n, leb_szego, 2) - 1 / (2 * np.pi)) <= 1e-12
+        e_next = neumann_solve(n + 1, leb_szego)
+        ok_canon &= neumann_alpha(e_next, leb_szego) == 0.0
+        ok_canon &= abs(neumann_kappa_sq(e_next, leb_szego) - 1 / (2 * np.pi)) <= 1e-12
     report(1, "Lebesgue exactness incl. unit-scattering canonical series",
            ok_alpha and ok_kappa and ok_phi and ok_canon)
 
@@ -72,7 +74,7 @@ def test_criterion_02_bernstein_closed_form(bs2, bs2_oracle):
 
 def test_criterion_03_scattering_verblunsky_slope(bs2_szego):
     # the numeric level-1 estimate agrees with the partial-fraction value
-    anchor = max(abs(verblunsky_estimate(n, bs2_szego, 1) + 0.75 * 0.5 ** (n + 1))
+    anchor = max(abs(verblunsky_estimate(n, bs2_szego) + 0.75 * 0.5 ** (n + 1))
                  for n in range(11))
     # gap alpha_n + (1/S)_{n+1} in closed form (resolvable beyond doubles)
     ns = np.arange(4, 17)
@@ -85,7 +87,7 @@ def test_criterion_03_scattering_verblunsky_slope(bs2_szego):
 
 def test_criterion_04_kappa_partial_sum_slope(bs2_szego, bs2_oracle):
     # the numeric partial sums agree with the closed form at moderate degree
-    anchor = max(abs(kappa_estimate(n, bs2_szego, 1)
+    anchor = max(abs(kappa_estimate(n, bs2_szego)
                      - (1 - 0.75 * 0.25 ** (n + 1)) / (2 * np.pi))
                  for n in range(11))
     # kappa_n^2 = (1/2pi) prod_{j >= n} (1 - alpha_j^2) with exact alphas
@@ -122,7 +124,7 @@ def test_criterion_06_dominant_pole_zero_structure(bs2_oracle):
     for n in range(20, 41):
         zs = roots(bs2_oracle.phi_monic[n])
         ok &= not np.any(np.abs(zs.zeros) <= 0.3)
-        rep = equidistribution_check(zs.zeros, classify(zs, 0.5, 0.15), 0.5, n, 1)
+        rep = equidistribution_check(zs.zeros, classify(zs, 0.5), 0.5, n, 1)
         worst_frac = min(worst_frac, rep["gap_within_15pct"])
     report(6, "no interior zeros and >= 90% regular angular gaps (n in [20,40])",
            ok and worst_frac >= 0.9, f"worst gap fraction {worst_frac:.3f}")

@@ -51,7 +51,6 @@ def test_residue_predictor_annulus(bs2, bs2_szego, bs2_oracle):
 def test_dominant_pole_detection(bs2):
     p = PolePrescription.from_weight(bs2)
     assert p.ell == 1 and p.multiplicity == 1 and p.rho == 0.5
-    assert p.rational_args
     # single simple dominant pole: the predictor sum has no interior root
     sz = szego_data_for(bs2, 60)
     assert dominant_pole_predicted_roots(p, sz, 17).size == 0

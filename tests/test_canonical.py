@@ -6,8 +6,8 @@ import pytest
 from opuc.canonical import (AmbiguousRegionError, NeumannDivergenceError,
                             apply_M_exterior, apply_M_interior,
                             default_lens_radius, default_truncation_order,
-                            kappa_estimate, neumann_solve, reconstruct_phi,
-                            verblunsky_estimate)
+                            kappa_estimate, neumann_alpha, neumann_kappa_sq,
+                            neumann_solve, reconstruct_phi, verblunsky_estimate)
 from opuc.laurent import LaurentSeries
 from opuc.szego import SzegoData, szego_data_for, szego_function
 from opuc.weights import bernstein_szego, essential
@@ -266,30 +266,32 @@ def test_region_formulas_agree_across_seams(bs2_szego):
 # -- scalar estimates --------------------------------------------------------
 
 def test_verblunsky_estimates_lebesgue(leb_szego):
-    assert verblunsky_estimate(5, leb_szego, 1) == 0.0
-    assert abs(verblunsky_estimate(5, leb_szego, 2)) == 0.0
-    assert abs(kappa_estimate(5, leb_szego, 1) - 1.0 / (2 * np.pi)) <= 1e-15
-    assert abs(kappa_estimate(5, leb_szego, 2) - 1.0 / (2 * np.pi)) <= 1e-15
+    e = neumann_solve(6, leb_szego)
+    assert verblunsky_estimate(5, leb_szego) == 0.0
+    assert abs(neumann_alpha(e, leb_szego)) == 0.0
+    assert abs(kappa_estimate(5, leb_szego) - 1.0 / (2 * np.pi)) <= 1e-15
+    assert abs(neumann_kappa_sq(e, leb_szego) - 1.0 / (2 * np.pi)) <= 1e-15
 
 
 def test_verblunsky_level1_values(bs2_szego):
-    assert abs(verblunsky_estimate(0, bs2_szego, 1) + 0.375) <= 1e-12
-    assert abs(verblunsky_estimate(4, bs2_szego, 1) + 0.75 * 2.0 ** -5) <= 1e-13
+    assert abs(verblunsky_estimate(0, bs2_szego) + 0.375) <= 1e-12
+    assert abs(verblunsky_estimate(4, bs2_szego) + 0.75 * 2.0 ** -5) <= 1e-13
 
 
 def test_level2_beats_level1(bs2_szego, bs2_oracle):
     for n in (4, 6, 8):
-        e1 = abs(verblunsky_estimate(n, bs2_szego, 1) - bs2_oracle.alpha[n])
-        e2 = abs(verblunsky_estimate(n, bs2_szego, 2) - bs2_oracle.alpha[n])
+        e = neumann_solve(n + 1, bs2_szego)
+        e1 = abs(verblunsky_estimate(n, bs2_szego) - bs2_oracle.alpha[n])
+        e2 = abs(neumann_alpha(e, bs2_szego) - bs2_oracle.alpha[n])
         assert e2 < 1e-4 * e1
-        k1 = abs(kappa_estimate(n, bs2_szego, 1) - bs2_oracle.kappa[n] ** 2)
-        k2 = abs(kappa_estimate(n, bs2_szego, 2) - bs2_oracle.kappa[n] ** 2)
+        k1 = abs(kappa_estimate(n, bs2_szego) - bs2_oracle.kappa[n] ** 2)
+        k2 = abs(neumann_kappa_sq(e, bs2_szego) - bs2_oracle.kappa[n] ** 2)
         assert k2 < k1
 
 
 def test_kappa_increments_are_coefficient_magnitudes(bs2_szego):
     for n in (4, 7, 10):
-        inc = kappa_estimate(n + 1, bs2_szego, 1) - kappa_estimate(n, bs2_szego, 1)
+        inc = kappa_estimate(n + 1, bs2_szego) - kappa_estimate(n, bs2_szego)
         want = abs(bs2_szego.S.coeff(-(n + 1))) ** 2 / (2 * np.pi)
         assert inc >= 0.0
         assert abs(inc - want) <= 1e-15
@@ -329,7 +331,7 @@ def test_rotated_weight_pipeline():
     w = rational_modulus([c])
     sz = szego_data_for(w, 100)
     r = szego_recurrence(moments(w, 30), 25)
-    errs = [abs(verblunsky_estimate(n, sz, 1) - r.alpha[n]) for n in range(2, 16)]
+    errs = [abs(verblunsky_estimate(n, sz) - r.alpha[n]) for n in range(2, 16)]
     slope = np.polyfit(range(2, 16), np.log(errs), 1)[0]
     assert slope <= -3 * math.log(2) + 0.15
     p = PolePrescription.from_weight(w)
@@ -344,9 +346,9 @@ def test_rotated_weight_pipeline():
 
 def test_estimate_order_guards(bs2_szego):
     with pytest.raises(ValueError):
-        verblunsky_estimate(bs2_szego.K + 1, bs2_szego, 1)
+        verblunsky_estimate(bs2_szego.K + 1, bs2_szego)
     with pytest.raises(ValueError):
-        kappa_estimate(bs2_szego.K + 5, bs2_szego, 1)
+        kappa_estimate(bs2_szego.K + 5, bs2_szego)
     with pytest.raises(ValueError):
         neumann_solve(0, bs2_szego)
 

@@ -288,6 +288,10 @@ def test_invalid_configs(tmp_path):
     ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
       "zeros": [{"angle": 0.0, "beta": math.inf}]}, "zero-weight", {}),
     ({"kind": "bernstein_szego", "c": 10 ** 400}, None, {}),   # beyond the float range
+    # the Neumann iterates stop contracting at degree 10 once K = 228
+    ({"kind": "essential", "rho": 0.9}, "scattering", {"n_list": [10, 40]}),
+    # the weight underflows to 0 at theta = 0
+    ({"kind": "essential", "rho": 0.999}, None, {}),
 ])
 def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra):
     doc = {"weight": weight, "n_list": [5] if method == "essential" else [2],
@@ -385,6 +389,23 @@ def test_compare_counts_interior_zeros_per_degree(tmp_path):
     mismatches = check["details"]["mismatches"]
     assert [m["n"] for m in mismatches] == [16]
     assert mismatches[0]["predicted"] == n_before + 1
+
+
+def test_compare_without_any_oracle_zeros_exits_5(tmp_path, capsys):
+    weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
+              "zeros": [{"angle": 0.0, "beta": 0.5},
+                        {"angle": math.pi, "beta": 0.5}]}
+    cfg = write_config(tmp_path / "cfg.json", weight, list(range(10, 21)),
+                       tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "zero-weight", "--config", cfg]) == 0
+    for path in (tmp_path / "out").glob("zeros_[0-9]*.json"):
+        path.unlink()
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("opuc: ") and "zeros_predicted.json" in err
+    assert err.count("\n") == 1
 
 
 def test_essential_solves_each_saddle_once(tmp_path, monkeypatch):

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from opuc.laurent import (CircleGrid, DisjointAnnuliError, LaurentSeries,
-                          OutOfAnnulusError, coefficients_from_samples,
-                          default_grid_size)
+from opuc.laurent import (DisjointAnnuliError, LaurentSeries, OutOfAnnulusError,
+                          coefficients_from_samples, default_grid_size)
 from oracles import (constant_series, convolve, from_pairs, full_convolve,
                      nodes, riesz_project, sample, zero_series)
 
 
 def test_constant_extraction():
-    grid = CircleGrid(1.0, 64)
-    s = coefficients_from_samples(np.ones(64, dtype=complex), 4, grid)
+    s = coefficients_from_samples(np.ones(64, dtype=complex), 4)
     assert abs(s.coeff(0) - 1.0) <= 1e-14
     for k in range(1, 5):
         assert abs(s.coeff(k)) <= 1e-14
@@ -18,9 +16,8 @@ def test_constant_extraction():
 
 
 def test_finite_laurent_polynomial():
-    grid = CircleGrid(1.0, 64)
-    f = nodes(grid) + 2.0 / nodes(grid)
-    s = coefficients_from_samples(f, 4, grid)
+    f = nodes(64) + 2.0 / nodes(64)
+    s = coefficients_from_samples(f, 4)
     assert abs(s.coeff(1) - 1.0) <= 1e-14
     assert abs(s.coeff(-1) - 2.0) <= 1e-14
     others = [s.coeff(k) for k in range(-4, 5) if k not in (-1, 1)]
@@ -29,18 +26,10 @@ def test_finite_laurent_polynomial():
 
 def test_geometric_series_coefficients():
     # oracle: Taylor coefficients of 1/(1 - z/2) are 2^{-k}
-    grid = CircleGrid(1.0, 256)
-    s = coefficients_from_samples(1.0 / (1.0 - nodes(grid) / 2.0), 16, grid)
+    s = coefficients_from_samples(1.0 / (1.0 - nodes(256) / 2.0), 16)
     for k in range(17):
         assert abs(s.coeff(k) - 2.0 ** (-k)) <= 1e-13
     assert max(abs(s.coeff(-k)) for k in range(1, 17)) <= 1e-12
-
-
-def test_extraction_on_smaller_circle_rescales():
-    grid = CircleGrid(0.5, 256)
-    s = coefficients_from_samples(1.0 / (1.0 - nodes(grid) / 2.0), 10, grid)
-    for k in range(11):
-        assert abs(s.coeff(k) - 2.0 ** (-k)) <= 1e-12
 
 
 def test_evaluate_constant():
@@ -58,8 +47,7 @@ def test_evaluate_geometric_closed_form():
     assert abs(s.evaluate(0.5) - 4.0 / 3.0) <= 1e-12
     # the grid-extracted series reaches the same value once the roundoff
     # floor in the negative-index coefficients is dropped
-    grid = CircleGrid(1.0, 256)
-    ext = coefficients_from_samples(1.0 / (1.0 - nodes(grid) / 2.0), 32, grid,
+    ext = coefficients_from_samples(1.0 / (1.0 - nodes(256) / 2.0), 32,
                                     r_inner=0.0, r_outer=2.0).denoised()
     assert abs(ext.evaluate(0.5) - 4.0 / 3.0) <= 1e-12
 
@@ -113,8 +101,7 @@ def test_convolve_polynomial_square():
 
 
 def test_convolve_inverse_pair():
-    grid = CircleGrid(1.0, 256)
-    geom = coefficients_from_samples(1.0 / (1.0 - nodes(grid) / 2.0), 32, grid)
+    geom = coefficients_from_samples(1.0 / (1.0 - nodes(256) / 2.0), 32)
     lin = from_pairs({0: 1.0, 1: -0.5}, 1)
     prod = convolve(lin, geom, K_out=16)
     assert abs(prod.coeff(0) - 1.0) <= 1e-12
@@ -178,8 +165,7 @@ def test_round_trip_samples():
     coeffs = (rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1))
     coeffs *= 0.7 ** np.abs(np.arange(-K, K + 1))
     s = LaurentSeries(coeffs, K, 0.3, 3.0)
-    grid = CircleGrid(1.0, 64)
-    back = coefficients_from_samples(sample(s, grid), K, grid)
+    back = coefficients_from_samples(sample(s, 64), K)
     np.testing.assert_allclose(back.coeffs, s.coeffs, atol=1e-12)
 
 
@@ -201,16 +187,14 @@ def test_projection_and_convolution_linearity():
 
 
 def test_real_on_circle_symmetry():
-    grid = CircleGrid(1.0, 128)
-    vals = np.abs(1.0 - nodes(grid) / 2.0) ** 2
-    s = coefficients_from_samples(vals, 16, grid, real_on_circle=True)
+    vals = np.abs(1.0 - nodes(128) / 2.0) ** 2
+    s = coefficients_from_samples(vals, 16, real_on_circle=True)
     for k in range(1, 17):
         assert abs(s.coeff(-k) - np.conj(s.coeff(k))) <= 1e-12
 
 
 def test_denoised_drops_roundoff_floor():
-    grid = CircleGrid(1.0, 256)
-    s = coefficients_from_samples(1.0 / (1.0 - nodes(grid) / 2.0), 80, grid)
+    s = coefficients_from_samples(1.0 / (1.0 - nodes(256) / 2.0), 80)
     d = s.denoised()
     assert d.coeff(-40) == 0.0
     assert abs(d.coeff(10) - 2.0 ** -10) <= 1e-14
@@ -218,16 +202,13 @@ def test_denoised_drops_roundoff_floor():
 
 def test_grid_and_sampling_errors():
     with pytest.raises(ValueError):
-        CircleGrid(1.0, 100)          # not a power of two
+        coefficients_from_samples(np.ones((4, 4)), 1)    # not 1-D
     with pytest.raises(ValueError):
-        CircleGrid(-1.0, 64)
-    grid = CircleGrid(1.0, 16)
-    with pytest.raises(ValueError):
-        coefficients_from_samples(np.ones(16), 8, grid)     # N < 2K + 2
+        coefficients_from_samples(np.ones(16), 8)        # N < 2K + 2
     bad = np.ones(16, dtype=complex)
     bad[3] = np.nan
     with pytest.raises(ValueError):
-        coefficients_from_samples(bad, 4, grid)
+        coefficients_from_samples(bad, 4)
 
 
 def test_convolve_errors():

@@ -75,7 +75,7 @@ def test_scattering_rejects_nonfinite():
     from oracles import from_pairs
     bad = from_pairs({1: np.nan}, 4)
     with pytest.raises(ValueError):
-        scattering(bad, 4)
+        scattering(bad, 4, 0.0)
 
 
 def test_interior_exterior_domain_checks(bs2_szego):
@@ -132,10 +132,11 @@ def test_theta_symmetric_pair(zmod2, leb_szego):
     assert abs(msz.theta[0] / msz.theta[1] - 1.0) <= 1e-9
 
 
-def test_theta_disagreement_guard(zmod1, leb_szego):
+def test_theta_disagreement_guard(zmod1, leb_szego, monkeypatch):
     # an impossible agreement tolerance trips the branch-configuration error
+    monkeypatch.setattr("opuc.szego._THETA_TOL", -1.0)
     with pytest.raises(BranchConfigurationError):
-        theta_constants(zmod1, leb_szego, tol=-1.0)
+        theta_constants(zmod1, leb_szego)
 
 
 def test_theta_beta_zero_equals_base_scattering(leb, leb_szego):
@@ -173,7 +174,7 @@ def test_random_rational_weight_identities(seed):
     assert abs(total - 1.0) <= 1e-8
     r = szego_recurrence(moments(w, 20), 16)
     for n in (6, 10, 14):
-        gap = abs(verblunsky_estimate(n, sz, 1) - r.alpha[n])
+        gap = abs(verblunsky_estimate(n, sz) - r.alpha[n])
         assert gap <= 10.0 * sz.rho ** (3 * n) + 1e-12
 
 

@@ -15,21 +15,16 @@ def test_validate_lebesgue(leb):
 
 def test_validate_bernstein(bs2):
     # w = 5/4 - cos(theta), minimized at theta = 0
-    d = validate(bs2, 512)
+    d = validate(bs2)
     assert abs(d.min_value - 0.25) <= 1e-12
     assert d.winding_number == 0
 
 
 def test_validate_essential(ess05):
-    d = validate(ess05, 512)
+    d = validate(ess05)
     assert d.min_value > 0.0
     assert abs(d.min_value - np.exp(-4.0)) <= 1e-10   # dense-grid minimum at theta=0
     assert d.winding_number == 0
-
-
-def test_validate_rejects_small_grid(leb):
-    with pytest.raises(ValueError):
-        validate(leb, 32)
 
 
 def test_log_coefficients_lebesgue(leb):

@@ -170,7 +170,7 @@ def test_conjugation_symmetry(bs2_oracle):
 
 def test_classify_bernstein(bs2_oracle):
     zs = roots(bs2_oracle.phi_monic[30])
-    labels = classify(zs, 0.5, 0.15)
+    labels = classify(zs, 0.5)
     assert zs.zeros[labels == "interior"].size == 0
     assert zs.zeros[labels == "band"].size >= 28
     report = equidistribution_check(zs.zeros, labels, 0.5, 30)
@@ -184,7 +184,7 @@ def test_classify_labels_partition():
     for r in true_roots:
         coeffs = np.convolve(coeffs, [-r, 1.0])
     zs = roots(coeffs)
-    labels = classify(zs, 0.5, 0.1)
+    labels = classify(zs, 0.5)
     assert sorted(labels) == ["band"] * 4 + ["interior"] * 2 + ["other"] * 3
     expected = {"interior": true_roots[:2], "band": true_roots[2:6],
                 "other": true_roots[6:]}
@@ -202,7 +202,7 @@ def test_classify_degenerate_at_origin():
 
 def test_equidistribution_statistics(bs2_oracle):
     zs = roots(bs2_oracle.phi_monic[40])
-    report = equidistribution_check(zs.zeros, classify(zs, 0.5, 0.15), 0.5, 40, 1)
+    report = equidistribution_check(zs.zeros, classify(zs, 0.5), 0.5, 40, 1)
     assert report["gap_within_15pct"] >= 0.9
     assert abs(report["mean_modulus_minus_pred"]) <= 3 * np.log(40) / 40
 
@@ -213,7 +213,7 @@ def test_gap_concentration_tightens(bs2_oracle):
     stats = {}
     for n in (20, 40):
         zs = roots(bs2_oracle.phi_monic[n])
-        band = zs.zeros[classify(zs, 0.5, 0.15) == "band"]
+        band = zs.zeros[classify(zs, 0.5) == "band"]
         dev = np.sort(np.abs(angular_gaps(band) - 2 * np.pi / n) / (2 * np.pi / n))
         stats[n] = (np.median(dev), dev[-2])   # drop the one doubled gap
     assert stats[40][0] < stats[20][0]
@@ -278,7 +278,7 @@ def test_interior_counts_respect_pole_bound(bs2_oracle):
     # one dominant pole: no interior zeros at large degree
     for n in range(20, 41, 5):
         zs = roots(bs2_oracle.phi_monic[n])
-        assert zs.zeros[classify(zs, 0.5, 0.15) == "interior"].size == 0
+        assert zs.zeros[classify(zs, 0.5) == "interior"].size == 0
 
 
 def test_interior_counts_respect_zero_bound(zmod2_oracle):
