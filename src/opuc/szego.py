@@ -20,7 +20,6 @@ from .laurent import LaurentSeries, band, coefficients_from_samples, default_gri
 from .weights import AnalyticWeight, ZeroModifiedWeight, log_weight_coefficients
 
 __all__ = [
-    "BranchConfigurationError",
     "CutError",
     "ModifiedSzegoData",
     "SzegoData",
@@ -37,10 +36,6 @@ class CutError(ValueError):
     """Evaluation point lies on (or too close to) a radial branch cut."""
 
 
-class BranchConfigurationError(RuntimeError):
-    """One-sided limits at a circle zero disagree beyond tolerance."""
-
-
 @dataclass(frozen=True, eq=False)
 class SzegoData:
     """Szego data of an analytic weight.
@@ -51,7 +46,6 @@ class SzegoData:
 
     lhat: LaurentSeries
     tau: float
-    geometric_mean: float
     S: LaurentSeries
     S_inv: LaurentSeries
     rho: float = 0.0
@@ -71,8 +65,7 @@ def scattering(lhat: LaurentSeries, K: int, rho: float) -> SzegoData:
 
     S = exp(sum_{k>=1} (L_k z^k - conj(L_k) z^{-k})) is evaluated on the
     unit-circle grid and its coefficients extracted; S_inv comes from the
-    negated exponent.  tau = exp(-L_0/2) and the geometric mean exp(L_0)
-    are recorded.
+    negated exponent.  tau = exp(-L_0/2) is recorded.
     """
     N = max(default_grid_size(K), 1024)
     l0 = lhat.coeff(0).real
@@ -86,7 +79,7 @@ def scattering(lhat: LaurentSeries, K: int, rho: float) -> SzegoData:
     r_in, r_out = (rho, 1.0 / rho) if rho > 0.0 else (0.0, math.inf)
     S = coefficients_from_samples(np.exp(exponent), K, r_in, r_out).denoised()
     S_inv = coefficients_from_samples(np.exp(-exponent), K, r_in, r_out).denoised()
-    return SzegoData(lhat, math.exp(-0.5 * l0), math.exp(l0), S, S_inv, rho)
+    return SzegoData(lhat, math.exp(-0.5 * l0), S, S_inv, rho)
 
 
 def szego_data_for(spec: AnalyticWeight, K: int) -> SzegoData:
@@ -124,8 +117,8 @@ def szego_function(d: SzegoData, z, side: str):
 # weights with zeros on the circle
 # ---------------------------------------------------------------------------
 
-def _branch_product(zeros, z, exponent_scale: float):
-    """prod_k (z - a_k)^{beta_k * exponent_scale} with radial cuts a_k [1, inf).
+def _branch_product(zeros, z):
+    """prod_k (z - a_k)^{beta_k} with radial cuts a_k [1, inf).
 
     The branch of each factor takes arg(z - a_k) in (angle_k - 2 pi, angle_k],
     which continues analytically from z = 0 where the argument is
@@ -134,19 +127,16 @@ def _branch_product(zeros, z, exponent_scale: float):
     zarr = np.asarray(z, dtype=complex)
     out = np.ones_like(zarr)
     for zk in zeros:
-        p = zk.beta * exponent_scale
-        if p == 0.0:
+        if zk.beta == 0.0:
             continue
-        a = np.exp(1j * zk.angle)
-        w = zarr - a
-        phi = np.angle(w)
-        delta = np.mod(zk.angle - phi, 2.0 * np.pi)
-        phi_adj = zk.angle - delta
-        out = out * np.abs(w) ** p * np.exp(1j * p * phi_adj)
+        w = zarr - np.exp(1j * zk.angle)
+        phi_adj = zk.angle - np.mod(zk.angle - np.angle(w), 2.0 * np.pi)
+        out = out * np.abs(w) ** zk.beta * np.exp(1j * zk.beta * phi_adj)
     return out
 
 
-def _check_off_cuts(spec: ZeroModifiedWeight, z, side: str, tol: float):
+def _check_off_cuts(spec: ZeroModifiedWeight, z, side: str):
+    tol = 1e-9
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     absz = np.abs(zarr)
     for zk in spec.zeros:
@@ -161,14 +151,12 @@ def _check_off_cuts(spec: ZeroModifiedWeight, z, side: str, tol: float):
 
 @dataclass(frozen=True, eq=False)
 class ModifiedSzegoData:
-    """Szego data for a zero-modified weight: base data, branch value at 0,
-    and the unimodular constants theta_k at the circle zeros."""
+    """Szego data for a zero-modified weight: base data and the unimodular
+    constants theta_k at the circle zeros."""
 
     base: SzegoData
     spec: ZeroModifiedWeight
-    q0: complex
     theta: np.ndarray
-    theta_disagreement: np.ndarray
 
 
 def modified_szego(spec: ZeroModifiedWeight, d: SzegoData, z, side: str):
@@ -178,60 +166,38 @@ def modified_szego(spec: ZeroModifiedWeight, d: SzegoData, z, side: str):
     D_e(w; z) / (q^2(0) * conj(q(1/conj(z)))^2).  Points within 1e-9 of the
     radial cuts raise a CutError.
     """
-    _check_off_cuts(spec, z, side, 1e-9)
+    _check_off_cuts(spec, z, side)
     zarr = np.asarray(z, dtype=complex)
-    q2_0 = _branch_product(spec.zeros, 0.0, 1.0)
+    q2_0 = _branch_product(spec.zeros, 0.0)
     if side == "interior":
-        q2 = _branch_product(spec.zeros, zarr, 1.0)
+        q2 = _branch_product(spec.zeros, zarr)
         return q2 / q2_0 * szego_function(d, zarr, "interior")
     if side == "exterior":
-        qbar2 = np.conj(_branch_product(spec.zeros, 1.0 / np.conj(zarr), 1.0))
+        qbar2 = np.conj(_branch_product(spec.zeros, 1.0 / np.conj(zarr)))
         return szego_function(d, zarr, "exterior") / (q2_0 * qbar2)
     raise ValueError(f"side must be 'interior' or 'exterior', got {side!r}")
 
 
-def scattering_modified(spec: ZeroModifiedWeight, d: SzegoData, z):
-    """Scattering function of the modified weight on the cut annulus."""
-    _check_off_cuts(spec, z, "interior", 1e-12)
-    _check_off_cuts(spec, z, "exterior", 1e-12)
-    zarr = np.asarray(z, dtype=complex)
-    q2_0 = _branch_product(spec.zeros, 0.0, 1.0)
-    q2 = _branch_product(spec.zeros, zarr, 1.0)
-    qbar2 = np.conj(_branch_product(spec.zeros, 1.0 / np.conj(zarr), 1.0))
-    return q2 / (q2_0 ** 2 * qbar2) * d.S.evaluate(zarr)
+def theta_constants(spec: ZeroModifiedWeight, d: SzegoData) -> np.ndarray:
+    """Unimodular constants at the circle zeros, in closed form.
 
-
-_THETA_TOL = 1e-6
-
-
-def theta_constants(spec: ZeroModifiedWeight, d: SzegoData):
-    """Unimodular constants at the circle zeros.
-
-    Each theta_k is the common value of e^{+i pi beta_k} S(W; z) along the
-    arc arg z > angle_k and of e^{-i pi beta_k} S(W; z) along arg z < angle_k
-    as z -> a_k on the circle; both one-sided limits are computed by linear
-    extrapolation from the arc lengths 1e-5 and 5e-6 and must agree to
-    _THETA_TOL.
+    On the circle 1/conj(z) = z, so the modified scattering function is
+    S(W; z) = e^{2i arg q^2(z)} S(w; z) / q^2(0)^2.  Only the k-th factor of
+    q^2 jumps at a_k, and the limits of e^{+i pi beta_k} S(W; z) from
+    arg z > angle_k and of e^{-i pi beta_k} S(W; z) from arg z < angle_k
+    both equal
+    theta_k = e^{2i beta_k (angle_k - pi)}
+              * exp(2i arg prod_{j != k} (a_k - a_j)^{beta_j})
+              * S(w; a_k) / q^2(0)^2.
     """
-    thetas = np.zeros(len(spec.zeros), dtype=complex)
-    spreads = np.zeros(len(spec.zeros))
-    for i, zk in enumerate(spec.zeros):
-        vals = {}
-        for sgn in (+1, -1):
-            phase = np.exp(1j * np.pi * zk.beta * sgn)
-            v1 = phase * scattering_modified(spec, d, np.exp(1j * (zk.angle + sgn * 1e-5)))
-            v2 = phase * scattering_modified(spec, d, np.exp(1j * (zk.angle + sgn * 1e-5 / 2.0)))
-            vals[sgn] = 2.0 * v2 - v1
-        spreads[i] = abs(vals[+1] - vals[-1])
-        if spreads[i] > _THETA_TOL:
-            raise BranchConfigurationError(
-                f"one-sided scattering limits at angle {zk.angle:.6g} differ by {spreads[i]:.3e}")
-        thetas[i] = 0.5 * (vals[+1] + vals[-1])
-    return thetas, spreads
+    locs = spec.locations
+    phases = np.empty(len(spec.zeros), dtype=complex)
+    for k, zk in enumerate(spec.zeros):
+        others = _branch_product(spec.zeros[:k] + spec.zeros[k + 1:], locs[k])
+        phases[k] = np.exp(2j * (zk.beta * (zk.angle - np.pi) + np.angle(others)))
+    return phases * d.S.evaluate(locs) / _branch_product(spec.zeros, 0.0) ** 2
 
 
 def build_modified(spec: ZeroModifiedWeight, base: SzegoData) -> ModifiedSzegoData:
-    """Assemble modified Szego data: branch value q(0) and the constants theta_k."""
-    q0 = complex(_branch_product(spec.zeros, 0.0, 0.5))
-    thetas, spreads = theta_constants(spec, base)
-    return ModifiedSzegoData(base, spec, q0, thetas, spreads)
+    """Assemble modified Szego data: the constants theta_k at the circle zeros."""
+    return ModifiedSzegoData(base, spec, theta_constants(spec, base))

@@ -13,9 +13,9 @@ from opuc.asymptotics import LevelCurve
 from opuc.laurent import DisjointAnnuliError, LaurentSeries
 from opuc.oracle import OpucResult, default_quadrature_size
 from opuc.szego import SzegoData, szego_function
-from opuc.weights import (AnalyticWeight, bernstein_szego, essential,
-                          inverse_essential, lebesgue, rational_modulus,
-                          zero_modified)
+from opuc.weights import (AnalyticWeight, ZeroModifiedWeight, bernstein_szego,
+                          essential, inverse_essential, lebesgue,
+                          rational_modulus, zero_modified)
 from opuc.zeros import ZeroSet
 
 
@@ -203,6 +203,42 @@ def residue_predictor(spec: AnalyticWeight, sz: SzegoData, n: int, z: complex,
     if form == "annulus":
         value = value + z ** n * complex(spec.exact.d_e(z)) / sz.tau
     return complex(value)
+
+
+def _q_squared(spec: ZeroModifiedWeight, z):
+    """prod_k (z - a_k)^{beta_k}, each argument taken in (angle_k - 2 pi,
+    angle_k] by rotating z - a_k onto the principal branch."""
+    out = np.ones_like(np.asarray(z, dtype=complex))
+    for zk in spec.zeros:
+        w = z - np.exp(1j * zk.angle)
+        u = np.angle(w * np.exp(-1j * zk.angle))
+        arg = zk.angle + u - 2.0 * np.pi * (u > 0.0)
+        out = out * np.abs(w) ** zk.beta * np.exp(1j * zk.beta * arg)
+    return out
+
+
+def scattering_modified(spec: ZeroModifiedWeight, sz: SzegoData, z):
+    """Scattering function of the zero-modified weight off the radial cuts,
+    from its definition q^2(z) / (q^2(0)^2 conj(q^2(1/conj z))) * S(w; z)."""
+    z = np.asarray(z, dtype=complex)
+    q2_0 = _q_squared(spec, 0.0)
+    return (_q_squared(spec, z) / (q2_0 ** 2 * np.conj(_q_squared(spec, 1.0 / np.conj(z))))
+            * sz.S.evaluate(z))
+
+
+def theta_one_sided(spec: ZeroModifiedWeight, sz: SzegoData, h: float) -> np.ndarray:
+    """The constants theta_k as the limits of e^{+-i pi beta_k} S(W; z) as z
+    runs along the circle into a_k from arg z > angle_k (row 0) and from
+    arg z < angle_k (row 1), each extrapolated linearly from the arc lengths
+    h and h/2."""
+    angles = np.array([zk.angle for zk in spec.zeros])
+    out = np.empty((2, angles.size), dtype=complex)
+    for row, sgn in enumerate((+1, -1)):
+        phase = np.exp(1j * np.pi * sgn * spec.betas)
+        v1 = phase * scattering_modified(spec, sz, np.exp(1j * (angles + sgn * h)))
+        v2 = phase * scattering_modified(spec, sz, np.exp(1j * (angles + sgn * h / 2.0)))
+        out[row] = 2.0 * v2 - v1
+    return out
 
 
 def full_convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeries:

@@ -20,10 +20,10 @@ from opuc.canonical import (apply_M_exterior, apply_M_interior, kappa_estimate,
                             neumann_alpha, neumann_kappa_sq, neumann_solve,
                             reconstruct_phi, verblunsky_estimate)
 from opuc.oracle import moments, szego_recurrence
-from opuc.szego import (build_modified, scattering_modified, szego_data_for,
-                        szego_function)
+from opuc.szego import build_modified, szego_data_for, szego_function
 from opuc.zeros import classify, roots
-from oracles import constant_series, distance, equidistribution_check
+from oracles import (constant_series, distance, equidistribution_check,
+                     scattering_modified)
 
 
 def report(num, name, ok, detail=""):

@@ -286,7 +286,7 @@ def test_zero_on_analytic_base(bs2):
     sz = szego_data_for(bs2, 96)
     W = zero_modified(bs2, [(np.pi / 2, 0.5)])
     msz = build_modified(W, sz)
-    assert abs(msz.theta[0] - (0.6 - 0.8j)) <= 1e-9
+    assert abs(msz.theta[0] - (0.6 - 0.8j)) <= 1e-14
     result = szego_recurrence(moments(W, 100, 1 << 16), 99)
     rels = []
     for n in (24, 48, 96):

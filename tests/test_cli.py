@@ -9,8 +9,10 @@ import pytest
 from opuc import __version__, cli
 from opuc.canonical import default_truncation_order
 from opuc.cli import RunConfig, _write_json, main
+from opuc.szego import szego_data_for, theta_constants
+from opuc.weights import weight_from_json
 from opuc.zeros import match
-from oracles import json_reference
+from oracles import json_reference, theta_one_sided
 
 
 def write_config(path, weight, n_list, outputs, **extra):
@@ -272,9 +274,9 @@ def test_invalid_configs(tmp_path):
     ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
       "zeros": [{"angle": 0.0, "beta": "0.5"}]}, None, {}),
     ({"kind": "bernstein_szego", "c": 2.0, "rho": 1.5}, "scattering", {}),
-    # two zeros 1e-5 apart: the second lies on the first one's branch cut
+    # angles 0 and 2 pi name the same circle zero
     ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
-      "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": 1e-5, "beta": 0.5}]},
+      "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": 2 * math.pi, "beta": 0.5}]},
      "zero-weight", {}),
     # an outputs path that names an existing file
     ({"kind": "lebesgue"}, None, {"outputs": __file__}),
@@ -301,6 +303,22 @@ def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra
     assert main(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("opuc: config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("base", [{"kind": "lebesgue"},
+                                  {"kind": "bernstein_szego", "c": 1.5}])
+def test_near_coincident_zeros_predict(tmp_path, base):
+    # two zeros 1e-5 apart: the closed-form constants take no arc step, so
+    # neither constant is read on the other zero's branch cut
+    weight = {"kind": "zero_modified", "base": base,
+              "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": 1e-5, "beta": 0.5}]}
+    cfg = write_config(tmp_path / "cfg.json", weight, [2], tmp_path / "out")
+    assert main(["predict", "--method", "zero-weight", "--config", cfg]) == 0
+    spec = weight_from_json(weight)
+    sz = szego_data_for(spec.base, RunConfig.load(cfg).K)
+    # rounding in z - a_k at arc length 1e-9 leaves the limits ~2e-7 apart
+    limits = theta_one_sided(spec, sz, 1e-9)
+    assert np.max(np.abs(limits - theta_constants(spec, sz))) <= 1e-6
 
 
 def test_compare_missing_inputs(tmp_path):

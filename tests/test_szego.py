@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from opuc.szego import (BranchConfigurationError, CutError, build_modified,
-                        modified_szego, scattering, scattering_modified,
-                        szego_data_for, szego_function, theta_constants)
-from opuc.weights import zero_modified
+from opuc.szego import (CutError, _branch_product, build_modified,
+                        modified_szego, scattering, szego_data_for,
+                        szego_function, theta_constants)
+from opuc.weights import bernstein_szego, lebesgue, zero_modified
+from oracles import scattering_modified, theta_one_sided
 
 CIRCLE = np.exp(1j * 2.0 * np.pi * np.arange(128) / 128)
 
@@ -12,7 +13,7 @@ CIRCLE = np.exp(1j * 2.0 * np.pi * np.arange(128) / 128)
 def test_lebesgue_scattering_is_one(leb_szego):
     assert abs(leb_szego.S.coeff(0) - 1.0) <= 1e-15
     assert np.max(np.abs(leb_szego.S.coeffs[np.arange(-72, 73) != 0])) == 0.0
-    assert leb_szego.tau == 1.0 and leb_szego.geometric_mean == 1.0
+    assert leb_szego.tau == 1.0
 
 
 def test_szego_function_closed_forms(bs2_szego):
@@ -66,9 +67,9 @@ def test_parseval_identity(bs2):
 
 
 def test_tau_geometric_mean_relation(bs2_szego, ess05):
-    assert abs(bs2_szego.tau ** 2 * bs2_szego.geometric_mean - 1.0) <= 1e-12
-    sz = szego_data_for(ess05, 48)
-    assert abs(sz.tau ** 2 * sz.geometric_mean - 1.0) <= 1e-12
+    # tau^2 times the geometric mean exp(L_0) is 1
+    for sz in (bs2_szego, szego_data_for(ess05, 48)):
+        assert abs(sz.tau ** 2 * np.exp(sz.lhat.coeff(0).real) - 1.0) <= 1e-12
 
 
 def test_scattering_rejects_nonfinite():
@@ -118,11 +119,11 @@ def test_modified_cut_error(zmod1, leb_szego):
 
 def test_theta_single_zero(zmod1, leb_szego):
     msz = build_modified(zmod1, leb_szego)
-    assert abs(msz.q0 - np.exp(-1j * np.pi / 4)) <= 1e-12
+    # q^2(0) = (0 - 1)^{1/2} on the branch arg = angle - pi
+    assert abs(_branch_product(zmod1.zeros, 0.0) + 1j) <= 1e-12
     assert abs(abs(msz.theta[0]) - 1.0) <= 1e-10
     # the branch convention pins the value itself
     assert abs(msz.theta[0] - 1.0) <= 1e-9
-    assert msz.theta_disagreement[0] <= 1e-10
 
 
 def test_theta_symmetric_pair(zmod2, leb_szego):
@@ -132,16 +133,9 @@ def test_theta_symmetric_pair(zmod2, leb_szego):
     assert abs(msz.theta[0] / msz.theta[1] - 1.0) <= 1e-9
 
 
-def test_theta_disagreement_guard(zmod1, leb_szego, monkeypatch):
-    # an impossible agreement tolerance trips the branch-configuration error
-    monkeypatch.setattr("opuc.szego._THETA_TOL", -1.0)
-    with pytest.raises(BranchConfigurationError):
-        theta_constants(zmod1, leb_szego)
-
-
 def test_theta_beta_zero_equals_base_scattering(leb, leb_szego):
     W = zero_modified(leb, [(1.0, 0.0)])
-    thetas, _ = theta_constants(W, leb_szego)
+    thetas = theta_constants(W, leb_szego)
     assert abs(thetas[0] - 1.0) <= 1e-12   # S(w; a) = 1 for the Lebesgue weight
 
 
@@ -149,6 +143,20 @@ def test_modified_scattering_unimodular_off_zeros(zmod2, leb_szego):
     th = np.linspace(0.2, np.pi - 0.2, 40)
     vals = scattering_modified(zmod2, leb_szego, np.exp(1j * th))
     assert np.max(np.abs(np.abs(vals) - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("base, zeros", [
+    (lebesgue(), [(0.0, 0.534442), (np.pi, 0.534442)]),   # zm-circle, seed 0
+    (bernstein_szego(1.5), [(0.0, 0.5), (np.pi, 0.2)]),
+    (bernstein_szego(1.3), [(0.4, 0.5), (2.2, 0.3), (4.1, 0.7)]),
+])
+def test_theta_closed_form_matches_one_sided_limits(base, zeros):
+    # both one-sided limits, extrapolated from arc lengths 1e-5 and 5e-6,
+    # carry an O(h^2) error of a few 1e-10
+    W = zero_modified(base, zeros)
+    sz = szego_data_for(base, 200)
+    limits = theta_one_sided(W, sz, 1e-5)
+    assert np.max(np.abs(limits - theta_constants(W, sz))) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
