@@ -6,8 +6,9 @@ it was produced from plus the package version.
 
 Exit codes: 0 all good / comparisons pass, 1 comparison failures,
 2 config or weight validation failure (including a weight or degree the
-requested method cannot handle), 3 positivity loss in the recursion,
-5 missing, empty or malformed input files.
+requested method cannot handle, and an n_max too large to allocate),
+3 positivity loss in the recursion, 5 missing, empty or malformed input
+files.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -64,10 +66,12 @@ def _json(obj, pad: str = "") -> str:
                  for k, v in sorted(obj.items())]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        items = _rows(obj, inner)
-        if items is None:
-            items = [inner + _json(v, inner) for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+        if not obj:
+            return "[]"
+        body = _rows(obj, inner)
+        if body is None:
+            body = ",\n".join(inner + _json(v, inner) for v in obj)
+        return "[\n" + body + f"\n{pad}]"
     if isinstance(obj, float):
         return format(obj, ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, (int, str)) or obj is None:   # bool is an int
@@ -76,33 +80,40 @@ def _json(obj, pad: str = "") -> str:
 
 
 def _rows(items, pad: str):
-    """The items of a list rendered at indent pad without a call per number,
-    when they are all finite complex numbers or all non-empty dicts of
-    finite float and str values; None for any other list, which _json then
-    renders item by item."""
-    inner = pad + "  "
-    if all(isinstance(v, complex) for v in items):
-        if not np.all(np.isfinite(np.array(items, dtype=complex))):
+    """The items of a non-empty list rendered at indent pad and joined, by
+    one %-format over a row template built once for the list, when they are
+    all finite complex numbers, or all dicts with one key set whose values
+    under each key are all finite floats or all strings; None for any other
+    list, which _json then renders item by item."""
+    if all(map(isinstance, items, repeat(complex))):
+        pairs = np.array(items, dtype=complex).view(float).reshape(-1, 2)
+        if not np.all(np.isfinite(pairs)):
             return None
-        return [f'{pad}{{\n{inner}"im": {v.imag:.17g},\n{inner}"re": {v.real:.17g}\n{pad}}}'
-                for v in items]
-    if not all(isinstance(v, dict) and v for v in items):
-        return None
-    quoted = {}   # json.dumps of each key and str value
-    rows = []
-    for row in items:
-        fields = []
-        for k, v in sorted(row.items()):
-            if isinstance(v, float) and math.isfinite(v):
-                v = format(v, ".17g")
-            elif isinstance(v, str):
-                v = quoted.get(v) or quoted.setdefault(v, json.dumps(v))
+        keys, formats = ["im", "re"], ["%.17g", "%.17g"]
+        values = pairs[:, ::-1].ravel().tolist()
+    else:
+        first = items[0]
+        if not (first and all(map(isinstance, items, repeat(dict)))
+                and all(v.keys() == first.keys() for v in items)):
+            return None
+        keys, formats, columns = sorted(first), [], []
+        for k in keys:
+            column = [row[k] for row in items]
+            if all(map(isinstance, column, repeat(float))) and all(map(math.isfinite, column)):
+                formats.append("%.17g")
+            elif all(map(isinstance, column, repeat(str))):
+                quoted = {v: json.dumps(v) for v in set(column)}
+                column = [quoted[v] for v in column]
+                formats.append("%s")
             else:
                 return None
-            k = str(k)
-            fields.append(f"{inner}{quoted.get(k) or quoted.setdefault(k, json.dumps(k))}: {v}")
-        rows.append(f"{pad}{{\n" + ",\n".join(fields) + f"\n{pad}}}")
-    return rows
+            columns.append(column)
+        values = list(chain.from_iterable(zip(*columns)))
+    inner = pad + "  "
+    fields = [f"{inner}{json.dumps(str(k)).replace('%', '%%')}: {f}"
+              for k, f in zip(keys, formats)]
+    row = f"{pad}{{\n" + ",\n".join(fields) + f"\n{pad}}}"
+    return ",\n".join([row] * len(items)) % tuple(values)
 
 
 @dataclass
@@ -492,6 +503,7 @@ def main(argv=None) -> int:
         if name == "predict":
             p.add_argument("--method", required=True, choices=sorted(_METHODS))
     args = parser.parse_args(argv)
+    cfg = None
     try:
         cfg = RunConfig.load(args.config)
         if args.command == "oracle":
@@ -501,6 +513,10 @@ def main(argv=None) -> int:
         return cmd_compare(cfg)
     except ConfigError as exc:
         print(f"opuc: config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        size = f"n_max = {cfg.n_max}" if cfg else "the config"
+        print(f"opuc: config error: not enough memory for {size}", file=sys.stderr)
         return 2
     except PositivityLossError as exc:
         print(f"opuc: {exc}", file=sys.stderr)

@@ -110,7 +110,7 @@ def szego_recurrence(moms: Moments, N: int) -> OpucResult:
     d0 = moms.d(0).real
     if d0 <= 0.0:
         raise PositivityLossError(0, 1.0)
-    dconj = np.array([np.conj(moms.d(k)) for k in range(1, N + 1)])
+    dconj = np.conj(moms.values[moms.max_k + 1:moms.max_k + N + 1])   # conj d_1 .. d_N
     alpha = np.zeros(N, dtype=complex)
     kappa = np.zeros(N + 1)
     log_det = np.zeros(N + 1)
@@ -131,5 +131,5 @@ def szego_recurrence(moms: Moments, N: int) -> OpucResult:
         kappa[n + 1] = 1.0 / math.sqrt(energy)
         log_det[n + 1] = log_det[n] + math.log(energy)
         c = c_next
-        phi.append(c.copy())
+        phi.append(c)                                   # fresh each degree and only read
     return OpucResult(N, alpha, kappa, phi, log_det)

@@ -16,6 +16,7 @@ and predicted points are matched to them.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +48,35 @@ _EPS = np.finfo(float).eps
 _MAX_STEPS = 100   # Aberth converges only linearly onto a multiple root
 
 
-def _powers(u: np.ndarray, n: int) -> np.ndarray:
-    """Rows u_i^0, u_i^1, ..., u_i^n."""
-    table = np.empty((u.size, n + 1), dtype=complex)
+def _powers(u: np.ndarray, n: int, table: np.ndarray | None = None) -> np.ndarray:
+    """Rows u_i^0, u_i^1, ..., u_i^n, written into table when it is given."""
+    if table is None:
+        table = np.empty((u.size, n + 1), dtype=complex)
     table[:, 0] = 1.0
     table[:, 1:] = u[:, None]
     np.cumprod(table[:, 1:], axis=1, out=table[:, 1:])
     return table
+
+
+_work = threading.local()
+
+
+def _work_arrays(n: int) -> tuple:
+    """This thread's work arrays for _aberth at degree n, as C-contiguous
+    tables of n rows: the power table and its modulus with n + 1 columns and
+    the difference table with n.  A step uses their leading rows, on which a
+    matrix product takes the path a fresh table's would.  The buffers behind
+    them are kept across calls, so a step allocates no table of its own, and
+    grow at least twofold, so a run of ascending degrees reallocates them only
+    a few times."""
+    size = getattr(_work, "size", 0)
+    if size < n * (n + 1):
+        _work.size = max(n * (n + 1), 2 * size)
+        _work.buffers = (np.empty(_work.size, dtype=complex), np.empty(_work.size),
+                         np.empty(_work.size, dtype=complex))
+    powers, modulus, diff = _work.buffers
+    return (powers[:n * (n + 1)].reshape(n, n + 1),
+            modulus[:n * (n + 1)].reshape(n, n + 1), diff[:n * n].reshape(n, n))
 
 
 def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -66,7 +89,8 @@ def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     repulsion sum_j 1/(z_i - z_j) from one difference table.  A root freezes
     after the step whose correction is below 4 eps |z|, or after the step
     taken from where |p| first falls to 4 eps e, the level below which p
-    carries no information (Bini 1996).
+    carries no information (Bini 1996).  The three tables live in this
+    thread's work arrays.
     """
     n = c.size - 1
     k = np.arange(1, n + 1)
@@ -74,24 +98,28 @@ def _aberth(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     derivs = coeffs[1:] * k[:, None]
     moduli = np.abs(coeffs)
     active = np.ones(n, dtype=bool)
+    powers, modulus, diff = _work_arrays(n)
     for _ in range(_MAX_STEPS):
         idx = np.flatnonzero(active)
-        if idx.size == 0:
+        m = idx.size
+        if m == 0:
             break
         zi = z[idx]
         outside = np.abs(zi) > 1.0
         u = zi.copy()
         u[outside] = 1.0 / u[outside]
-        table = _powers(u, n)
-        pick = (np.arange(idx.size), outside.astype(int))
+        table = _powers(u, n, powers[:m])
+        pick = (np.arange(m), outside.astype(int))
         p = (table @ coeffs)[pick]
         dp = (table[:, :n] @ derivs)[pick]
-        bound = (np.abs(table) @ moduli)[pick]
+        bound = (np.abs(table, out=modulus[:m]) @ moduli)[pick]
         # outside, p and dp are q(w) and q'(w) for q(w) = w^n p(1/w), w = 1/z,
         # and p'(z)/p(z) = w (n q - w q') / q
         dp = np.where(outside, u * (n * p - u * dp), dp)
-        diff = zi[:, None] - z[None, :]
-        inv = np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0)
+        inv = np.subtract(zi[:, None], z[None, :], out=diff[:m])
+        # a zero difference stays as it is: a -0.0 part, from a coincident
+        # root, adds to the row sum as the +0 of the root's own entry does
+        np.divide(1.0, inv, out=inv, where=inv != 0)
         den = dp - p * inv.sum(axis=1)
         step = np.divide(p, den, out=np.zeros_like(p), where=den != 0)
         z[idx] = zi - step

@@ -16,7 +16,7 @@ from opuc.szego import SzegoData, szego_function
 from opuc.weights import (AnalyticWeight, ZeroModifiedWeight, bernstein_szego,
                           essential, inverse_essential, lebesgue,
                           rational_modulus, zero_modified)
-from opuc.zeros import ZeroSet
+from opuc.zeros import _EPS, _MAX_STEPS, ZeroSet, _powers
 
 
 def zero_series(K: int, r_inner: float = 0.0, r_outer: float = math.inf) -> LaurentSeries:
@@ -103,6 +103,40 @@ def builtin_weights() -> dict:
     return {"lebesgue": lebesgue, "bernstein_szego": bernstein_szego,
             "rational_modulus": rational_modulus, "essential": essential,
             "inverse_essential": inverse_essential, "zero_modified": zero_modified}
+
+
+def aberth_reference(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """zeros._aberth with fresh tables in every step, as it was before its
+    work arrays: the iteration that the workspace one is checked against
+    bit for bit."""
+    n = c.size - 1
+    k = np.arange(1, n + 1)
+    coeffs = np.stack([c, c[::-1]], axis=1)
+    derivs = coeffs[1:] * k[:, None]
+    moduli = np.abs(coeffs)
+    active = np.ones(n, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        zi = z[idx]
+        outside = np.abs(zi) > 1.0
+        u = zi.copy()
+        u[outside] = 1.0 / u[outside]
+        table = _powers(u, n)
+        pick = (np.arange(idx.size), outside.astype(int))
+        p = (table @ coeffs)[pick]
+        dp = (table[:, :n] @ derivs)[pick]
+        bound = (np.abs(table) @ moduli)[pick]
+        dp = np.where(outside, u * (n * p - u * dp), dp)
+        diff = zi[:, None] - z[None, :]
+        inv = np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0)
+        den = dp - p * inv.sum(axis=1)
+        step = np.divide(p, den, out=np.zeros_like(p), where=den != 0)
+        z[idx] = zi - step
+        active[idx] = ((np.abs(p) > 4.0 * _EPS * bound)
+                       & (np.abs(step) > 4.0 * _EPS * np.abs(zi)))
+    return z
 
 
 def clusters(zs: ZeroSet) -> tuple:

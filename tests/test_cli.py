@@ -305,6 +305,22 @@ def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra
     assert err.startswith("opuc: config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, allocator", [
+    (["oracle"], "moments"), (["predict", "--method", "scattering"], "szego_data_for")])
+def test_out_of_memory_exits_2_naming_n_max(tmp_path, capsys, monkeypatch, command, allocator):
+    # stands in for n_list [100000000], whose moments or Szego data numpy
+    # cannot allocate; nothing that large is allocated here
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, allocator, no_memory)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       [100000000], tmp_path / "out")
+    assert main(command + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "opuc: config error: not enough memory for n_max = 100000000\n"
+
+
 @pytest.mark.parametrize("base", [{"kind": "lebesgue"},
                                   {"kind": "bernstein_szego", "c": 1.5}])
 def test_near_coincident_zeros_predict(tmp_path, base):
@@ -532,10 +548,17 @@ def test_json_renderer_matches_reference_on_oracle_documents(tmp_path, monkeypat
         _write_json(path, cfg, obj)
 
     monkeypatch.setattr(cli, "_write_json", write_json)
-    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 1.3},
-                       list(range(1, 41)), tmp_path / "out")
-    assert main(["oracle", "--config", cfg]) == 0
-    assert len(docs) == 80
+    weights = [({"kind": "bernstein_szego", "c": 1.3}, {}),
+               # exact zero imaginary parts, and a zero at the origin to rounding
+               # on every odd degree (-0.0 parts are in the cases of the test below)
+               ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
+                 "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]},
+                {"N_quad": 1 << 15})]
+    for i, (weight, extra) in enumerate(weights):
+        cfg = write_config(tmp_path / f"cfg{i}.json", weight, list(range(1, 41)),
+                           tmp_path / f"out{i}", **extra)
+        assert main(["oracle", "--config", cfg]) == 0
+    assert len(docs) == 160
     for path, doc in docs:
         with open(path) as fh:
             assert fh.read() == json_reference(doc) + "\n"
@@ -551,6 +574,10 @@ def test_json_renderer_matches_reference_on_oracle_documents(tmp_path, monkeypat
     [{"re": 0.1, "class": "band"}, {"im": 0.2, "flag": True}, {"n": 3, "s": 'Szegő "S"'}],
     [{"b": 1.5, "a": "x"}, {}, {"c": [1.0, {"d": 1j}]}],
     {"z": {"y": {"x": [{"w": 0.25}, [1j, {"v": -math.inf}]]}}, "a": [np.float64(0.1)]},
+    [0.5 - 0.0j], [{"re": -0.0, "im": 1e-300, "class": "interior"}],
+    [{"re": 0.5, "im": -0.0, "class": "band"}, {"re": 0.25, "class": "other"}],
+    [{"re": 0.5, "im": 0.25}, {"re": 0.5, "im": "0.25"}],
+    [{"100%": 0.5, "%s": "%d"}, {"100%": -1.5, "%s": "50%"}],
 ])
 def test_json_renderer_matches_reference(obj):
     assert cli._json(obj) == json_reference(obj)

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+import threading
 import time
 
 import mpmath
@@ -12,7 +14,7 @@ from opuc.cli import main
 from opuc.oracle import moments, szego_recurrence
 from opuc.weights import bernstein_szego
 from opuc.zeros import classify, match, roots
-from oracles import angular_gaps, clusters, equidistribution_check
+from oracles import aberth_reference, angular_gaps, clusters, equidistribution_check
 
 
 def test_pure_power_roots():
@@ -128,6 +130,75 @@ def test_track_predictor_skips_rounding_level_steps(zmod2_oracle):
         history = (zs.zeros, *history[:2])
 
 
+def oracle_chain(phi, n_max):
+    """Zeros of phi[1..n_max], with history threaded as cmd_oracle threads it."""
+    history, chain = (), []
+    for n in range(1, n_max + 1):
+        zs = roots(phi[n], history)
+        history = (zs.zeros, *history[:2])
+        chain.append(zs.zeros)
+    return chain
+
+
+def assert_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for n, (a, b) in enumerate(zip(got, want), 1):
+        assert a.tobytes() == b.tobytes(), n
+
+
+@pytest.fixture(scope="module")
+def bs13_phi():
+    return szego_recurrence(moments(bernstein_szego(1.3), 151), 150).phi_monic
+
+
+def test_work_arrays_give_the_zeros_of_fresh_tables(bs13_phi, zmod2_oracle, monkeypatch):
+    # the zero-modified chain keeps every odd degree, so it also runs the
+    # kept-degree seeds and degrees that converge in a few steps
+    for phi, n_max in ((bs13_phi, 150), (zmod2_oracle.phi_monic, 129)):
+        got = oracle_chain(phi, n_max)
+        with monkeypatch.context() as m:
+            m.setattr(zeros, "_aberth", aberth_reference)
+            want = oracle_chain(phi, n_max)
+        assert_bitwise_equal(got, want)
+
+
+def test_work_arrays_on_seeds_that_differ_in_the_sign_of_zero():
+    # the first two seeds differ only in the sign of a zero real part, so the
+    # difference table keeps a -0.0 where a fresh table holds +0
+    c = np.polynomial.polynomial.polyfromroots([1j, -1j, 0.5, -2.0]).astype(complex)
+    seed = np.array([complex(-0.0, 0.9), 0.9j, complex(0.6, -0.0), 0.6])
+    got = zeros._aberth(c, seed.copy())
+    assert got.tobytes() == aberth_reference(c, seed.copy()).tobytes()
+
+
+def test_work_arrays_carry_nothing_between_sequences(bs13_phi):
+    phi_b = szego_recurrence(moments(bernstein_szego(2.0), 41), 40).phi_monic
+    first = oracle_chain(bs13_phi, 150)
+    alone_b = oracle_chain(phi_b, 40)
+    assert_bitwise_equal(oracle_chain(bs13_phi, 150), first)
+    # each thread has work arrays of its own: two of each chain at once,
+    # more threads than cores, switching often
+    jobs = [(bs13_phi, 150, first), (phi_b, 40, alone_b)] * 2
+    chains = [None] * len(jobs)
+
+    def run(i):
+        chains[i] = oracle_chain(*jobs[i][:2])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, (_, _, want) in zip(chains, jobs):
+        assert_bitwise_equal(got, want)
+
+
 def test_degree_after_a_kept_degree_splits_the_origin_pair(zmod2_oracle, monkeypatch):
     # each odd degree keeps the zeros before it and adds one at the origin;
     # the even degree after it is seeded with the new pair and the tracks
@@ -136,9 +207,9 @@ def test_degree_after_a_kept_degree_splits_the_origin_pair(zmod2_oracle, monkeyp
     tables = []
     powers = zeros._powers
 
-    def counted(u, n):
+    def counted(u, n, table=None):
         tables.append(n)
-        return powers(u, n)
+        return powers(u, n, table)
 
     monkeypatch.setattr(zeros, "_powers", counted)
     history = ()
