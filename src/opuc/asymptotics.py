@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .szego import ModifiedSzegoData, SzegoData, modified_szego, szego_function
-from .weights import AnalyticWeight, ZeroModifiedWeight
+from .weights import AnalyticWeight
 
 __all__ = [
     "LevelCurve",
     "PolePrescription",
     "SaddleData",
     "dominant_pole_phi",
-    "dominant_pole_phi_normalized",
     "fisher_hartwig_fit",
     "kappa_zero_weight",
     "level_curve",
@@ -103,23 +102,6 @@ def dominant_pole_phi(p: PolePrescription, sz: SzegoData, n: int, z: complex) ->
                          f"|z| < {p.rho:.6g}; this form omits the exterior term")
     d_i_ratio = szego_function(sz, 0.0, "interior") / szego_function(sz, z, "interior")
     return complex(d_i_ratio * _dominant_sum(p, sz, n, z))
-
-
-def dominant_pole_phi_normalized(p: PolePrescription, sz: SzegoData, n: int,
-                                 z: complex) -> complex:
-    """The z-normalized form: sum_k D_i(a_k) De_hat(a_k) e^{2 pi i (n-m+1) theta_k} / (a_k - z).
-
-    Equals tau D_i(z) a_1^{-(n-m+1)} binom(n, m-1)^{-1} times the interior
-    dominant-pole prediction.
-    """
-    m = p.multiplicity
-    total = 0.0 + 0.0j
-    for s, t in zip(p.dominant, p.theta_args):
-        a = s.location
-        d_i_a = szego_function(sz, a, "interior")
-        phase = np.exp(2j * np.pi * (n - m + 1) * t)
-        total += d_i_a * s.de_coefficient / (a - z) * phase
-    return complex(total)
 
 
 def dominant_pole_predicted_roots(p: PolePrescription, sz: SzegoData, n: int) -> np.ndarray:
@@ -262,8 +244,6 @@ def verblunsky_essential_asymptote(sd: SaddleData, spec: AnalyticWeight) -> comp
     -(1/(2 sqrt(pi))) t_+^n S(w; t_+) (rho/n)^{3/4}."""
     if sd.inverse:
         raise ValueError("the Verblunsky asymptote needs the plain weight's saddle")
-    if spec.exact is None:
-        raise ValueError(f"weight {spec.name!r} carries no exact scattering evaluator")
     s_val = complex(spec.exact.scattering(sd.t_plus))
     return complex(-1.0 / (2.0 * math.sqrt(math.pi))
                    * sd.t_plus ** sd.n * s_val * (sd.rho / sd.n) ** 0.75)
@@ -389,10 +369,10 @@ def _rational_fraction_roots(weights_: np.ndarray, locations: np.ndarray) -> np.
     return np.roots(numer[::-1])
 
 
-def zero_weight_phi(spec: ZeroModifiedWeight, msz: ModifiedSzegoData, n: int,
-                    z: complex) -> complex:
+def zero_weight_phi(msz: ModifiedSzegoData, n: int, z: complex) -> complex:
     """Interior predictor for a weight with circle zeros:
     (D_i(W;0)/D_i(W;z)) * (1/n) * sum_k beta_k theta_k a_k^{n+1} / (a_k - z)."""
+    spec = msz.spec
     locs = spec.locations
     betas = spec.betas
     total = np.sum(betas * msz.theta * locs ** (n + 1) / (locs - z))
@@ -401,11 +381,10 @@ def zero_weight_phi(spec: ZeroModifiedWeight, msz: ModifiedSzegoData, n: int,
     return complex(d0 / dz * total / n)
 
 
-def zero_weight_predicted_roots(spec: ZeroModifiedWeight, msz: ModifiedSzegoData,
-                                n: int) -> np.ndarray:
+def zero_weight_predicted_roots(msz: ModifiedSzegoData, n: int) -> np.ndarray:
     """Roots of the rational fraction sum_k beta_k theta_k a_k^{n+1}/(a_k - z)."""
-    locs = spec.locations
-    w = spec.betas * msz.theta * locs ** (n + 1)
+    locs = msz.spec.locations
+    w = msz.spec.betas * msz.theta * locs ** (n + 1)
     return _rational_fraction_roots(w, locs)
 
 

@@ -163,13 +163,36 @@ def apply_M_exterior(f: LaurentSeries, n: int, sz: SzegoData) -> PiecewiseSeries
     return _piecewise(f, n, sz, False)
 
 
+def _chain(n: int, sz: SzegoData, interior: bool, steps: int) -> list:
+    """The first steps iterates of one alternating chain, as banded
+    (inner, outer) pairs.
+
+    The chain starts from 1 with the interior (or exterior) operator; each
+    later step applies the other operator to the branch on the far side of
+    its circle: the outer branch after an interior step, the inner branch
+    after an exterior one.  Growth of successive iterate norms aborts with
+    NeumannDivergenceError.
+    """
+    row, pairs, last = (sz.K, np.ones(1, dtype=complex)), [], 0.0
+    for k in range(steps):
+        pair = _operator(row, n, sz, interior)
+        norm = np.maximum(*(np.abs(c).max(initial=0.0) for _, c in pair))
+        if k and norm > last > 1e-300:
+            raise NeumannDivergenceError(
+                f"iterate norms grow at step {k} ({last:.3e} -> {norm:.3e}); "
+                "the Neumann iterates do not contract at this degree")
+        pairs.append(pair)
+        row, interior, last = pair[1 if interior else 0], not interior, norm
+    return pairs
+
+
 def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
                   r: float | None = None) -> SMatrixEntries:
     """Alternating operator iterates summed into the four S entries.
 
-    f iterates start from 1 with the interior operator, g iterates with the
-    exterior one; each series keeps n_terms + 1 terms.  Growth of successive
-    iterate norms aborts with NeumannDivergenceError.
+    The f chain starts with the interior operator, the g chain with the
+    exterior one; each runs 2 n_terms + 1 steps.  The odd iterates sum to
+    s12 (f) and s21 (g), and 1 plus the even ones to s11 (f) and s22 (g).
     """
     if n < 1:
         raise ValueError("degree n must be >= 1")
@@ -177,47 +200,20 @@ def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
         raise ValueError("n_terms must be >= 1")
     r = default_lens_radius(sz.rho) if r is None else r
     K = sz.K
-    one = (K, np.ones(1, dtype=complex))
-
-    # rows s11, s12, s21, s22, each an (inner, outer) pair; s11 and s21
-    # split at 1/r, s12 and s22 at r
-    acc = np.zeros((4, 2, 2 * K + 1), dtype=complex)
-    acc[0, :, K] = acc[3, :, K] = 1.0   # f^(0) = 1 and g^(0) = 1 on both sides
-
-    def add(i: int, pair: tuple) -> None:
-        for row, (first, c) in zip(acc[i], pair):
-            row[first:first + c.size] += c
-
-    def norm(pair: tuple) -> float:
-        return np.maximum(*(np.abs(c).max(initial=0.0) for _, c in pair))
-
-    f_cur = _operator(one, n, sz, True)     # f^(1)
-    g_cur = _operator(one, n, sz, False)    # g^(1)
-    f_norm, g_norm = norm(f_cur), norm(g_cur)
-    for k in range(1, 2 * n_terms + 2):
-        if k % 2 == 1:
-            add(1, f_cur)     # odd f iterates into s12
-            add(2, g_cur)     # odd g iterates into s21
-            if k == 2 * n_terms + 1:
-                break
-            f_next = _operator(f_cur[1], n, sz, False)
-            g_next = _operator(g_cur[0], n, sz, True)
-        else:
-            add(0, f_cur)     # even f iterates into s11
-            add(3, g_cur)     # even g iterates into s22
-            f_next = _operator(f_cur[0], n, sz, True)
-            g_next = _operator(g_cur[1], n, sz, False)
-        fn, gn = norm(f_next), norm(g_next)
-        if (fn > f_norm and f_norm > 1e-300) or (gn > g_norm and g_norm > 1e-300):
-            raise NeumannDivergenceError(
-                f"iterate norms grow at step {k} ({f_norm:.3e} -> {fn:.3e}); "
-                "the Neumann iterates do not contract at this degree")
-        f_cur, g_cur, f_norm, g_norm = f_next, g_next, fn, gn
-
     r_plus = (1.0 / sz.rho) if sz.rho > 0.0 else math.inf
-    s11, s12, s21, s22 = (PiecewiseSeries(LaurentSeries(inner, K, 0.0, r_plus),
-                                          LaurentSeries(outer, K, sz.rho, math.inf))
-                          for inner, outer in acc)
+    f = _chain(n, sz, True, 2 * n_terms + 1)     # f[0] is f^(1)
+    g = _chain(n, sz, False, 2 * n_terms + 1)
+    entries = []
+    for iterates, zeroth in ((f[1::2], 1.0), (f[0::2], 0.0), (g[0::2], 0.0), (g[1::2], 1.0)):
+        # an (inner, outer) pair; s11 and s21 split at 1/r, s12 and s22 at r
+        acc = np.zeros((2, 2 * K + 1), dtype=complex)
+        acc[:, K] = zeroth    # the zeroth iterate 1 on both sides of s11 and s22
+        for pair in iterates:
+            for row, (first, c) in zip(acc, pair):
+                row[first:first + c.size] += c
+        entries.append(PiecewiseSeries(LaurentSeries(acc[0], K, 0.0, r_plus),
+                                       LaurentSeries(acc[1], K, sz.rho, math.inf)))
+    s11, s12, s21, s22 = entries
     return SMatrixEntries(
         n=n, K_neumann=n_terms, s11=s11, s12=s12, s21=s21, s22=s22, r=r,
         tail_bound={

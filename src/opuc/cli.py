@@ -6,7 +6,8 @@ it was produced from plus the package version.
 
 Exit codes: 0 all good / comparisons pass, 1 comparison failures,
 2 config or weight validation failure (including a weight or degree the
-requested method cannot handle, and an n_max too large to allocate),
+requested method cannot handle, and an n_max, K or N_quad too large to
+allocate),
 3 positivity loss in the recursion, 5 missing, empty or malformed input
 files.
 """
@@ -230,7 +231,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
                  result.alpha[n].imag if n < n_max else float("nan"),
                  float(result.kappa[n]), float(result.log_det[n]))
                 for n in range(n_max + 1)])
-    rho = spec.base.rho or 0.0
+    rho = spec.base.rho
     # zeros of the last three degrees written; across a gap in n_list their
     # sizes are not n - 1, n - 2, n - 3, and roots leaves them out
     history = ()
@@ -297,7 +298,7 @@ def _predict_poles(cfg: RunConfig, spec) -> int:
 
 def _predict_essential(cfg: RunConfig, spec) -> int:
     if not isinstance(spec, AnalyticWeight) or spec.name not in (
-            "essential", "inverse_essential") or spec.rho is None:
+            "essential", "inverse_essential"):
         raise ConfigError("method=essential requires the essential-singularity "
                           "weight with a declared radius")
     inverse = spec.name == "inverse_essential"
@@ -327,7 +328,7 @@ def _predict_zero_weight(cfg: RunConfig, spec) -> int:
     msz = build_modified(spec, szego_data_for(spec.base, cfg.K))
     rows, zero_doc = [], {}
     for n in cfg.n_list:
-        pr = [complex(z) for z in zero_weight_predicted_roots(spec, msz, n)
+        pr = [complex(z) for z in zero_weight_predicted_roots(msz, n)
               if abs(z) < 1.0]
         zero_doc[str(n)] = pr
         rows.append((n, kappa_zero_weight(msz, n), len(pr)))
@@ -343,8 +344,6 @@ _METHODS = {"scattering": _predict_scattering, "poles": _predict_poles,
 
 
 def cmd_predict(cfg: RunConfig, method: str) -> int:
-    if method not in _METHODS:
-        raise ConfigError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
     spec = _load_weight(cfg)
     _make_outputs(cfg)
     try:
@@ -515,7 +514,11 @@ def main(argv=None) -> int:
         print(f"opuc: config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        size = f"n_max = {cfg.n_max}" if cfg else "the config"
+        size = "the config"
+        if cfg:
+            size = f"n_max = {cfg.n_max}, K = {cfg.K}"
+            if cfg.n_quad is not None:
+                size += f", N_quad = {cfg.n_quad}"
         print(f"opuc: config error: not enough memory for {size}", file=sys.stderr)
         return 2
     except PositivityLossError as exc:

@@ -108,29 +108,21 @@ class LaurentSeries:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, z):
-        """Sum the series at z (scalar or array) by two-sided Horner.
-
-        z = 0 is admitted only when every negative-index coefficient is
-        exactly zero (pure power series).
-        """
+        """Sum the series at z (scalar or array) by two-sided Horner; every z
+        must lie inside the open annulus, so z = 0 never does."""
         zarr = np.asarray(z, dtype=complex)
         scalar = zarr.ndim == 0
         zarr = np.atleast_1d(zarr)
         absz = np.abs(zarr)
-        at_origin = absz == 0.0
-        minus = self.minus_coeffs
-        pure_plus = minus.size == 0 or not np.any(minus)
-        if np.any(at_origin) and not (pure_plus and self.r_inner == 0.0):
-            raise OutOfAnnulusError("z = 0 requested for a series with negative powers")
-        inside = (absz > self.r_inner) & (absz < self.r_outer) | at_origin
+        inside = (absz > self.r_inner) & (absz < self.r_outer)
         if not np.all(inside):
             bad = zarr[~inside][0]
             raise OutOfAnnulusError(
                 f"|z| = {abs(bad):.6g} outside annulus ({self.r_inner:.6g}, {self.r_outer:.6g})")
         out = np.polynomial.polynomial.polyval(zarr, self.plus_coeffs)
-        if not pure_plus:
-            u = np.zeros_like(zarr)
-            np.divide(1.0, zarr, out=u, where=~at_origin)
+        minus = self.minus_coeffs
+        if np.any(minus):
+            u = 1.0 / zarr
             out = out + u * np.polynomial.polynomial.polyval(u, minus)
         return complex(out[0]) if scalar else out
 

@@ -91,10 +91,6 @@ class OpucResult:
     phi_monic: list
     log_det: np.ndarray      # log D_0 .. log D_{n_max}
 
-    def phi(self, n: int, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
-                                                self.phi_monic[n])
-
 
 def szego_recurrence(moms: Moments, N: int) -> OpucResult:
     """Monic OPUC by the Szego recurrence on moment data.

@@ -85,7 +85,7 @@ def scattering(lhat: LaurentSeries, K: int, rho: float) -> SzegoData:
 def szego_data_for(spec: AnalyticWeight, K: int) -> SzegoData:
     """Convenience: log-weight coefficients and scattering data in one step."""
     lhat = log_weight_coefficients(spec, K)
-    return scattering(lhat, K, rho=spec.rho or 0.0)
+    return scattering(lhat, K, rho=spec.rho)
 
 
 def szego_function(d: SzegoData, z, side: str):

@@ -1,10 +1,9 @@
 """Orthogonality weights on the unit circle.
 
 Two families are supported: strictly positive analytic weights, given by a
-pointwise evaluator plus optional analytic metadata (Nevai-Totik radius,
-singularities of the exterior Szego function, exact Szego evaluators for the
-builtin catalog), and their modifications by a finite set of zeros
-|z - a_k|^{2 beta_k} on the circle itself.
+pointwise evaluator, the Nevai-Totik radius, exact Szego evaluators and the
+singularities of the exterior Szego function, and their modifications by a
+finite set of zeros |z - a_k|^{2 beta_k} on the circle itself.
 """
 
 from __future__ import annotations
@@ -65,9 +64,9 @@ class AnalyticWeight:
 
     name: str
     evaluate_theta: Callable
-    rho: Optional[float] = None
+    rho: float
+    exact: ExactSzego
     singularities: tuple = ()
-    exact: Optional[ExactSzego] = None
 
     @property
     def base(self) -> "AnalyticWeight":
@@ -168,9 +167,8 @@ def log_weight_coefficients(spec: AnalyticWeight, K: int) -> LaurentSeries:
     vals = np.asarray(spec(2.0 * np.pi * np.arange(N) / N), dtype=float)
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
         raise ValueError("weight must be finite and strictly positive on the sampling grid")
-    rho = spec.rho or 0.0
-    r_out = math.inf if rho == 0.0 else 1.0 / rho
-    lhat = coefficients_from_samples(np.log(vals), K, r_inner=rho, r_outer=r_out,
+    r_out = math.inf if spec.rho == 0.0 else 1.0 / spec.rho
+    lhat = coefficients_from_samples(np.log(vals), K, r_inner=spec.rho, r_outer=r_out,
                                       real_on_circle=True)
     return lhat.denoised()
 

@@ -84,6 +84,12 @@ def apply_M_exterior_quadrature(f: LaurentSeries, n: int, sz: SzegoData, r: floa
                               sz.tau ** 2)
 
 
+def phi(result: OpucResult, n: int, z):
+    """The oracle's monic Phi_n at z (scalar or array)."""
+    return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
+                                            result.phi_monic[n])
+
+
 def orthonormality_residual(spec, result: OpucResult, n_max: int,
                             n_quad: int | None = None) -> float:
     """max |<phi_n, phi_m> - delta_{nm}| over 0 <= m <= n <= n_max by quadrature."""
@@ -91,9 +97,7 @@ def orthonormality_residual(spec, result: OpucResult, n_max: int,
     theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
     w = np.asarray(spec(theta), dtype=float) * (2.0 * np.pi / n_quad)
     z = np.exp(1j * theta)
-    vals = np.array([result.kappa[n] *
-                     np.polynomial.polynomial.polyval(z, result.phi_monic[n])
-                     for n in range(n_max + 1)])
+    vals = np.array([result.kappa[n] * phi(result, n, z) for n in range(n_max + 1)])
     gram = (vals * w) @ np.conj(vals.T)
     return float(np.max(np.abs(gram - np.eye(n_max + 1))))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from opuc import __version__, cli
-from opuc.canonical import default_truncation_order
+from opuc.canonical import default_lens_radius, default_truncation_order
 from opuc.cli import RunConfig, _write_json, main
 from opuc.szego import szego_data_for, theta_constants
 from opuc.weights import weight_from_json
@@ -229,6 +229,26 @@ def test_predict_scattering_manifest(tmp_path):
     assert all(e["r"] == 0.75 and e["n_terms"] == 2 for e in manifest["entries"])
 
 
+def test_rho_override_reaches_every_reader(tmp_path):
+    # the declared radius labels the oracle zeros, sets the lens radius of
+    # the Neumann solve and the annulus of the log-weight coefficients
+    weight = {"kind": "bernstein_szego", "c": 2.0}
+    labels, lens = {}, {}
+    for rho in (None, 0.8):
+        doc = weight if rho is None else {**weight, "rho": rho}
+        out = tmp_path / str(rho)
+        cfg = write_config(tmp_path / f"{rho}.json", doc, [8, 16], out)
+        assert main(["oracle", "--config", cfg]) == 0
+        assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
+        labels[rho] = [read_zeros(out / f"zeros_{n}.json")[1] for n in (8, 16)]
+        manifest = json.loads((out / "smatrix_manifest.json").read_text())
+        lens[rho] = {e["r"] for e in manifest["entries"]}
+    assert labels[0.8] != labels[None]
+    assert lens == {None: {default_lens_radius(0.5)}, 0.8: {default_lens_radius(0.8)}}
+    sz = szego_data_for(weight_from_json({**weight, "rho": 0.8}), 80)
+    assert sz.rho == sz.lhat.r_inner == 0.8
+
+
 def test_method_metadata_mismatch(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"kind": "lebesgue"}, [5],
                        tmp_path / "out")
@@ -318,7 +338,26 @@ def test_out_of_memory_exits_2_naming_n_max(tmp_path, capsys, monkeypatch, comma
                        [100000000], tmp_path / "out")
     assert main(command + ["--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err == "opuc: config error: not enough memory for n_max = 100000000\n"
+    assert err == ("opuc: config error: not enough memory for "
+                   "n_max = 100000000, K = 400000068\n")
+
+
+@pytest.mark.parametrize("command, allocator, extra, size", [
+    (["predict", "--method", "scattering"], "szego_data_for", {"K": 2000000000},
+     "n_max = 3, K = 2000000000"),
+    (["oracle"], "moments", {"N_quad": 20000000000},
+     "n_max = 3, K = 80, N_quad = 20000000000")], ids=["K", "N_quad"])
+def test_out_of_memory_names_the_size_at_fault(tmp_path, capsys, monkeypatch,
+                                               command, allocator, extra, size):
+    # a small n_max with a huge K or N_quad; nothing that large is allocated
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, allocator, no_memory)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       [1, 2, 3], tmp_path / "out", **extra)
+    assert main(command + ["--config", cfg]) == 2
+    assert capsys.readouterr().err == f"opuc: config error: not enough memory for {size}\n"
 
 
 @pytest.mark.parametrize("base", [{"kind": "lebesgue"},

@@ -60,12 +60,13 @@ def test_evaluate_rejects_outside_annulus():
         s.evaluate(0.1)
 
 
-def test_evaluate_origin_needs_pure_power_series():
+def test_evaluate_rejects_the_origin():
+    # z = 0 is outside every open annulus, pure power series included
     power = from_pairs({0: 1.0, 3: 2.0}, 4)
-    assert abs(power.evaluate(0.0) - 1.0) == 0.0
     mixed = from_pairs({-1: 1.0}, 2)
-    with pytest.raises(OutOfAnnulusError):
-        mixed.evaluate(0.0)
+    for s in (power, mixed):
+        with pytest.raises(OutOfAnnulusError):
+            s.evaluate(0.0)
 
 
 def test_riesz_plus_minus():
