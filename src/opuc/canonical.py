@@ -11,7 +11,8 @@ coefficient are reconstructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,28 +70,59 @@ class PiecewiseSeries:
 class SMatrixEntries:
     """Truncated Neumann sums of the four canonical-series entries.
 
-    s11/s21 split at 1/r, s12/s22 split at r; tail_bound records the decay
-    rate r^{(2N+2)n} (diagonal) and r^{(2N+3)n} (off-diagonal) of the
-    discarded remainder, with the existential constant left at 1.
+    f and g are the two chains of _chain, in the window [-K, K]; the entries
+    s11..s22 are summed from them when first read.  s11/s21 split at 1/r,
+    s12/s22 split at r; tail_bound records the decay rate r^{(2N+2)n}
+    (diagonal) and r^{(2N+3)n} (off-diagonal) of the discarded remainder,
+    with the existential constant left at 1.
     """
 
     n: int
     K_neumann: int
-    s11: PiecewiseSeries
-    s12: PiecewiseSeries
-    s21: PiecewiseSeries
-    s22: PiecewiseSeries
     r: float
     tail_bound: dict
+    K: int
+    rho: float
+    f: list = field(repr=False)
+    g: list = field(repr=False)
+
+    def _entry(self, iterates: list, zeroth: float) -> PiecewiseSeries:
+        """zeroth plus the iterates, summed in ascending order into zeroed
+        (inner, outer) rows."""
+        K = self.K
+        acc = np.zeros((2, 2 * K + 1), dtype=complex)
+        acc[:, K] = zeroth    # the zeroth iterate 1 on both sides of s11 and s22
+        for pair in iterates:
+            for row, (first, c) in zip(acc, pair):
+                row[first:first + c.size] += c
+        r_plus = (1.0 / self.rho) if self.rho > 0.0 else math.inf
+        return PiecewiseSeries(LaurentSeries(acc[0], K, 0.0, r_plus),
+                               LaurentSeries(acc[1], K, self.rho, math.inf))
+
+    @cached_property
+    def s11(self) -> PiecewiseSeries:
+        return self._entry(self.f[1::2], 1.0)
+
+    @cached_property
+    def s12(self) -> PiecewiseSeries:
+        return self._entry(self.f[0::2], 0.0)
+
+    @cached_property
+    def s21(self) -> PiecewiseSeries:
+        return self._entry(self.g[0::2], 0.0)
+
+    @cached_property
+    def s22(self) -> PiecewiseSeries:
+        return self._entry(self.g[1::2], 1.0)
 
     def to_manifest(self) -> dict:
-        return {"n": self.n, "n_terms": self.K_neumann, "r": self.r,
-                "K": self.s11.inner.K,
+        return {"n": self.n, "n_terms": self.K_neumann, "r": self.r, "K": self.K,
                 "tail_bound": {k: float(v) for k, v in self.tail_bound.items()}}
 
 
 def _operator(f: tuple, n: int, sz: SzegoData, interior: bool) -> tuple:
-    """One operator step on a banded row, as the (inner, outer) banded rows.
+    """One operator step on a banded row, as the (inner, outer) banded rows
+    and the largest magnitude over both.
 
     A banded row is (first, c): the index of c[0] in the window [-K, K] of
     sz, counted from 0 at -K, and the coefficients from the first to the
@@ -102,7 +134,10 @@ def _operator(f: tuple, n: int, sz: SzegoData, interior: bool) -> tuple:
     window before the shift and the shifted rows again after it; P_+ keeps
     exponents >= 0, P_- the rest.  Only the bands are multiplied, so an
     exponent that no pair of the two bands reaches is an exact zero, and
-    denoised() is what leaves S and 1/S banded.
+    denoised() is what leaves S and 1/S banded.  The in-window slice of
+    the scaled h is the union of the two branches, so its largest magnitude
+    is theirs; the outer branch is scaled on its own, by -scale, so that the
+    sign of a zero part is that of the product.
     """
     K = sz.K
     if n > K:
@@ -113,16 +148,18 @@ def _operator(f: tuple, n: int, sz: SzegoData, interior: bool) -> tuple:
         (s_first, s), shift, scale = sz.bands[1], -n, sz.tau ** 2
     first, c = f
     if not (s.size and c.size):
-        return (K, c[:0]), (K, c[:0])
+        return (K, c[:0]), (K, c[:0]), 0.0
     h = np.convolve(s, c)
     start = s_first + first - K     # window index of h[0]
     lo, hi = max(start, 0), min(start + h.size, 2 * K + 1)
     start, lo, hi = start + shift, max(lo + shift, 0), min(hi + shift, 2 * K + 1)
-
-    def piece(a: int, b: int, factor: float) -> tuple:
-        return band(h[a - start:b - start] * factor, a) if a < b else (a, h[:0])
-
-    return piece(max(lo, K), hi, scale), piece(lo, min(hi, K), -scale)
+    if lo >= hi:    # no exponent of the shifted h is in the window
+        return (K, h[:0]), (K, h[:0]), 0.0
+    scaled = h[lo - start:hi - start] * scale
+    mid, top = max(lo, K), min(hi, K)   # the inner branch from mid, the outer up to top
+    inner = band(scaled[mid - lo:], mid) if mid < hi else (mid, h[:0])
+    outer = band(h[lo - start:top - start] * -scale, lo) if lo < top else (lo, h[:0])
+    return inner, outer, np.abs(scaled).max()
 
 
 def _window(row: tuple, K: int) -> np.ndarray:
@@ -140,7 +177,7 @@ def _piecewise(f: LaurentSeries, n: int, sz: SzegoData, interior: bool) -> Piece
     if not lo < hi:
         raise DisjointAnnuliError(f"annuli ({f.r_inner}, {f.r_outer}) and "
                                   f"({symbol.r_inner}, {symbol.r_outer}) do not overlap")
-    inner, outer = _operator(band(f.coeffs, sz.K - f.K), n, sz, interior)
+    inner, outer, _ = _operator(band(f.coeffs, sz.K - f.K), n, sz, interior)
     return PiecewiseSeries(LaurentSeries(_window(inner, sz.K), sz.K, 0.0, hi),
                            LaurentSeries(_window(outer, sz.K), sz.K, lo, math.inf))
 
@@ -175,20 +212,20 @@ def _chain(n: int, sz: SzegoData, interior: bool, steps: int) -> list:
     """
     row, pairs, last = (sz.K, np.ones(1, dtype=complex)), [], 0.0
     for k in range(steps):
-        pair = _operator(row, n, sz, interior)
-        norm = np.maximum(*(np.abs(c).max(initial=0.0) for _, c in pair))
+        inner, outer, norm = _operator(row, n, sz, interior)
         if k and norm > last > 1e-300:
             raise NeumannDivergenceError(
                 f"iterate norms grow at step {k} ({last:.3e} -> {norm:.3e}); "
                 "the Neumann iterates do not contract at this degree")
-        pairs.append(pair)
-        row, interior, last = pair[1 if interior else 0], not interior, norm
+        pairs.append((inner, outer))
+        row, interior, last = outer if interior else inner, not interior, norm
     return pairs
 
 
 def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
                   r: float | None = None) -> SMatrixEntries:
-    """Alternating operator iterates summed into the four S entries.
+    """The two chains of alternating operator iterates behind the four S
+    entries.
 
     The f chain starts with the interior operator, the g chain with the
     exterior one; each runs 2 n_terms + 1 steps.  The odd iterates sum to
@@ -199,29 +236,17 @@ def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     r = default_lens_radius(sz.rho) if r is None else r
-    K = sz.K
-    r_plus = (1.0 / sz.rho) if sz.rho > 0.0 else math.inf
-    f = _chain(n, sz, True, 2 * n_terms + 1)     # f[0] is f^(1)
-    g = _chain(n, sz, False, 2 * n_terms + 1)
-    entries = []
-    for iterates, zeroth in ((f[1::2], 1.0), (f[0::2], 0.0), (g[0::2], 0.0), (g[1::2], 1.0)):
-        # an (inner, outer) pair; s11 and s21 split at 1/r, s12 and s22 at r
-        acc = np.zeros((2, 2 * K + 1), dtype=complex)
-        acc[:, K] = zeroth    # the zeroth iterate 1 on both sides of s11 and s22
-        for pair in iterates:
-            for row, (first, c) in zip(acc, pair):
-                row[first:first + c.size] += c
-        entries.append(PiecewiseSeries(LaurentSeries(acc[0], K, 0.0, r_plus),
-                                       LaurentSeries(acc[1], K, sz.rho, math.inf)))
-    s11, s12, s21, s22 = entries
     return SMatrixEntries(
-        n=n, K_neumann=n_terms, s11=s11, s12=s12, s21=s21, s22=s22, r=r,
+        n=n, K_neumann=n_terms, r=r,
         tail_bound={
             "s11": r ** ((2 * n_terms + 2) * n),
             "s12": r ** ((2 * n_terms + 3) * n),
             "s21": r ** ((2 * n_terms + 3) * n),
             "s22": r ** ((2 * n_terms + 2) * n),
-        })
+        },
+        K=sz.K, rho=sz.rho,
+        f=_chain(n, sz, True, 2 * n_terms + 1),     # f[0] is f^(1)
+        g=_chain(n, sz, False, 2 * n_terms + 1))
 
 
 def reconstruct_phi(e: SMatrixEntries, sz: SzegoData, z) -> complex:
@@ -260,19 +285,26 @@ def kappa_estimate(n: int, sz: SzegoData) -> float:
     (tau^2 / 2 pi) * sum_{k > -n-1} |S_k|^2."""
     if n + 1 > sz.K:
         raise ValueError(f"need scattering coefficients to order {n + 1}, have K = {sz.K}")
-    ks = np.arange(-sz.K, sz.K + 1)
-    mask = ks > -(n + 1)
-    total = float(np.sum(np.abs(sz.S.coeffs[mask]) ** 2))
+    total = float(np.sum(np.abs(sz.S.coeffs[sz.K - n:]) ** 2))
     return sz.tau ** 2 / (2.0 * np.pi) * total
+
+
+def _origin(e: SMatrixEntries, iterates: list, total: complex) -> complex:
+    """total plus the coefficient of z^0 of each iterate's inner row, added
+    in the order SMatrixEntries._entry sums them."""
+    for (first, c), _ in iterates:
+        if first <= e.K < first + c.size:
+            total += c[e.K - first]
+    return complex(total)
 
 
 def neumann_alpha(e: SMatrixEntries, sz: SzegoData) -> complex:
     """Level-2 Verblunsky coefficient alpha_{e.n - 1} from the Neumann sums of
-    degree e.n: conj(tau^2 S_12(e.n; 0))."""
-    return complex(np.conj(sz.tau ** 2 * e.s12.inner.coeff(0)))
+    degree e.n: conj(tau^2 S_12(e.n; 0)), read from the f chain."""
+    return complex(np.conj(sz.tau ** 2 * _origin(e, e.f[0::2], 0j)))
 
 
 def neumann_kappa_sq(e: SMatrixEntries, sz: SzegoData) -> float:
     """Level-2 kappa_{e.n - 1}^2 from the Neumann sums of degree e.n:
-    (tau^2 / 2 pi) * S_22(e.n; 0)."""
-    return float((sz.tau ** 2 / (2.0 * np.pi) * e.s22.inner.coeff(0)).real)
+    (tau^2 / 2 pi) * S_22(e.n; 0), read from the g chain."""
+    return float((sz.tau ** 2 / (2.0 * np.pi) * _origin(e, e.g[1::2], 1 + 0j)).real)

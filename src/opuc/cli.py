@@ -171,9 +171,13 @@ def _is_int(x) -> bool:
 
 
 def _write_csv(path: str, cfg: RunConfig, header: list, rows) -> None:
+    """rows are tuples rendered value by value, or the rendered rows as one str."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# config_sha256={cfg.sha256} opuc_version={__version__}\n")
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, str):
+            fh.write(rows)
+            return
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -268,10 +272,13 @@ def _predict_scattering(cfg: RunConfig, spec) -> int:
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
                ["n", "alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
                 "kappa1_sq", "kappa2_sq"], rows)
-    _write_csv(os.path.join(cfg.outputs, "scattering.csv"), cfg,
-               ["k", "re", "im"],
-               [(k, sz.S.coeff(k).real, sz.S.coeff(k).imag)
-                for k in range(-sz.K, sz.K + 1)])
+    c = sz.S.coeffs
+    values = [None] * (3 * c.size)
+    values[0::3] = range(-sz.K, sz.K + 1)
+    values[1::3], values[2::3] = c.real.tolist(), c.imag.tolist()
+    # %.17g renders a float as _fmt does, nan, inf and -0 included
+    _write_csv(os.path.join(cfg.outputs, "scattering.csv"), cfg, ["k", "re", "im"],
+               "%d,%.17g,%.17g\n" * c.size % tuple(values))
     _write_json(os.path.join(cfg.outputs, "smatrix_manifest.json"), cfg,
                 {"schema": "opuc.smatrix/1", "entries": manifests})
     return 0

@@ -297,6 +297,48 @@ def test_kappa_increments_are_coefficient_magnitudes(bs2_szego):
         assert abs(inc - want) <= 1e-15
 
 
+@pytest.fixture(scope="module")
+def bs13_szego():
+    # the bs-dense sizes: c = 1.3, n <= 150, K = 668
+    return szego_data_for(bernstein_szego(1.3), default_truncation_order(150))
+
+
+def bits(x) -> bytes:
+    """The IEEE bits of the real and imaginary parts, signs of zeros included."""
+    return np.array([complex(x).real, complex(x).imag]).tobytes()
+
+
+@pytest.mark.parametrize("weight", ["bs-1.3", "ess-0.5"])
+def test_level2_readouts_equal_the_built_entries(weight, bs13_szego):
+    # neumann_alpha and neumann_kappa_sq add coefficient 0 of the chains in
+    # the order the entries accumulate it, so they must give the bits of the
+    # values read from the built s12 and s22, the sign of a zero part included;
+    # what the CLI reads (the two readouts and the manifest) builds no entry
+    sz = (bs13_szego if weight == "bs-1.3"
+          else szego_data_for(essential(0.5), bs13_szego.K))
+    for n in range(1, 152):
+        e = neumann_solve(n, sz)
+        alpha, kappa_sq = neumann_alpha(e, sz), neumann_kappa_sq(e, sz)
+        assert e.to_manifest()["K"] == sz.K
+        assert {"s11", "s12", "s21", "s22"}.isdisjoint(vars(e)), n
+        built_alpha = complex(np.conj(sz.tau ** 2 * e.s12.inner.coeff(0)))
+        built_kappa_sq = float((sz.tau ** 2 / (2.0 * np.pi) * e.s22.inner.coeff(0)).real)
+        assert bits(alpha) == bits(built_alpha), n
+        assert bits(kappa_sq) == bits(built_kappa_sq), n
+
+
+def test_kappa_estimate_is_the_masked_parseval_sum(bs13_szego):
+    # the contiguous tail S_{-n}..S_K holds the elements that the mask
+    # k > -(n + 1) picks, in the same order, so the sum has the same bits
+    from opuc.weights import rational_modulus
+    for sz in (bs13_szego, szego_data_for(essential(0.5), 228),
+               szego_data_for(rational_modulus([2.0, -2.0]), 228)):
+        ks = np.arange(-sz.K, sz.K + 1)
+        for n in range(sz.K):
+            total = float(np.sum(np.abs(sz.S.coeffs[ks > -(n + 1)]) ** 2))
+            assert kappa_estimate(n, sz) == sz.tau ** 2 / (2.0 * np.pi) * total, n
+
+
 def test_verblunsky_error_decay_rate():
     # closed forms for |1 - z/2|^2: the level-1 gap shrinks by 1/8 per degree
     ns = np.arange(4, 17)
