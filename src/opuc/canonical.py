@@ -86,34 +86,26 @@ class SMatrixEntries:
     f: list = field(repr=False)
     g: list = field(repr=False)
 
-    def _entry(self, iterates: list, zeroth: float) -> PiecewiseSeries:
-        """zeroth plus the iterates, summed in ascending order into zeroed
-        (inner, outer) rows."""
-        K = self.K
-        acc = np.zeros((2, 2 * K + 1), dtype=complex)
-        acc[:, K] = zeroth    # the zeroth iterate 1 on both sides of s11 and s22
-        for pair in iterates:
-            for row, (first, c) in zip(acc, pair):
-                row[first:first + c.size] += c
-        r_plus = (1.0 / self.rho) if self.rho > 0.0 else math.inf
-        return PiecewiseSeries(LaurentSeries(acc[0], K, 0.0, r_plus),
-                               LaurentSeries(acc[1], K, self.rho, math.inf))
+    @property
+    def _annulus(self) -> tuple:
+        """(rho, 1/rho), the annulus of S that the entries converge on."""
+        return self.rho, (1.0 / self.rho if self.rho > 0.0 else math.inf)
 
     @cached_property
     def s11(self) -> PiecewiseSeries:
-        return self._entry(self.f[1::2], 1.0)
+        return _summed(self.f[1::2], 1.0, self.K, *self._annulus)
 
     @cached_property
     def s12(self) -> PiecewiseSeries:
-        return self._entry(self.f[0::2], 0.0)
+        return _summed(self.f[0::2], 0.0, self.K, *self._annulus)
 
     @cached_property
     def s21(self) -> PiecewiseSeries:
-        return self._entry(self.g[0::2], 0.0)
+        return _summed(self.g[0::2], 0.0, self.K, *self._annulus)
 
     @cached_property
     def s22(self) -> PiecewiseSeries:
-        return self._entry(self.g[1::2], 1.0)
+        return _summed(self.g[1::2], 1.0, self.K, *self._annulus)
 
     def to_manifest(self) -> dict:
         return {"n": self.n, "n_terms": self.K_neumann, "r": self.r, "K": self.K,
@@ -162,11 +154,17 @@ def _operator(f: tuple, n: int, sz: SzegoData, interior: bool) -> tuple:
     return inner, outer, np.abs(scaled).max()
 
 
-def _window(row: tuple, K: int) -> np.ndarray:
-    first, c = row
-    out = np.zeros(2 * K + 1, dtype=complex)
-    out[first:first + c.size] = c
-    return out
+def _summed(pairs: list, zeroth: float, K: int, lo: float, hi: float) -> PiecewiseSeries:
+    """zeroth plus the banded (inner, outer) pairs, summed in ascending order
+    into zeroed rows of the window [-K, K]; the inner series holds for
+    |z| < hi, the outer one for |z| > lo."""
+    acc = np.zeros((2, 2 * K + 1), dtype=complex)
+    acc[:, K] = zeroth    # the zeroth iterate 1 on both sides of s11 and s22
+    for pair in pairs:
+        for row, (first, c) in zip(acc, pair):
+            row[first:first + c.size] += c
+    return PiecewiseSeries(LaurentSeries(acc[0], K, 0.0, hi),
+                           LaurentSeries(acc[1], K, lo, math.inf))
 
 
 def _piecewise(f: LaurentSeries, n: int, sz: SzegoData, interior: bool) -> PiecewiseSeries:
@@ -178,8 +176,7 @@ def _piecewise(f: LaurentSeries, n: int, sz: SzegoData, interior: bool) -> Piece
         raise DisjointAnnuliError(f"annuli ({f.r_inner}, {f.r_outer}) and "
                                   f"({symbol.r_inner}, {symbol.r_outer}) do not overlap")
     inner, outer, _ = _operator(band(f.coeffs, sz.K - f.K), n, sz, interior)
-    return PiecewiseSeries(LaurentSeries(_window(inner, sz.K), sz.K, 0.0, hi),
-                           LaurentSeries(_window(outer, sz.K), sz.K, lo, math.inf))
+    return _summed([(inner, outer)], 0.0, sz.K, lo, hi)
 
 
 def apply_M_interior(f: LaurentSeries, n: int, sz: SzegoData) -> PiecewiseSeries:
@@ -291,7 +288,7 @@ def kappa_estimate(n: int, sz: SzegoData) -> float:
 
 def _origin(e: SMatrixEntries, iterates: list, total: complex) -> complex:
     """total plus the coefficient of z^0 of each iterate's inner row, added
-    in the order SMatrixEntries._entry sums them."""
+    in the order _summed sums them."""
     for (first, c), _ in iterates:
         if first <= e.K < first + c.size:
             total += c[e.K - first]

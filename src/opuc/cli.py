@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -50,10 +50,13 @@ class MissingInputError(RuntimeError):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+def _fill(row: str, columns: list, sep: str) -> str:
+    """row once per item, joined by sep and filled by one %-format from the
+    equal-length value columns, read item by item."""
+    values = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        values[i::len(columns)] = column
+    return sep.join([row] * len(columns[0])) % tuple(values)
 
 
 def _json(obj, pad: str = "") -> str:
@@ -69,9 +72,8 @@ def _json(obj, pad: str = "") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = _rows(obj, inner)
-        if body is None:
-            body = ",\n".join(inner + _json(v, inner) for v in obj)
+        rows = _rows(obj, inner)
+        body = _fill(*rows, ",\n") if rows else ",\n".join(inner + _json(v, inner) for v in obj)
         return "[\n" + body + f"\n{pad}]"
     if isinstance(obj, float):
         return format(obj, ".17g") if math.isfinite(obj) else "null"
@@ -81,40 +83,37 @@ def _json(obj, pad: str = "") -> str:
 
 
 def _rows(items, pad: str):
-    """The items of a non-empty list rendered at indent pad and joined, by
-    one %-format over a row template built once for the list, when they are
-    all finite complex numbers, or all dicts with one key set whose values
-    under each key are all finite floats or all strings; None for any other
-    list, which _json then renders item by item."""
-    if all(map(isinstance, items, repeat(complex))):
-        pairs = np.array(items, dtype=complex).view(float).reshape(-1, 2)
-        if not np.all(np.isfinite(pairs)):
-            return None
-        keys, formats = ["im", "re"], ["%.17g", "%.17g"]
-        values = pairs[:, ::-1].ravel().tolist()
-    else:
-        first = items[0]
-        if not (first and all(map(isinstance, items, repeat(dict)))
-                and all(v.keys() == first.keys() for v in items)):
-            return None
-        keys, formats, columns = sorted(first), [], []
-        for k in keys:
-            column = [row[k] for row in items]
-            if all(map(isinstance, column, repeat(float))) and all(map(math.isfinite, column)):
-                formats.append("%.17g")
-            elif all(map(isinstance, column, repeat(str))):
-                quoted = {v: json.dumps(v) for v in set(column)}
-                column = [quoted[v] for v in column]
-                formats.append("%s")
-            else:
-                return None
-            columns.append(column)
-        values = list(chain.from_iterable(zip(*columns)))
+    """The row template at indent pad and the value columns with which _fill
+    renders the items of a non-empty list: all finite complex numbers, or all
+    dicts with one key set whose values under each key are all finite floats,
+    all ints, all strings or a list that renders this way itself; None for
+    any other list, which _json then renders item by item."""
     inner = pad + "  "
-    fields = [f"{inner}{json.dumps(str(k)).replace('%', '%%')}: {f}"
-              for k, f in zip(keys, formats)]
-    row = f"{pad}{{\n" + ",\n".join(fields) + f"\n{pad}}}"
-    return ",\n".join([row] * len(items)) % tuple(values)
+    if all(map(isinstance, items, repeat(complex))):
+        values = np.array(items, dtype=complex)
+        by_key = {"im": values.imag.tolist(), "re": values.real.tolist()}
+    elif not (items[0] and all(map(isinstance, items, repeat(dict)))
+              and all(v.keys() == items[0].keys() for v in items)):
+        return None
+    else:
+        by_key = {k: [row[k] for row in items] for k in items[0]}
+    fields, columns = [], []
+    for k in sorted(by_key):
+        column = by_key[k]
+        if all(map(isinstance, column, repeat(float))) and all(map(math.isfinite, column)):
+            cell, column = "%.17g", [column]
+        elif all(type(v) is int for v in column):   # a bool is JSON true or false
+            cell, column = "%d", [column]
+        elif all(map(isinstance, column, repeat(str))):
+            quoted = {v: json.dumps(v) for v in set(column)}
+            cell, column = "%s", [[quoted[v] for v in column]]
+        elif (nested := _rows(column, inner)) is None:
+            return None
+        else:   # dicts or complex numbers, rendered as rows at this key
+            cell, column = nested[0][len(inner):], nested[1]
+        fields.append(f"{inner}{json.dumps(str(k)).replace('%', '%%')}: {cell}")
+        columns += column
+    return f"{pad}{{\n" + ",\n".join(fields) + f"\n{pad}}}", columns
 
 
 @dataclass
@@ -170,16 +169,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _write_csv(path: str, cfg: RunConfig, header: list, rows) -> None:
-    """rows are tuples rendered value by value, or the rendered rows as one str."""
+def _write_csv(path: str, cfg: RunConfig, header: list, *columns) -> None:
+    """One row per item of the equal-length value columns, every cell %.17g
+    (an int below 1e17 prints as an integer)."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# config_sha256={cfg.sha256} opuc_version={__version__}\n")
-        fh.write(",".join(header) + "\n")
-        if isinstance(rows, str):
-            fh.write(rows)
-            return
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(f"# config_sha256={cfg.sha256} opuc_version={__version__}\n{','.join(header)}\n")
+        fh.write(_fill(",".join(["%.17g"] * len(columns)) + "\n", columns, ""))
 
 
 def _write_json(path: str, cfg: RunConfig, obj: dict) -> None:
@@ -218,23 +213,19 @@ def cmd_oracle(cfg: RunConfig) -> int:
     except ValueError as exc:   # N_quad too small, or a non-finite weight sample
         raise ConfigError(str(exc))
     result = szego_recurrence(moms, n_max)
+    ns = range(n_max + 1)
+    alpha_re, alpha_im = result.alpha.real.tolist(), result.alpha.imag.tolist()
+    kappa, log_det = result.kappa.tolist(), result.log_det.tolist()
     _write_csv(os.path.join(cfg.outputs, "alpha.csv"), cfg,
-               ["n", "alpha_re", "alpha_im"],
-               [(n, result.alpha[n].real, result.alpha[n].imag) for n in range(n_max)])
+               ["n", "alpha_re", "alpha_im"], ns[:-1], alpha_re, alpha_im)
+    # each numpy scalar squared on its own: the array square differs in the last bit
     _write_csv(os.path.join(cfg.outputs, "kappa.csv"), cfg,
-               ["n", "kappa", "kappa_sq"],
-               [(n, float(result.kappa[n]), float(result.kappa[n] ** 2))
-                for n in range(n_max + 1)])
+               ["n", "kappa", "kappa_sq"], ns, kappa, [float(k ** 2) for k in result.kappa])
     _write_csv(os.path.join(cfg.outputs, "logdet.csv"), cfg,
-               ["n", "log_det"],
-               [(n, float(result.log_det[n])) for n in range(n_max + 1)])
+               ["n", "log_det"], ns, log_det)
     _write_csv(os.path.join(cfg.outputs, "oracle.csv"), cfg,
                ["n", "alpha_re", "alpha_im", "kappa", "log_det"],
-               [(n,
-                 result.alpha[n].real if n < n_max else float("nan"),
-                 result.alpha[n].imag if n < n_max else float("nan"),
-                 float(result.kappa[n]), float(result.log_det[n]))
-                for n in range(n_max + 1)])
+               ns, alpha_re + [math.nan], alpha_im + [math.nan], kappa, log_det)
     rho = spec.base.rho
     # zeros of the last three degrees written; across a gap in n_list their
     # sizes are not n - 1, n - 2, n - 3, and roots leaves them out
@@ -271,14 +262,10 @@ def _predict_scattering(cfg: RunConfig, spec) -> int:
         manifests.append(e.to_manifest())
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
                ["n", "alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
-                "kappa1_sq", "kappa2_sq"], rows)
+                "kappa1_sq", "kappa2_sq"], *zip(*rows))
     c = sz.S.coeffs
-    values = [None] * (3 * c.size)
-    values[0::3] = range(-sz.K, sz.K + 1)
-    values[1::3], values[2::3] = c.real.tolist(), c.imag.tolist()
-    # %.17g renders a float as _fmt does, nan, inf and -0 included
     _write_csv(os.path.join(cfg.outputs, "scattering.csv"), cfg, ["k", "re", "im"],
-               "%d,%.17g,%.17g\n" * c.size % tuple(values))
+               range(-sz.K, sz.K + 1), c.real.tolist(), c.imag.tolist())
     _write_json(os.path.join(cfg.outputs, "smatrix_manifest.json"), cfg,
                 {"schema": "opuc.smatrix/1", "entries": manifests})
     return 0
@@ -297,7 +284,7 @@ def _predict_poles(cfg: RunConfig, spec) -> int:
         zero_doc[str(n)] = [complex(z) for z in dominant_pole_predicted_roots(p, sz, n)
                             if abs(z) < p.rho]
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
-               ["n", "alpha_re", "alpha_im"], rows)
+               ["n", "alpha_re", "alpha_im"], *zip(*rows))
     _write_json(os.path.join(cfg.outputs, "zeros_predicted.json"), cfg,
                 {"schema": "opuc.zeros/1", "predicted": zero_doc})
     return 0
@@ -320,12 +307,11 @@ def _predict_essential(cfg: RunConfig, spec) -> int:
              if not inverse else complex(float("nan"), float("nan")))
         rows.append((n, a.real, a.imag, sd.t_plus.real, sd.t_plus.imag, sd.residual))
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
-               ["n", "alpha_re", "alpha_im", "t_plus_re", "t_plus_im", "residual"], rows)
+               ["n", "alpha_re", "alpha_im", "t_plus_re", "t_plus_im", "residual"], *zip(*rows))
     lc = level_curve(sd)   # n_list ascends, so sd is the saddle of degree n_max
     _write_csv(os.path.join(cfg.outputs, "levelcurve.csv"), cfg,
-               ["re", "im", "component_id"],
-               [(float(p.real), float(p.imag), int(c))
-                for p, c in zip(lc.points, lc.component_ids)])
+               ["re", "im", "component_id"], lc.points.real.tolist(),
+               lc.points.imag.tolist(), lc.component_ids.tolist())
     return 0
 
 
@@ -340,7 +326,7 @@ def _predict_zero_weight(cfg: RunConfig, spec) -> int:
         zero_doc[str(n)] = pr
         rows.append((n, kappa_zero_weight(msz, n), len(pr)))
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
-               ["n", "kappa_sq_pred", "n_predicted_interior_zeros"], rows)
+               ["n", "kappa_sq_pred", "n_predicted_interior_zeros"], *zip(*rows))
     _write_json(os.path.join(cfg.outputs, "zeros_predicted.json"), cfg,
                 {"schema": "opuc.zeros/1", "predicted": zero_doc})
     return 0
@@ -417,8 +403,13 @@ def cmd_compare(cfg: RunConfig) -> int:
     spec = _load_weight(cfg)
     out = cfg.outputs
     alpha_tab = _read_csv(os.path.join(out, "alpha.csv"))
-    pred_tab = _read_csv(os.path.join(out, "predictions.csv"))
+    pred_path = os.path.join(out, "predictions.csv")
+    pred_tab = _read_csv(pred_path)
     method, alpha_key = _infer_method(pred_tab)
+    pred_ns = pred_tab.get("n")
+    if pred_ns is None or not np.all(np.isfinite(pred_ns) & (pred_ns >= 0)
+                                     & (pred_ns == np.floor(pred_ns))):
+        raise MissingInputError(f"{pred_path} needs an n column of whole numbers >= 0")
 
     checks = []
     alpha = alpha_tab["alpha_re"] + 1j * alpha_tab["alpha_im"]
@@ -441,7 +432,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     # prediction error per degree: must not grow from first to last degree,
     # and on pole-type weights must fall at least like rho^{1.5 n}
-    pred_ns = pred_tab["n"].astype(int)
+    pred_ns = np.minimum(pred_ns, len(alpha)).astype(int)   # a degree past the oracle's is skipped
     if alpha_key is not None:
         pred_alpha = pred_tab[f"{alpha_key}_re"] + 1j * pred_tab[f"{alpha_key}_im"]
         shared = [(n, p) for n, p in zip(pred_ns, pred_alpha)

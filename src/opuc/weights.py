@@ -309,7 +309,8 @@ def weight_from_json(doc: dict) -> WeightSpec:
     """Build a catalog weight from its JSON description.
 
     An optional "rho" entry in [0, 1) overrides the derived Nevai-Totik
-    radius (used by diagnostics that cross-check a declared radius).
+    radius (used by diagnostics that cross-check a declared radius); a
+    zero_modified weight refuses it, since its radius is its base's.
     """
     if not isinstance(doc, dict):
         raise TypeError(f"a weight description must be a JSON object, got {doc!r}")
@@ -325,6 +326,8 @@ def weight_from_json(doc: dict) -> WeightSpec:
     elif kind == "inverse_essential":
         w = inverse_essential(_number(doc["rho"], "rho"))
     elif kind == "zero_modified":
+        if "rho" in doc:
+            raise ValueError("a rho override belongs on the zero_modified base weight")
         base = weight_from_json(doc["base"])
         if not isinstance(base, AnalyticWeight):
             raise ValueError("zero_modified base must be an analytic weight")

@@ -393,3 +393,12 @@ def json_reference(obj, pad: str = "") -> str:
     if isinstance(obj, (int, str)) or obj is None:   # bool is an int
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def csv_reference(header, rows) -> str:
+    """The CLI's CSV text after the config comment line, rendered value by
+    value: the header line, then one line per row with format(v, ".17g") for
+    a float and str for anything else (an int)."""
+    def cell(v):
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from opuc import __version__, cli
-from opuc.canonical import default_lens_radius, default_truncation_order
+from opuc.canonical import default_lens_radius, default_truncation_order, neumann_solve
 from opuc.cli import RunConfig, _write_json, main
+from opuc.oracle import moments, szego_recurrence
 from opuc.szego import szego_data_for, theta_constants
 from opuc.weights import weight_from_json
 from opuc.zeros import match
-from oracles import json_reference, theta_one_sided
+from oracles import csv_reference, json_reference, theta_one_sided
 
 
 def write_config(path, weight, n_list, outputs, **extra):
@@ -249,6 +250,19 @@ def test_rho_override_reaches_every_reader(tmp_path):
     assert sz.rho == sz.lhat.r_inner == 0.8
 
 
+@pytest.mark.parametrize("rho", [5, 0.5])
+def test_rho_override_on_zero_modified_weight_exits_2(tmp_path, capsys, rho):
+    # the radius of a zero-modified weight is its base's, where the override goes
+    weight = {"kind": "zero_modified", "base": {"kind": "bernstein_szego", "c": 2.0},
+              "zeros": [{"angle": 0.0, "beta": 0.5}], "rho": rho}
+    cfg = write_config(tmp_path / "cfg.json", weight, [4, 5], tmp_path / "out")
+    for argv in (["oracle"], ["predict", "--method", "zero-weight"]):
+        assert main(argv + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opuc: config error: ") and err.count("\n") == 1
+        assert "rho override belongs on the zero_modified base weight" in err
+
+
 def test_method_metadata_mismatch(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"kind": "lebesgue"}, [5],
                        tmp_path / "out")
@@ -386,6 +400,7 @@ def test_compare_missing_inputs(tmp_path):
     ("alpha.csv", None),                          # None: the config sha line alone
     ("predictions.csv", None),
     ("predictions.csv", "n,beta_re\n10,0.5\n"),   # no column a predict method writes
+    ("predictions.csv", "m,alpha_re,alpha_im\n10,0.5,0.1\n"),   # no n column
     # the scattering and the essential header, with no data row to check
     ("predictions.csv", "n,alpha1_re,alpha1_im,alpha2_re,alpha2_im,kappa1_sq,kappa2_sq\n"),
     ("predictions.csv", "n,alpha_re,alpha_im,t_plus_re,t_plus_im,residual\n"),
@@ -420,6 +435,40 @@ def test_compare_bad_csv_row_exits_5(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert err.startswith("opuc: ") and err.count("\n") == 1
     assert "predictions.csv line 4" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "-1", "2.5", "inf", "-0.5"])
+def test_compare_n_that_is_not_a_whole_number_exits_5(tmp_path, capsys, cell):
+    # -1 would index alpha from the end, and 2.5 would be truncated to 2
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       list(range(1, 13)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
+    path = tmp_path / "out" / "predictions.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[2].startswith("1,")
+    lines[2] = cell + lines[2][1:]    # the first data row, n = 1
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("opuc: ") and "predictions.csv" in err and err.count("\n") == 1
+
+
+def test_compare_skips_a_degree_past_the_oracle(tmp_path):
+    # a whole n beyond alpha.csv, however large, has no oracle value to score
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       list(range(1, 13)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
+    path = tmp_path / "out" / "predictions.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-1] = "1e20" + lines[-1][2:]    # the last data row, n = 12
+    path.write_text("".join(lines))
+    assert main(["compare", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    scored = next(c for c in report["checks"] if c["name"] == "alpha-error-decreasing")
+    assert [n for n, _ in scored["details"]["per_degree"]] == list(range(1, 12))
 
 
 @pytest.mark.parametrize("name, text", [
@@ -617,6 +666,68 @@ def test_json_renderer_matches_reference_on_oracle_documents(tmp_path, monkeypat
     [{"re": 0.5, "im": -0.0, "class": "band"}, {"re": 0.25, "class": "other"}],
     [{"re": 0.5, "im": 0.25}, {"re": 0.5, "im": "0.25"}],
     [{"100%": 0.5, "%s": "%d"}, {"100%": -1.5, "%s": "50%"}],
+    # manifest-shaped entries: int columns and nested dicts
+    [{"n": 5, "K": 10 ** 20, "r": 0.75, "tail_bound": {"s11": 1e-300, "s12": 0.0}},
+     {"n": -3, "K": 0, "r": 0.5, "tail_bound": {"s11": 2.5, "s12": -0.0}}],
+    [{"n": 1, "flag": True}, {"n": 2, "flag": False}],        # a bool column
+    [{"n": 1, "d": {"a": 1, "b": {"c": 0.5}}}, {"n": 2, "d": {"a": 2, "b": {"c": -1.5}}}],
+    [{"n": 1, "d": {"x": 0.5}}, {"n": 2, "d": {"x": math.nan}}],   # a nested non-finite
+    [{"n": 1, "d": {"5%": 0.5, "%d": 1}}, {"n": 2, "d": {"5%": 1.5, "%d": 2}}],
+    [{"n": 1, "d": {"a": 1}}, {"n": 2, "d": {"b": 1}}],       # nested key sets differ
+    [{"n": 1, "d": {}}, {"n": 2, "d": {}}],
+    [{"z": 1 + 2j, "n": 3}, {"z": -0.0j, "n": 4}],            # complex numbers at a key
+    [{"n": 1, "m": 2.5}, {"n": 2.5, "m": 1}],                  # ints mixed with floats
 ])
 def test_json_renderer_matches_reference(obj):
     assert cli._json(obj) == json_reference(obj)
+
+
+def test_manifest_entries_render_as_rows():
+    sz = szego_data_for(weight_from_json({"kind": "bernstein_szego", "c": 1.3}), 100)
+    entries = [neumann_solve(n, sz).to_manifest() for n in (3, 7, 12)]
+    rows = cli._rows(entries, "  ")
+    assert rows is not None
+    assert "[\n" + cli._fill(*rows, ",\n") + "\n]" == json_reference(entries)
+
+
+def test_csv_writer_matches_reference(tmp_path, monkeypatch):
+    tables = []
+    write_csv = cli._write_csv
+
+    def record(path, cfg, header, *columns):
+        tables.append((path, header, list(zip(*columns))))
+        write_csv(path, cfg, header, *columns)
+
+    monkeypatch.setattr(cli, "_write_csv", record)
+    zm = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
+          "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]}
+    runs = [({"kind": "bernstein_szego", "c": 1.3}, range(1, 41), "scattering", {}),
+            ({"kind": "rational_modulus", "cs": [2.0, -2.0]}, range(1, 13), "poles", {}),
+            ({"kind": "essential", "rho": 0.5}, range(10, 31), "essential", {}),
+            # alpha_n is nan on every row of this weight's predictions
+            ({"kind": "inverse_essential", "rho": 0.5}, range(10, 21), "essential", {}),
+            (zm, range(1, 41), "zero-weight", {"N_quad": 1 << 15})]
+    for i, (weight, ns, method, extra) in enumerate(runs):
+        cfg = write_config(tmp_path / f"cfg{i}.json", weight, list(ns),
+                           tmp_path / f"out{i}", **extra)
+        assert main(["oracle", "--config", cfg]) == 0
+        assert main(["predict", "--method", method, "--config", cfg]) == 0
+    names = [os.path.basename(path) for path, _, _ in tables]
+    assert names.count("oracle.csv") == 5 and names.count("predictions.csv") == 5
+    assert {"scattering.csv", "levelcurve.csv", "kappa.csv"} <= set(names)
+    for path, header, rows in tables:
+        with open(path) as fh:
+            comment, text = fh.read().split("\n", 1)
+        assert comment.startswith("# config_sha256=")
+        assert text == csv_reference(header, rows)
+
+
+def test_kappa_sq_squares_each_kappa(tmp_path):
+    # each numpy scalar squared on its own; at c = 2 the array square
+    # kappa ** 2 differs from it in the last bit at n = 1
+    weight = {"kind": "bernstein_szego", "c": 2.0}
+    cfg = write_config(tmp_path / "cfg.json", weight, list(range(1, 13)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    result = szego_recurrence(moments(weight_from_json(weight), 13), 12)
+    _, data = read_csv(tmp_path / "out" / "kappa.csv")
+    assert [row[2] for row in data] == [format(float(k ** 2), ".17g") for k in result.kappa]
