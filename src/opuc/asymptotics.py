@@ -212,7 +212,7 @@ def saddle_solve(rho: float, n: int, inverse: bool = False) -> SaddleData:
     step = math.sqrt(rho / (n + 1))
     worst = 0.0
     if not inverse:
-        f = lambda t: float(np.real(_saddle_equation(t, rho, n, sign)))
+        f = lambda t: _saddle_equation(t, rho, n, sign)   # real t: a float
         # f -> -inf at rho from both sides (the double pole dominates)
         t_plus = complex(_bisect_first_crossing(f, rho, step / 8.0,
                                                 0.5 * (rho + 1.0 / rho), 1e-12))
@@ -296,8 +296,7 @@ def level_curve(sd: SaddleData) -> LevelCurve:
     m = _RESOLUTION
     rs = np.linspace(_ANNULUS[0] * rho, r_outer * rho, m + 1)
     ths = np.linspace(-np.pi, np.pi, m + 1)   # wraps: first == last angle
-    R, T = np.meshgrid(rs, ths, indexing="ij")
-    Z = R * np.exp(1j * T)
+    Z = rs[:, None] * np.exp(1j * ths)
     vals = F(Z)
     neg = vals < 0
 
@@ -306,10 +305,13 @@ def level_curve(sd: SaddleData) -> LevelCurve:
 
     active = (at_all_corners(np.abs(Z - rho) >= _EXCLUDE_FRACTION * rho)
               & ~at_all_corners(vals > 0) & ~at_all_corners(neg))
-    crossing = np.stack([neg[:-1, :-1] != neg[1:, :-1],     # radial edge
-                         neg[:-1, :-1] != neg[:-1, 1:]],    # angular edge
-                        axis=-1) & active[..., None]
-    ci, cj, angular = np.nonzero(crossing)
+    cells = np.flatnonzero(active)    # i * m + j, ascending
+    ai, aj = np.divmod(cells, m)
+    corner = neg[ai, aj]
+    cell, angular = np.nonzero(np.stack([corner != neg[ai + 1, aj],    # radial edge
+                                         corner != neg[ai, aj + 1]],   # angular edge
+                                        axis=1))
+    ci, cj = ai[cell], aj[cell]
     if ci.size == 0:
         raise RuntimeError("no level-curve crossings found at the requested level")
 
@@ -329,8 +331,6 @@ def level_curve(sd: SaddleData) -> LevelCurve:
         z0, f0 = np.where(left, z0, zm), np.where(left, f0, fm)
 
     # components: merge active cells along 8-neighbour pairs, angle wrapping
-    cells = np.flatnonzero(active)    # i * m + j, ascending
-    ai, aj = np.divmod(cells, m)
     di, dj = np.array([1, 0, 1, 1]), np.array([0, 1, 1, -1])
     nb = (ai[:, None] + di) * m + (aj[:, None] + dj) % m   # past the last ring: >= m*m
     k = np.minimum(np.searchsorted(cells, nb), cells.size - 1)
@@ -339,8 +339,7 @@ def level_curve(sd: SaddleData) -> LevelCurve:
     for x, y in zip(a.tolist(), k[a, b].tolist()):
         if comp[x] != comp[y]:
             comp[comp == comp[y]] = comp[x]
-    _, first, inv = np.unique(comp[np.searchsorted(cells, ci * m + cj)],
-                              return_index=True, return_inverse=True)
+    _, first, inv = np.unique(comp[cell], return_index=True, return_inverse=True)
     comp_ids = np.argsort(np.argsort(first))[inv]
     return LevelCurve(points, comp_ids, first.size, psi_ref + level,
                       float(resid.max()))

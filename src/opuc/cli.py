@@ -306,9 +306,12 @@ def _predict_essential(cfg: RunConfig, spec) -> int:
         a = (verblunsky_essential_asymptote(sd, spec)
              if not inverse else complex(float("nan"), float("nan")))
         rows.append((n, a.real, a.imag, sd.t_plus.real, sd.t_plus.imag, sd.residual))
+    try:
+        lc = level_curve(sd)   # n_list ascends, so sd is the saddle of degree n_max
+    except RuntimeError as exc:
+        raise ConfigError(f"degree {n} at rho = {spec.rho}: {exc}")
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
                ["n", "alpha_re", "alpha_im", "t_plus_re", "t_plus_im", "residual"], *zip(*rows))
-    lc = level_curve(sd)   # n_list ascends, so sd is the saddle of degree n_max
     _write_csv(os.path.join(cfg.outputs, "levelcurve.csv"), cfg,
                ["re", "im", "component_id"], lc.points.real.tolist(),
                lc.points.imag.tolist(), lc.component_ids.tolist())
@@ -345,7 +348,19 @@ def cmd_predict(cfg: RunConfig, method: str) -> int:
         raise ConfigError(str(exc))
 
 
-def _read_csv(path: str) -> dict:
+class _Table(dict):
+    """The columns of an input table by header name; reading one the header
+    lacks is malformed input."""
+
+    def __init__(self, path: str, columns: dict):
+        super().__init__(columns)
+        self.path = path
+
+    def __missing__(self, name):
+        raise MissingInputError(f"{self.path} has no {name} column")
+
+
+def _read_csv(path: str) -> _Table:
     if not os.path.exists(path):
         raise MissingInputError(f"missing input table: {path}")
     with open(path) as fh:
@@ -367,7 +382,7 @@ def _read_csv(path: str) -> dict:
                 cols[h].append(float(v))
         except ValueError:
             raise MissingInputError(f"{path} line {i}: non-numeric cell in {ln!r}")
-    return {h: np.array(v) for h, v in cols.items()}
+    return _Table(path, {h: np.array(v) for h, v in cols.items()})
 
 
 def _read_json(path: str, parse):

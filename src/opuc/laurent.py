@@ -50,6 +50,15 @@ def band(c: np.ndarray, first: int = 0) -> tuple[int, np.ndarray]:
     return first + int(nz[0]), c[nz[0]:nz[-1] + 1]
 
 
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k x^k by Horner's rule, in numpy.polynomial.polynomial.polyval's
+    operations and order, so equal to it bit for bit."""
+    out = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        out = ck + out * x
+    return out
+
+
 def default_grid_size(K: int) -> int:
     """Power-of-two grid size with comfortable oversampling for order K."""
     return _next_pow2(max(256, 8 * (K + 1)))
@@ -119,11 +128,11 @@ class LaurentSeries:
             bad = zarr[~inside][0]
             raise OutOfAnnulusError(
                 f"|z| = {abs(bad):.6g} outside annulus ({self.r_inner:.6g}, {self.r_outer:.6g})")
-        out = np.polynomial.polynomial.polyval(zarr, self.plus_coeffs)
+        out = _horner(self.plus_coeffs, zarr)
         minus = self.minus_coeffs
         if np.any(minus):
             u = 1.0 / zarr
-            out = out + u * np.polynomial.polynomial.polyval(u, minus)
+            out = out + u * _horner(minus, u)
         return complex(out[0]) if scalar else out
 
 

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .laurent import LaurentSeries, band, coefficients_from_samples, default_grid_size
+from .laurent import (LaurentSeries, _horner, band, coefficients_from_samples,
+                      default_grid_size)
 from .weights import AnalyticWeight, ZeroModifiedWeight, log_weight_coefficients
 
 __all__ = [
@@ -102,12 +103,12 @@ def szego_function(d: SzegoData, z, side: str):
     if side == "interior":
         if d.rho > 0.0 and np.any(np.abs(zarr) >= 1.0 / d.rho):
             raise ValueError(f"interior Szego function only continues to |z| < {1.0 / d.rho:.6g}")
-        out = np.exp(0.5 * l0 + np.polynomial.polynomial.polyval(zarr, plus))
+        out = np.exp(0.5 * l0 + _horner(plus, zarr))
     elif side == "exterior":
         if np.any(np.abs(zarr) <= d.rho):
             raise ValueError(f"exterior Szego function only continues to |z| > {d.rho:.6g}")
         u = 1.0 / zarr
-        out = np.exp(-0.5 * l0 - np.polynomial.polynomial.polyval(u, np.conj(plus)))
+        out = np.exp(-0.5 * l0 - _horner(np.conj(plus), u))
     else:
         raise ValueError(f"side must be 'interior' or 'exterior', got {side!r}")
     return complex(out[0]) if scalar else out

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from opuc.asymptotics import LevelCurve
+from opuc.asymptotics import (_ANNULUS, _EXCLUDE_FRACTION, _REFINE_TOL, _RESOLUTION,
+                              LevelCurve, SaddleData)
 from opuc.laurent import DisjointAnnuliError, LaurentSeries
 from opuc.oracle import OpucResult, default_quadrature_size
 from opuc.szego import SzegoData, szego_function
@@ -162,6 +163,71 @@ def distance(lc: LevelCurve, z) -> np.ndarray:
     """Distance from each point z to the nearest point of the level curve."""
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     return np.min(np.abs(zarr[:, None] - lc.points[None, :]), axis=1)
+
+
+def level_curve_reference(sd: SaddleData) -> LevelCurve:
+    """asymptotics.level_curve as it was with a meshgrid polar grid and the
+    crossings read off the full (cell, edge) grid: the extraction that the
+    one-row grid and the active-cell crossings are checked against bit for bit."""
+    rho, n = sd.rho, sd.n
+    level = (1.0 / n) * math.log(rho ** 0.75 / (2.0 * math.sqrt(math.pi) * n ** 0.75))
+    r_outer = min(_ANNULUS[1], 0.5 * (1.0 + 1.0 / rho ** 2))
+    psi_ref = float(np.real(sd.psi(sd.t_plus)))
+    sign = -1.0 if sd.inverse else 1.0
+
+    def F(z):
+        lam = 1.0 / (z - rho) + z / (rho * z - 1.0)
+        return np.log(np.abs(z)) + (sign / n) * lam.real - psi_ref - level
+
+    m = _RESOLUTION
+    rs = np.linspace(_ANNULUS[0] * rho, r_outer * rho, m + 1)
+    ths = np.linspace(-np.pi, np.pi, m + 1)
+    R, T = np.meshgrid(rs, ths, indexing="ij")
+    Z = R * np.exp(1j * T)
+    vals = F(Z)
+    neg = vals < 0
+
+    def at_all_corners(mask):
+        return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
+
+    active = (at_all_corners(np.abs(Z - rho) >= _EXCLUDE_FRACTION * rho)
+              & ~at_all_corners(vals > 0) & ~at_all_corners(neg))
+    crossing = np.stack([neg[:-1, :-1] != neg[1:, :-1],
+                         neg[:-1, :-1] != neg[:-1, 1:]],
+                        axis=-1) & active[..., None]
+    ci, cj, angular = np.nonzero(crossing)
+    if ci.size == 0:
+        raise RuntimeError("no level-curve crossings found at the requested level")
+
+    z0, z1 = Z[ci, cj], Z[ci + 1 - angular, cj + angular]
+    f0 = F(z0)
+    points, resid = np.empty_like(z0), np.empty(z0.size)
+    live = np.arange(z0.size)
+    for step in range(61):
+        zm = 0.5 * (z0 + z1)
+        fm = F(zm)
+        done = (np.abs(fm) < _REFINE_TOL) | (step == 60)
+        points[live[done]], resid[live[done]] = zm[done], np.abs(fm[done])
+        live, z0, z1, f0, zm, fm = (a[~done] for a in (live, z0, z1, f0, zm, fm))
+        left = (f0 < 0) != (fm < 0)
+        z1 = np.where(left, zm, z1)
+        z0, f0 = np.where(left, z0, zm), np.where(left, f0, fm)
+
+    cells = np.flatnonzero(active)
+    ai, aj = np.divmod(cells, m)
+    di, dj = np.array([1, 0, 1, 1]), np.array([0, 1, 1, -1])
+    nb = (ai[:, None] + di) * m + (aj[:, None] + dj) % m
+    k = np.minimum(np.searchsorted(cells, nb), cells.size - 1)
+    a, b = np.nonzero(cells[k] == nb)
+    comp = np.arange(cells.size)
+    for x, y in zip(a.tolist(), k[a, b].tolist()):
+        if comp[x] != comp[y]:
+            comp[comp == comp[y]] = comp[x]
+    _, first, inv = np.unique(comp[np.searchsorted(cells, ci * m + cj)],
+                              return_index=True, return_inverse=True)
+    comp_ids = np.argsort(np.argsort(first))[inv]
+    return LevelCurve(points, comp_ids, first.size, psi_ref + level,
+                      float(resid.max()))
 
 
 def angular_gaps(points) -> np.ndarray:

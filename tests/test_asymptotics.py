@@ -14,7 +14,8 @@ from opuc.szego import build_modified, szego_data_for, szego_function
 from opuc.weights import (bernstein_szego, lebesgue, rational_modulus,
                           zero_modified)
 from opuc.zeros import match, roots
-from oracles import distance, phi, residue_predictor, residue_quadrature
+from oracles import (distance, level_curve_reference, phi, residue_predictor,
+                     residue_quadrature)
 
 
 # -- residues and dominant poles ---------------------------------------------
@@ -194,6 +195,18 @@ def test_level_curve_points_satisfy_equation():
         lam = 1.0 / (z - 0.5) + z / (0.5 * z - 1.0)
         vals = np.log(np.abs(z)) + (sign / 30) * lam.real
         assert np.max(np.abs(vals - lc.level)) <= 1e-8
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("rho", [0.45, 0.5, 0.55])
+@pytest.mark.parametrize("n", [10, 30, 60])
+def test_level_curve_matches_reference_bit_for_bit(inverse, rho, n):
+    sd = saddle_solve(rho, n, inverse=inverse)
+    lc, ref = level_curve(sd), level_curve_reference(sd)
+    assert lc.points.tobytes() == ref.points.tobytes()
+    assert lc.component_ids.tobytes() == ref.component_ids.tobytes()
+    assert (lc.n_components, lc.level, lc.max_residual) == (
+        ref.n_components, ref.level, ref.max_residual)
 
 
 def test_zeros_hug_level_curve(ess_oracle, inv_ess_oracle):

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -328,6 +330,9 @@ def test_invalid_configs(tmp_path):
     ({"kind": "essential", "rho": 0.9}, "scattering", {"n_list": [10, 40]}),
     # the weight underflows to 0 at theta = 0
     ({"kind": "essential", "rho": 0.999}, None, {}),
+    # no cell of the level-curve grid changes sign at degrees this low
+    ({"kind": "inverse_essential", "rho": 0.9}, "essential", {"n_list": [2]}),
+    ({"kind": "inverse_essential", "rho": 0.95}, "essential", {"n_list": [2]}),
 ])
 def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra):
     doc = {"weight": weight, "n_list": [5] if method == "essential" else [2],
@@ -337,6 +342,16 @@ def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra
     assert main(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("opuc: config error: ") and err.count("\n") == 1
+
+
+def test_essential_without_a_level_curve_writes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "inverse_essential", "rho": 0.9},
+                       [3], tmp_path / "out")
+    assert main(["predict", "--method", "essential", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "opuc: config error: degree 3 at rho = 0.9: no level-curve crossings "
+        "found at the requested level\n")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("command, allocator", [
@@ -416,6 +431,27 @@ def test_compare_table_without_a_known_header_exits_5(tmp_path, capsys, table, t
     assert main(["compare", "--config", cfg]) == 5
     err = capsys.readouterr().err
     assert err.startswith("opuc: ") and table in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("weight, method, table, column", [
+    ({"kind": "bernstein_szego", "c": 2.0}, "scattering", "alpha.csv", "alpha_re"),
+    ({"kind": "bernstein_szego", "c": 2.0}, "scattering", "predictions.csv", "alpha1_im"),
+    ({"kind": "essential", "rho": 0.5}, "essential", "predictions.csv", "residual"),
+])
+def test_compare_table_without_a_column_it_reads_exits_5(tmp_path, capsys, weight,
+                                                         method, table, column):
+    cfg = write_config(tmp_path / "cfg.json", weight, [10, 11, 12], tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", method, "--config", cfg]) == 0
+    path = tmp_path / "out" / table
+    comment, header, *rows = path.read_text().splitlines()
+    drop = header.split(",").index(column)
+    path.write_text("".join(f"{ln}\n" for ln in [comment] + [
+        ",".join(cell for i, cell in enumerate(ln.split(",")) if i != drop)
+        for ln in (header, *rows)]))
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 5
+    assert capsys.readouterr().err == f"opuc: {path} has no {column} column\n"
 
 
 @pytest.mark.parametrize("row", ["5,abc,1", "5,1", "5,1,2,3"])
@@ -547,6 +583,23 @@ def test_essential_solves_each_saddle_once(tmp_path, monkeypatch):
                        list(range(10, 21)), tmp_path / "out")
     assert main(["predict", "--method", "essential", "--config", cfg]) == 0
     assert len(calls) == 11
+
+
+def test_zero_weight_pipeline_leaves_numpy_polynomial_unimported(tmp_path):
+    # each CLI call is a fresh process, which pays for every module it imports
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"kind": "zero_modified", "base": {"kind": "lebesgue"},
+                        "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]},
+                       list(range(1, 13)), tmp_path / "out", N_quad=4096)
+    script = ("import sys\nfrom opuc.cli import main\n"
+              "codes = [main([*cmd, '--config', sys.argv[1]]) for cmd in "
+              "(['oracle'], ['predict', '--method', 'zero-weight'], ['compare'])]\n"
+              "print(codes, 'numpy.polynomial' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", script, cfg],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[0, 0, 0] False\n"
 
 
 def test_config_resolves_K(tmp_path):

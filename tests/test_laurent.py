@@ -52,6 +52,24 @@ def test_evaluate_geometric_closed_form():
     assert abs(ext.evaluate(0.5) - 4.0 / 3.0) <= 1e-12
 
 
+@pytest.mark.parametrize("z", [0.9 + 0.4j, 1.3 * np.exp(1j * np.linspace(-3.0, 3.0, 41))])
+@pytest.mark.parametrize("minus", [False, True])
+def test_evaluate_matches_polyval_bit_for_bit(z, minus):
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    if not minus:
+        c[:12] = 0.0
+    s = LaurentSeries(c, 12, r_inner=0.5, r_outer=2.0)
+    zarr = np.atleast_1d(np.asarray(z, dtype=complex))
+    ref = np.polynomial.polynomial.polyval(zarr, s.plus_coeffs)
+    if minus:
+        ref = ref + (1.0 / zarr) * np.polynomial.polynomial.polyval(1.0 / zarr,
+                                                                    s.minus_coeffs)
+    out = s.evaluate(z)
+    assert isinstance(out, complex) == (np.ndim(z) == 0)
+    assert np.atleast_1d(out).tobytes() == ref.tobytes()
+
+
 def test_evaluate_rejects_outside_annulus():
     s = from_pairs({0: 1.0}, 2, r_inner=0.5, r_outer=2.0)
     with pytest.raises(OutOfAnnulusError):

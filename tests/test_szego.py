@@ -22,6 +22,23 @@ def test_szego_function_closed_forms(bs2_szego):
     assert abs(szego_function(bs2_szego, 1e9, "exterior") - bs2_szego.tau) <= 1e-9
 
 
+@pytest.mark.parametrize("side, z", [
+    ("interior", 0.4 - 0.3j), ("interior", 0.9 * CIRCLE),
+    ("exterior", 1.7 + 0.2j), ("exterior", 1.2 * CIRCLE)])
+def test_szego_function_matches_polyval_bit_for_bit(bs2_szego, side, z):
+    d = bs2_szego
+    zarr = np.atleast_1d(np.asarray(z, dtype=complex))
+    l0 = d.lhat.coeff(0).real
+    plus = d.lhat.plus_coeffs.copy()
+    plus[0] = 0.0
+    polyval = np.polynomial.polynomial.polyval
+    ref = (np.exp(0.5 * l0 + polyval(zarr, plus)) if side == "interior"
+           else np.exp(-0.5 * l0 - polyval(1.0 / zarr, np.conj(plus))))
+    out = szego_function(d, z, side)
+    assert isinstance(out, complex) == (np.ndim(z) == 0)
+    assert np.atleast_1d(out).tobytes() == ref.tobytes()
+
+
 def test_szego_symmetry_identity(bs2_szego):
     for z in (3.0, 1.7 - 0.9j, -2.4 + 0.3j):
         lhs = np.conj(szego_function(bs2_szego, 1.0 / np.conj(z), "interior"))
