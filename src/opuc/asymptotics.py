@@ -262,8 +262,11 @@ class LevelCurve:
 
 # The level-curve grid: _RESOLUTION x _RESOLUTION polar cells over the radii
 # _ANNULUS * rho, skipping cells within _EXCLUDE_FRACTION * rho of z = rho,
-# where the curve pinches.
+# where the curve pinches.  The grid is evaluated _ROW_BLOCK radii at a time,
+# so each complex temporary (16 x 401 x 16 B = 100 KiB) stays below glibc's
+# 128 KiB mmap threshold and is reused from the heap, not faulted in afresh.
 _RESOLUTION = 400
+_ROW_BLOCK = 16
 _ANNULUS = (0.55, 1.45)
 _EXCLUDE_FRACTION = 0.16
 _REFINE_TOL = 1e-10
@@ -296,15 +299,21 @@ def level_curve(sd: SaddleData) -> LevelCurve:
     m = _RESOLUTION
     rs = np.linspace(_ANNULUS[0] * rho, r_outer * rho, m + 1)
     ths = np.linspace(-np.pi, np.pi, m + 1)   # wraps: first == last angle
-    Z = rs[:, None] * np.exp(1j * ths)
-    vals = F(Z)
+    e = np.exp(1j * ths)
+    # grid point (i, j) is rs[i] * e[j]; F and the clearance of z = rho are
+    # filled a block of rows at a time, and the complex grid is never built
+    vals = np.empty((m + 1, m + 1))
+    clear = np.empty((m + 1, m + 1), dtype=bool)
+    for i in range(0, m + 1, _ROW_BLOCK):
+        z = rs[i:i + _ROW_BLOCK, None] * e
+        vals[i:i + _ROW_BLOCK] = F(z)
+        clear[i:i + _ROW_BLOCK] = np.abs(z - rho) >= _EXCLUDE_FRACTION * rho
     neg = vals < 0
 
     def at_all_corners(mask):
         return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
 
-    active = (at_all_corners(np.abs(Z - rho) >= _EXCLUDE_FRACTION * rho)
-              & ~at_all_corners(vals > 0) & ~at_all_corners(neg))
+    active = at_all_corners(clear) & ~at_all_corners(vals > 0) & ~at_all_corners(neg)
     cells = np.flatnonzero(active)    # i * m + j, ascending
     ai, aj = np.divmod(cells, m)
     corner = neg[ai, aj]
@@ -316,7 +325,7 @@ def level_curve(sd: SaddleData) -> LevelCurve:
         raise RuntimeError("no level-curve crossings found at the requested level")
 
     # masked bisection: each edge stops once |F| < _REFINE_TOL, else after 60 halvings
-    z0, z1 = Z[ci, cj], Z[ci + 1 - angular, cj + angular]
+    z0, z1 = rs[ci] * e[cj], rs[ci + 1 - angular] * e[cj + angular]
     f0 = F(z0)
     points, resid = np.empty_like(z0), np.empty(z0.size)
     live = np.arange(z0.size)

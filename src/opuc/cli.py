@@ -8,8 +8,8 @@ Exit codes: 0 all good / comparisons pass, 1 comparison failures,
 2 config or weight validation failure (including a weight or degree the
 requested method cannot handle, and an n_max, K or N_quad too large to
 allocate),
-3 positivity loss in the recursion, 5 missing, empty or malformed input
-files.
+3 positivity loss in the recursion, 4 compare judged nothing (no predicted
+degree has an oracle value), 5 missing, empty or malformed input files.
 """
 
 from __future__ import annotations
@@ -496,10 +496,17 @@ def cmd_compare(cfg: RunConfig) -> int:
         checks.append({"name": "interior-zero-count", "passed": not mismatches,
                        "details": {"mismatches": mismatches}})
 
-    all_pass = all(c["passed"] for c in checks)
+    # a run that judged nothing does not pass: only a scattering or poles
+    # table none of whose degrees alpha.csv reaches leaves checks empty
+    all_pass = bool(checks) and all(c["passed"] for c in checks)
     report = {"schema": "opuc.report/1", "method": method,
               "checks": checks, "all_pass": all_pass}
     _write_json(os.path.join(out, "report.json"), cfg, report)
+    if not checks:
+        print(f"opuc: no predicted degree has an oracle value: "
+              f"{os.path.join(out, 'alpha.csv')} holds alpha_n for n < {len(alpha)}, "
+              f"and {pred_path} predicts no finite alpha_n there", file=sys.stderr)
+        return 4
     return 0 if all_pass else 1
 
 

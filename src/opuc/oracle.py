@@ -52,6 +52,12 @@ class Moments:
         return complex(self.values[k + self.max_k])
 
 
+# Weight samples are taken _SAMPLE_BLOCK angles at a time, so each complex
+# temporary of a weight evaluation (4096 x 16 B = 64 KiB) stays below glibc's
+# 128 KiB mmap threshold and is reused from the heap, not faulted in afresh.
+_SAMPLE_BLOCK = 4096
+
+
 def default_quadrature_size(spec, max_k: int) -> int:
     base = 1 << 14 if isinstance(spec, ZeroModifiedWeight) else 4096
     return _next_pow2(max(base, 8 * max_k))
@@ -66,13 +72,17 @@ def moments(spec, max_k: int, n_quad: int | None = None) -> Moments:
     n_quad = default_quadrature_size(spec, max_k) if n_quad is None else n_quad
     if n_quad < 8 * max_k:
         raise ValueError(f"n_quad = {n_quad} too small for max_k = {max_k}")
-    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
-    vals = np.asarray(spec(theta), dtype=float)
-    if np.any(~np.isfinite(vals)):
-        raise ValueError("non-finite weight sample")
-    spectrum = np.fft.fft(vals) * (2.0 * np.pi / n_quad)
-    ks = np.arange(-max_k, max_k + 1)
-    d = spectrum[np.mod(ks, n_quad)]
+    buf = np.zeros(n_quad, dtype=complex)   # first: an N_quad too large fails here
+    samples = buf.real
+    for i in range(0, n_quad, _SAMPLE_BLOCK):
+        theta = 2.0 * np.pi * np.arange(i, min(i + _SAMPLE_BLOCK, n_quad)) / n_quad
+        vals = np.asarray(spec(theta), dtype=float)
+        if np.any(~np.isfinite(vals)):
+            raise ValueError("non-finite weight sample")
+        samples[i:i + _SAMPLE_BLOCK] = vals
+    np.fft.fft(buf, out=buf)
+    d = buf[np.mod(np.arange(-max_k, max_k + 1), n_quad)]
+    d *= 2.0 * np.pi / n_quad
     d = 0.5 * (d + np.conj(d[::-1]))
     return Moments(d, max_k)
 

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 
 from opuc.asymptotics import (_ANNULUS, _EXCLUDE_FRACTION, _REFINE_TOL, _RESOLUTION,
                               LevelCurve, SaddleData)
 from opuc.laurent import DisjointAnnuliError, LaurentSeries
-from opuc.oracle import OpucResult, default_quadrature_size
+from opuc.oracle import Moments, OpucResult, default_quadrature_size
 from opuc.szego import SzegoData, szego_function
 from opuc.weights import (AnalyticWeight, ZeroModifiedWeight, bernstein_szego,
                           essential, inverse_essential, lebesgue,
@@ -228,6 +229,32 @@ def level_curve_reference(sd: SaddleData) -> LevelCurve:
     comp_ids = np.argsort(np.argsort(first))[inv]
     return LevelCurve(points, comp_ids, first.size, psi_ref + level,
                       float(resid.max()))
+
+
+def moments_reference(spec, max_k: int, n_quad: int | None = None) -> Moments:
+    """oracle.moments as it was with every sample in one array and the FFT of
+    the real samples scaled as a whole: the trapezoid rule that the block
+    evaluation is checked against bit for bit."""
+    n_quad = default_quadrature_size(spec, max_k) if n_quad is None else n_quad
+    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
+    vals = np.asarray(spec(theta), dtype=float)
+    spectrum = np.fft.fft(vals) * (2.0 * np.pi / n_quad)
+    ks = np.arange(-max_k, max_k + 1)
+    d = spectrum[np.mod(ks, n_quad)]
+    d = 0.5 * (d + np.conj(d[::-1]))
+    return Moments(d, max_k)
+
+
+def traced_peak(f, *args) -> int:
+    """Bytes of the largest traced working set during one call of f(*args),
+    after a first call has paid for imports and caches."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def angular_gaps(points) -> np.ndarray:

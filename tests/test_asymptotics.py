@@ -15,7 +15,7 @@ from opuc.weights import (bernstein_szego, lebesgue, rational_modulus,
                           zero_modified)
 from opuc.zeros import match, roots
 from oracles import (distance, level_curve_reference, phi, residue_predictor,
-                     residue_quadrature)
+                     residue_quadrature, traced_peak)
 
 
 # -- residues and dominant poles ---------------------------------------------
@@ -207,6 +207,11 @@ def test_level_curve_matches_reference_bit_for_bit(inverse, rho, n):
     assert lc.component_ids.tobytes() == ref.component_ids.tobytes()
     assert (lc.n_components, lc.level, lc.max_residual) == (
         ref.n_components, ref.level, ref.max_residual)
+
+
+def test_level_curve_working_set():
+    # the grid is evaluated a block of rows at a time, never as one complex array
+    assert traced_peak(level_curve, saddle_solve(0.534442, 60)) <= 3_000_000
 
 
 def test_zeros_hug_level_curve(ess_oracle, inv_ess_oracle):

@@ -507,6 +507,26 @@ def test_compare_skips_a_degree_past_the_oracle(tmp_path):
     assert [n for n, _ in scored["details"]["per_degree"]] == list(range(1, 12))
 
 
+@pytest.mark.parametrize("weight, n_list, method, extra", [
+    ({"kind": "bernstein_szego", "c": 2.0}, [5], "scattering", {}),
+    ({"kind": "bernstein_szego", "c": 2.0}, [5], "poles", {}),
+    ({"kind": "essential", "rho": 0.9}, [10], "scattering", {"K": 400}),
+])
+def test_compare_that_judges_nothing_exits_4(tmp_path, capsys, weight, n_list,
+                                             method, extra):
+    # alpha.csv stops at alpha_{n_max - 1}, so a lone top degree has no oracle value
+    cfg = write_config(tmp_path / "cfg.json", weight, n_list, tmp_path / "out", **extra)
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", method, "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["checks"] == [] and report["all_pass"] is False
+    err = capsys.readouterr().err
+    assert err.startswith("opuc: no predicted degree has an oracle value")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name, text", [
     ("zeros_predicted.json", '{"x": 1}'),                 # no "predicted"
     ("zeros_predicted.json", "not json"),

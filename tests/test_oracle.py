@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import bs2_alpha_closed
-from opuc.oracle import Moments, PositivityLossError, moments, szego_recurrence
-from oracles import orthonormality_residual
+from opuc.oracle import (_SAMPLE_BLOCK, Moments, PositivityLossError, moments,
+                         szego_recurrence)
+from opuc.weights import (bernstein_szego, essential, inverse_essential, lebesgue,
+                          rational_modulus, zero_modified)
+from oracles import moments_reference, orthonormality_residual, traced_peak
 
 
 def gamma_moment(k: int, beta: float = 0.5) -> float:
@@ -161,3 +164,28 @@ def test_moment_preconditions(leb):
         szego_recurrence(m, 10)    # not enough moments
     with pytest.raises(IndexError):
         m.d(9)
+
+
+CATALOG = {
+    "lebesgue": lebesgue(),
+    "bernstein_szego": bernstein_szego(1.3),
+    "rational_modulus": rational_modulus([2.0, -2.0, 1.5j]),
+    "essential": essential(0.5),
+    "inverse_essential": inverse_essential(0.5),
+    "zero_modified": zero_modified(lebesgue(), [(0.0, 0.5), (math.pi, 0.5)]),
+    "zero_modified_bs": zero_modified(bernstein_szego(1.5), [(0.0, 0.5), (math.pi, 0.2)]),
+}
+
+
+@pytest.mark.parametrize("n_quad", [None, _SAMPLE_BLOCK // 4, 3 * _SAMPLE_BLOCK + 1000,
+                                    1 << 17], ids=["default", "part", "ragged", "2^17"])
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_moments_match_reference_bit_for_bit(kind, n_quad):
+    # the samples are taken in blocks; the moments are those of the one-shot rule
+    got, ref = moments(CATALOG[kind], 40, n_quad), moments_reference(CATALOG[kind], 40, n_quad)
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
+def test_moments_working_set(zmod2):
+    # the zm-circle rule: one 2 MiB complex sample buffer and block temporaries
+    assert traced_peak(moments, zmod2, 130, 1 << 17) <= 3_000_000
