@@ -300,20 +300,21 @@ def level_curve(sd: SaddleData) -> LevelCurve:
     rs = np.linspace(_ANNULUS[0] * rho, r_outer * rho, m + 1)
     ths = np.linspace(-np.pi, np.pi, m + 1)   # wraps: first == last angle
     e = np.exp(1j * ths)
-    # grid point (i, j) is rs[i] * e[j]; F and the clearance of z = rho are
-    # filled a block of rows at a time, and the complex grid is never built
-    vals = np.empty((m + 1, m + 1))
-    clear = np.empty((m + 1, m + 1), dtype=bool)
+    # grid point (i, j) is rs[i] * e[j]; the signs of F and the clearance of
+    # z = rho are filled a block of rows at a time, and neither the complex
+    # grid nor the grid of F values is ever built
+    neg, pos, clear = (np.empty((m + 1, m + 1), dtype=bool) for _ in range(3))
     for i in range(0, m + 1, _ROW_BLOCK):
         z = rs[i:i + _ROW_BLOCK, None] * e
-        vals[i:i + _ROW_BLOCK] = F(z)
+        vals = F(z)
+        np.less(vals, 0, out=neg[i:i + _ROW_BLOCK])
+        np.greater(vals, 0, out=pos[i:i + _ROW_BLOCK])
         clear[i:i + _ROW_BLOCK] = np.abs(z - rho) >= _EXCLUDE_FRACTION * rho
-    neg = vals < 0
 
     def at_all_corners(mask):
         return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
 
-    active = at_all_corners(clear) & ~at_all_corners(vals > 0) & ~at_all_corners(neg)
+    active = at_all_corners(clear) & ~at_all_corners(pos) & ~at_all_corners(neg)
     cells = np.flatnonzero(active)    # i * m + j, ascending
     ai, aj = np.divmod(cells, m)
     corner = neg[ai, aj]

@@ -5,16 +5,16 @@ with 17 significant digits, and every file carries the sha256 of the config
 it was produced from plus the package version.
 
 Exit codes: 0 all good / comparisons pass, 1 comparison failures,
-2 config or weight validation failure (including a weight or degree the
-requested method cannot handle, and an n_max, K or N_quad too large to
-allocate),
-3 positivity loss in the recursion, 4 compare judged nothing (no predicted
-degree has an oracle value), 5 missing, empty or malformed input files.
+2 a usage error, or config or weight validation failure (including a weight
+or degree the requested method cannot handle, and an n_max, K or N_quad too
+large to allocate),
+3 positivity loss in the recursion, 4 compare judged no prediction (no
+predicted degree has an oracle value), 5 missing, empty or malformed input
+files.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -50,6 +50,10 @@ class MissingInputError(RuntimeError):
     pass
 
 
+class UsageError(ValueError):
+    pass
+
+
 def _fill(row: str, columns: list, sep: str) -> str:
     """row once per item, joined by sep and filled by one %-format from the
     equal-length value columns, read item by item."""
@@ -61,7 +65,8 @@ def _fill(row: str, columns: list, sep: str) -> str:
 
 def _json(obj, pad: str = "") -> str:
     """JSON text with sorted keys, a two-space indent, 17-significant-digit
-    floats, non-finite floats as null and complex numbers as {"im", "re"}."""
+    floats, non-finite floats as null and complex numbers as {"im", "re"}; a
+    1-D array is the list of its items, a record's fields read as dict keys."""
     if isinstance(obj, complex):
         obj = {"im": obj.imag, "re": obj.real}
     inner = pad + "  "
@@ -69,12 +74,15 @@ def _json(obj, pad: str = "") -> str:
         items = [f"{inner}{json.dumps(str(k))}: {_json(v, inner)}"
                  for k, v in sorted(obj.items())]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
             return "[]"
-        rows = _rows(obj, inner)
-        body = _fill(*rows, ",\n") if rows else ",\n".join(inner + _json(v, inner) for v in obj)
-        return "[\n" + body + f"\n{pad}]"
+        if (rows := _rows(obj, inner)) is not None:
+            return "[\n" + _fill(*rows, ",\n") + f"\n{pad}]"
+        if isinstance(obj, np.ndarray):
+            names = obj.dtype.names
+            obj = [dict(zip(names, v)) if names else v for v in obj.tolist()]
+        return "[\n" + ",\n".join(inner + _json(v, inner) for v in obj) + f"\n{pad}]"
     if isinstance(obj, float):
         return format(obj, ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, (int, str)) or obj is None:   # bool is an int
@@ -84,20 +92,32 @@ def _json(obj, pad: str = "") -> str:
 
 def _rows(items, pad: str):
     """The row template at indent pad and the value columns with which _fill
-    renders the items of a non-empty list: all finite complex numbers, or all
-    dicts with one key set whose values under each key are all finite floats,
-    all ints, all strings or a list that renders this way itself; None for
-    any other list, which _json then renders item by item."""
-    inner = pad + "  "
-    if all(map(isinstance, items, repeat(complex))):
-        values = np.array(items, dtype=complex)
-        by_key = {"im": values.imag.tolist(), "re": values.real.tolist()}
-    elif not (items[0] and all(map(isinstance, items, repeat(dict)))
-              and all(v.keys() == items[0].keys() for v in items)):
-        return None
-    else:
+    renders the items of a non-empty list or 1-D array: all finite complex
+    numbers, all dicts or array records with one key set, or all lists of one
+    length, whose values under each key or at each position are all finite
+    floats, all ints, all strings or a list that renders this way itself;
+    None for any other list, which _json then renders item by item."""
+    inner, keyed = pad + "  ", True
+    if not isinstance(items, np.ndarray) and all(map(isinstance, items, repeat(complex))):
+        items = np.array(items, dtype=complex)
+    if isinstance(items, np.ndarray):
+        if items.dtype.kind == "c":
+            by_key = {"im": items.imag.tolist(), "re": items.real.tolist()}
+        elif items.dtype.names:
+            by_key = {k: items[k].tolist() for k in items.dtype.names}
+        else:
+            return None
+    elif all(map(isinstance, items, repeat(dict))) and items[0]:
+        if any(v.keys() != items[0].keys() for v in items):
+            return None
         by_key = {k: [row[k] for row in items] for k in items[0]}
-    fields, columns = [], []
+    elif all(map(isinstance, items, repeat((list, tuple)))) and items[0]:
+        if any(len(v) != len(items[0]) for v in items):
+            return None
+        by_key, keyed = dict(enumerate(zip(*items))), False   # columns by position
+    else:
+        return None
+    cells, columns = [], []
     for k in sorted(by_key):
         column = by_key[k]
         if all(map(isinstance, column, repeat(float))) and all(map(math.isfinite, column)):
@@ -109,11 +129,13 @@ def _rows(items, pad: str):
             cell, column = "%s", [[quoted[v] for v in column]]
         elif (nested := _rows(column, inner)) is None:
             return None
-        else:   # dicts or complex numbers, rendered as rows at this key
+        else:   # dicts, lists or complex numbers, rendered as rows here
             cell, column = nested[0][len(inner):], nested[1]
-        fields.append(f"{inner}{json.dumps(str(k)).replace('%', '%%')}: {cell}")
+        label = json.dumps(str(k)).replace("%", "%%") + ": " if keyed else ""
+        cells.append(f"{inner}{label}{cell}")
         columns += column
-    return f"{pad}{{\n" + ",\n".join(fields) + f"\n{pad}}}", columns
+    start, end = "{}" if keyed else "[]"
+    return f"{pad}{start}\n" + ",\n".join(cells) + f"\n{pad}{end}", columns
 
 
 @dataclass
@@ -233,14 +255,15 @@ def cmd_oracle(cfg: RunConfig) -> int:
     for n in cfg.n_list:
         _write_json(os.path.join(cfg.outputs, f"phi_{n}.json"), cfg,
                     {"schema": "opuc.phi/1", "n": n,
-                     "monic_coefficients": result.phi_monic[n].tolist()})
+                     "monic_coefficients": result.phi_monic[n]})
         zs = roots(result.phi_monic[n], history)
         history = (zs.zeros, *history[:2])
         labels = classify(zs, rho)
+        # one record per zero, filled a column at a time
+        zeros = np.empty(zs.zeros.size, [("re", float), ("im", float), ("class", labels.dtype)])
+        zeros["re"], zeros["im"], zeros["class"] = zs.zeros.real, zs.zeros.imag, labels
         _write_json(os.path.join(cfg.outputs, f"zeros_{n}.json"), cfg,
-                    {"schema": "opuc.zeros/1", "n": n,
-                     "zeros": [{"re": z.real, "im": z.imag, "class": label}
-                               for z, label in zip(zs.zeros.tolist(), labels.tolist())]})
+                    {"schema": "opuc.zeros/1", "n": n, "zeros": zeros})
     return 0
 
 
@@ -496,13 +519,15 @@ def cmd_compare(cfg: RunConfig) -> int:
         checks.append({"name": "interior-zero-count", "passed": not mismatches,
                        "details": {"mismatches": mismatches}})
 
-    # a run that judged nothing does not pass: only a scattering or poles
-    # table none of whose degrees alpha.csv reaches leaves checks empty
-    all_pass = bool(checks) and all(c["passed"] for c in checks)
+    # a run that judged no prediction does not pass: only a scattering or
+    # poles table none of whose degrees alpha.csv reaches gets here, with at
+    # most the oracle's own nevai-totik-rho check
+    judged = any(c["name"] != "nevai-totik-rho" for c in checks)
+    all_pass = judged and all(c["passed"] for c in checks)
     report = {"schema": "opuc.report/1", "method": method,
               "checks": checks, "all_pass": all_pass}
     _write_json(os.path.join(out, "report.json"), cfg, report)
-    if not checks:
+    if not judged:
         print(f"opuc: no predicted degree has an oracle value: "
               f"{os.path.join(out, 'alpha.csv')} holds alpha_n for n < {len(alpha)}, "
               f"and {pred_path} predicts no finite alpha_n there", file=sys.stderr)
@@ -510,26 +535,55 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
+_USAGE = ("usage: opuc {oracle,compare} --config PATH, or opuc predict --method "
+          f"{{{','.join(sorted(_METHODS))}}} --config PATH")
+
+
+def _parse(argv: list) -> tuple:
+    """(command, config path, method) from argv: the command, then --config
+    and, for predict only, --method, each once, in either order and each
+    either as --opt value or as --opt=value."""
+    if not argv:
+        raise UsageError("no command given")
+    command, args = argv[0], iter(argv[1:])
+    if command not in ("oracle", "predict", "compare"):
+        raise UsageError(f"unknown command {command!r}")
+    allowed = ("--config", "--method") if command == "predict" else ("--config",)
+    opts = {}
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name not in allowed:
+            raise UsageError(f"unexpected argument {arg!r} to {command}")
+        if not eq and (value := next(args, None)) is None:
+            raise UsageError(f"{name} needs a value")
+        if name in opts:
+            raise UsageError(f"{name} given twice")
+        opts[name] = value
+    for name in allowed:
+        if name not in opts:
+            raise UsageError(f"{command} needs {name}")
+    if command == "predict" and opts["--method"] not in _METHODS:
+        raise UsageError(f"unknown method {opts['--method']!r}")
+    return command, opts["--config"], opts.get("--method")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="opuc",
-        description="orthogonal polynomials on the unit circle: oracle, "
-                    "predictions and comparisons")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("oracle", "predict", "compare"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the run config JSON")
-        if name == "predict":
-            p.add_argument("--method", required=True, choices=sorted(_METHODS))
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE)
+        return 0
     cfg = None
     try:
-        cfg = RunConfig.load(args.config)
-        if args.command == "oracle":
+        command, config, method = _parse(argv)
+        cfg = RunConfig.load(config)
+        if command == "oracle":
             return cmd_oracle(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.method)
+        if command == "predict":
+            return cmd_predict(cfg, method)
         return cmd_compare(cfg)
+    except UsageError as exc:
+        print(f"opuc: {exc}; {_USAGE}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"opuc: config error: {exc}", file=sys.stderr)
         return 2

@@ -470,9 +470,13 @@ def window_neumann(n: int, sz: SzegoData, n_terms: int = 2,
 def json_reference(obj, pad: str = "") -> str:
     """The CLI's JSON text rendered item by item, one call per value: sorted
     keys, a two-space indent, 17-significant-digit floats, non-finite floats
-    as null and complex numbers as {"im", "re"}."""
+    as null and complex numbers as {"im", "re"}; a 1-D array is the list of
+    its items, and an array record is a dict keyed by field name."""
     if isinstance(obj, complex):
         obj = {"im": obj.imag, "re": obj.real}
+    if isinstance(obj, np.ndarray):
+        names = obj.dtype.names
+        obj = [dict(zip(names, v)) if names else v for v in obj.tolist()]
     inner = pad + "  "
     if isinstance(obj, dict):
         items = [f"{inner}{json.dumps(str(k))}: {json_reference(v, inner)}"

@@ -527,6 +527,35 @@ def test_compare_that_judges_nothing_exits_4(tmp_path, capsys, weight, n_list,
     assert err.count("\n") == 1
 
 
+def test_compare_that_judges_only_the_oracle_exits_4(tmp_path, capsys):
+    # the oracle's alpha_n decay fits the declared radius, but the one
+    # prediction, alpha_20, lies past alpha.csv's last row, alpha_19
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 1.5},
+                       [20], tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "poles", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["nevai-totik-rho"]
+    assert report["all_pass"] is False
+    err = capsys.readouterr().err
+    assert err.startswith("opuc: no predicted degree has an oracle value")
+    assert err.count("\n") == 1
+
+
+def test_compare_inverse_essential_passes_on_the_saddle_residual(tmp_path):
+    # no alpha_n is predicted, so the saddle residual alone judges the run
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "inverse_essential", "rho": 0.5},
+                       list(range(10, 21)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "essential", "--config", cfg]) == 0
+    assert main(["compare", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["saddle-residual"]
+    assert report["all_pass"] is True
+
+
 @pytest.mark.parametrize("name, text", [
     ("zeros_predicted.json", '{"x": 1}'),                 # no "predicted"
     ("zeros_predicted.json", "not json"),
@@ -622,6 +651,64 @@ def test_zero_weight_pipeline_leaves_numpy_polynomial_unimported(tmp_path):
     assert done.stdout == "[0, 0, 0] False\n"
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate", "--config", "cfg.json"],
+    ["oracle"],
+    ["compare", "--config"],
+    ["predict", "--config", "cfg.json"],
+    ["oracle", "--method", "poles", "--config", "cfg.json"],
+    ["predict", "--method", "no-such-method", "--config", "cfg.json"],
+    ["predict", "--method=poles", "--config", "cfg.json", "--method", "poles"],
+    ["compare", "--config", "cfg.json", "--config=cfg.json"],
+    ["oracle", "--config", "cfg.json", "stray"],
+    ["oracle", "--conf", "cfg.json"],            # no prefix abbreviations
+    ["--config", "cfg.json", "oracle"],
+])
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("opuc: ") and err.count("\n") == 1
+    assert "usage: opuc {oracle,compare} --config PATH" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["predict", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1
+    assert out.startswith("usage: opuc {oracle,compare} --config PATH, or opuc predict "
+                          "--method {essential,poles,scattering,zero-weight} --config PATH")
+
+
+def test_options_in_any_order_and_with_equals(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       list(range(1, 13)), tmp_path / "out")
+    forms = {"split": (["oracle", "--config", cfg],
+                       ["predict", "--method", "scattering", "--config", cfg],
+                       ["compare", "--config", cfg]),
+             "joined": (["oracle", f"--config={cfg}"],
+                        ["predict", f"--config={cfg}", "--method=scattering"],
+                        ["compare", f"--config={cfg}"])}
+    for form, argvs in forms.items():
+        assert [main(argv) for argv in argvs] == [0, 0, 0]
+        (tmp_path / "out").rename(tmp_path / form)
+    split, joined = (sorted((tmp_path / form).iterdir()) for form in forms)
+    assert [p.name for p in split] == [p.name for p in joined]
+    assert "report.json" in [p.name for p in split]
+    assert [p.read_bytes() for p in split] == [p.read_bytes() for p in joined]
+
+
+def test_cli_does_not_import_argparse():
+    # argparse compiles regexes and imports gettext and locale on every call
+    code = ("import sys; from opuc.cli import main; main(['--help']); "
+            "print('argparse' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.endswith("\nFalse\n")
+
+
 def test_config_resolves_K(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"kind": "lebesgue"}, [3, 7], tmp_path / "out")
     assert RunConfig.load(cfg).K == default_truncation_order(7)
@@ -709,20 +796,46 @@ def test_json_renderer_matches_reference_on_oracle_documents(tmp_path, monkeypat
         _write_json(path, cfg, obj)
 
     monkeypatch.setattr(cli, "_write_json", write_json)
-    weights = [({"kind": "bernstein_szego", "c": 1.3}, {}),
+    weights = [({"kind": "bernstein_szego", "c": 1.3}, 150, {}),
                # exact zero imaginary parts, and a zero at the origin to rounding
                # on every odd degree (-0.0 parts are in the cases of the test below)
                ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
                  "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]},
-                {"N_quad": 1 << 15})]
-    for i, (weight, extra) in enumerate(weights):
-        cfg = write_config(tmp_path / f"cfg{i}.json", weight, list(range(1, 41)),
+                40, {"N_quad": 1 << 15})]
+    for i, (weight, n_max, extra) in enumerate(weights):
+        cfg = write_config(tmp_path / f"cfg{i}.json", weight, list(range(1, n_max + 1)),
                            tmp_path / f"out{i}", **extra)
         assert main(["oracle", "--config", cfg]) == 0
-    assert len(docs) == 160
+    assert len(docs) == 2 * (150 + 40)
     for path, doc in docs:
+        # the coefficients and the zeros are arrays, rendered as rows
+        rows = doc.get("monic_coefficients", doc.get("zeros"))
+        assert isinstance(rows, np.ndarray) and cli._rows(rows, "    ") is not None
         with open(path) as fh:
             assert fh.read() == json_reference(doc) + "\n"
+
+
+def test_report_per_degree_renders_as_rows(tmp_path, monkeypatch):
+    reports = []
+
+    def write_json(path, cfg, obj):
+        reports.append(obj)
+        _write_json(path, cfg, obj)
+
+    monkeypatch.setattr(cli, "_write_json", write_json)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 1.3},
+                       list(range(1, 151)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
+    reports.clear()
+    assert main(["compare", "--config", cfg]) == 0
+    report, = reports
+    scored = next(c for c in report["checks"] if c["name"] == "alpha-error-decreasing")
+    per_degree = scored["details"]["per_degree"]
+    assert len(per_degree) == 149 and cli._rows(per_degree, "          ") is not None
+    text = (tmp_path / "out" / "report.json").read_text()
+    assert text == json_reference({**report, "_meta": {"config_sha256": RunConfig.load(
+        cfg).sha256, "opuc_version": __version__}}) + "\n"
 
 
 @pytest.mark.parametrize("obj", [
@@ -750,6 +863,25 @@ def test_json_renderer_matches_reference_on_oracle_documents(tmp_path, monkeypat
     [{"n": 1, "d": {}}, {"n": 2, "d": {}}],
     [{"z": 1 + 2j, "n": 3}, {"z": -0.0j, "n": 4}],            # complex numbers at a key
     [{"n": 1, "m": 2.5}, {"n": 2.5, "m": 1}],                  # ints mixed with floats
+    # lists of lists: int and float columns, as report.json's per_degree pairs
+    [[1, 0.5], [2, -0.0], [10 ** 20, 1e-300]],
+    [[0, 1e300, -7], (1, 2.5, 0)],
+    [[1, 2.5], [2]], [[1, 2.5], [2, 3.5, 4]],                 # ragged
+    [[1, True], [2, False]], [[True, 1], [False, 2]],         # a bool column
+    [[1, math.nan], [2, 0.5]], [[1, 0.5], [2, -math.inf]],    # non-finite values
+    [[1, 0.5], [2.5, 3]],                                      # ints mixed with floats
+    [[], []], [[[]], [[]]], [[1, []], [2, []]], [[1, {}], [2, {}]],   # nested empties
+    [[1, "band"], [2, 'Szegő "S"']], [[1, [0.5, 1j]], [2, [-1.5, 2 - 0.0j]]],
+    [[1, 0.5], {"n": 1}], [[1, 0.5], 0.5], [[0.5], [1j]],
+    # arrays: complex numbers, records read as dicts, anything else item by item
+    np.array([1 + 2j, -0.0j, complex(0.5, -0.0)]), np.array([complex(math.nan, 1.0), 2j]),
+    np.array([], dtype=complex), np.array([0.5, 1.5]), np.array([3, -4]),
+    np.rec.fromarrays([np.array([0.5, -0.0]), np.array([1e-300, 2.0]),
+                       np.array(["band", "other"])], names="re,im,class"),
+    np.rec.fromarrays([np.array([0.5, math.nan]), np.array(["band", "other"])],
+                      names="re,class"),
+    {"a": np.array([1j]), "b": [np.array([0.5 + 1j]), np.array([2j])]},
+    [np.array([1j, 0.5]), np.array([2j, -0.5])], [np.array([]), np.array([1.5, 2.5])],
 ])
 def test_json_renderer_matches_reference(obj):
     assert cli._json(obj) == json_reference(obj)
