@@ -375,7 +375,7 @@ def _rational_fraction_roots(weights_: np.ndarray, locations: np.ndarray) -> np.
         numer = numer[:-1]
     if numer.size <= 1:
         return np.array([], dtype=complex)
-    return np.roots(numer[::-1])
+    return np.roots(numer[::-1]).astype(complex)   # real when every root is 0
 
 
 def zero_weight_phi(msz: ModifiedSzegoData, n: int, z: complex) -> complex:

@@ -92,14 +92,12 @@ def _json(obj, pad: str = "") -> str:
 
 def _rows(items, pad: str):
     """The row template at indent pad and the value columns with which _fill
-    renders the items of a non-empty list or 1-D array: all finite complex
-    numbers, all dicts or array records with one key set, or all lists of one
-    length, whose values under each key or at each position are all finite
-    floats, all ints, all strings or a list that renders this way itself;
-    None for any other list, which _json then renders item by item."""
+    renders the items of a non-empty list or 1-D array: a complex array of
+    finite numbers, all dicts or array records with one key set, or all lists
+    of one length, whose values under each key or at each position are all
+    finite floats, all ints, all strings or a list that renders this way
+    itself; None for anything else, which _json then renders item by item."""
     inner, keyed = pad + "  ", True
-    if not isinstance(items, np.ndarray) and all(map(isinstance, items, repeat(complex))):
-        items = np.array(items, dtype=complex)
     if isinstance(items, np.ndarray):
         if items.dtype.kind == "c":
             by_key = {"im": items.imag.tolist(), "re": items.real.tolist()}
@@ -160,7 +158,7 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}")
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # not JSON, or bytes that are not UTF-8
             raise ConfigError(f"config is not valid JSON: {exc}")
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
@@ -304,8 +302,8 @@ def _predict_poles(cfg: RunConfig, spec) -> int:
     for n in cfg.n_list:
         a = verblunsky_pole_asymptote(p, sz, n)
         rows.append((n, a.real, a.imag))
-        zero_doc[str(n)] = [complex(z) for z in dominant_pole_predicted_roots(p, sz, n)
-                            if abs(z) < p.rho]
+        zs = dominant_pole_predicted_roots(p, sz, n)
+        zero_doc[str(n)] = zs[[abs(z) < p.rho for z in zs]]
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
                ["n", "alpha_re", "alpha_im"], *zip(*rows))
     _write_json(os.path.join(cfg.outputs, "zeros_predicted.json"), cfg,
@@ -347,10 +345,9 @@ def _predict_zero_weight(cfg: RunConfig, spec) -> int:
     msz = build_modified(spec, szego_data_for(spec.base, cfg.K))
     rows, zero_doc = [], {}
     for n in cfg.n_list:
-        pr = [complex(z) for z in zero_weight_predicted_roots(msz, n)
-              if abs(z) < 1.0]
-        zero_doc[str(n)] = pr
-        rows.append((n, kappa_zero_weight(msz, n), len(pr)))
+        zs = zero_weight_predicted_roots(msz, n)
+        zero_doc[str(n)] = zs[[abs(z) < 1.0 for z in zs]]
+        rows.append((n, kappa_zero_weight(msz, n), zero_doc[str(n)].size))
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
                ["n", "kappa_sq_pred", "n_predicted_interior_zeros"], *zip(*rows))
     _write_json(os.path.join(cfg.outputs, "zeros_predicted.json"), cfg,
@@ -386,9 +383,12 @@ class _Table(dict):
 def _read_csv(path: str) -> _Table:
     if not os.path.exists(path):
         raise MissingInputError(f"missing input table: {path}")
-    with open(path) as fh:
-        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1)
-                 if ln.strip() and not ln.startswith("#")]
+    try:
+        with open(path) as fh:
+            lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1)
+                     if ln.strip() and not ln.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise MissingInputError(f"malformed input {path}: {type(exc).__name__}: {exc}")
     if not lines:
         raise MissingInputError(f"input table has no header line: {path}")
     if len(lines) == 1:
@@ -450,6 +450,10 @@ def cmd_compare(cfg: RunConfig) -> int:
         raise MissingInputError(f"{pred_path} needs an n column of whole numbers >= 0")
 
     checks = []
+
+    def check(name, passed, **details):
+        checks.append({"name": name, "passed": bool(passed), "details": details})
+
     alpha = alpha_tab["alpha_re"] + 1j * alpha_tab["alpha_im"]
     mags = np.abs(alpha)
     floor = 1e-13
@@ -464,37 +468,30 @@ def cmd_compare(cfg: RunConfig) -> int:
         ns = ns[ns >= max(4, ns[-1] // 2)]
         rho_fit = math.exp(_slope(ns, np.log(mags[ns])))
         ok = abs(rho_fit - declared_rho) <= 0.2 * max(declared_rho, 0.05)
-        checks.append({"name": "nevai-totik-rho", "passed": bool(ok),
-                       "details": {"declared": float(declared_rho),
-                                   "fitted": rho_fit}})
+        check("nevai-totik-rho", ok, declared=float(declared_rho), fitted=rho_fit)
 
     # prediction error per degree: must not grow from first to last degree,
     # and on pole-type weights must fall at least like rho^{1.5 n}
-    pred_ns = np.minimum(pred_ns, len(alpha)).astype(int)   # a degree past the oracle's is skipped
     if alpha_key is not None:
         pred_alpha = pred_tab[f"{alpha_key}_re"] + 1j * pred_tab[f"{alpha_key}_im"]
-        shared = [(n, p) for n, p in zip(pred_ns, pred_alpha)
-                  if n < len(alpha) and np.isfinite(p)]
-        if shared:
-            errs = np.array([abs(alpha[n] - p) for n, p in shared])
-            ns_shared = np.array([n for n, _ in shared])
-            ok = errs[-1] <= max(errs[0], 5e-14)
-            checks.append({"name": "alpha-error-decreasing", "passed": bool(ok),
-                           "details": {"first": float(errs[0]), "last": float(errs[-1]),
-                                       "per_degree": [[int(n), float(e)]
-                                                      for n, e in zip(ns_shared, errs)]}})
+        # a degree past the oracle's is skipped before the cast, which wraps 1e20
+        keep = (pred_ns < len(alpha)) & np.isfinite(pred_alpha)
+        if keep.any():
+            ns = pred_ns[keep].astype(int)
+            # Python's abs per item: np.abs over the array differs in some last bits
+            errs = np.array([abs(d) for d in alpha[ns] - pred_alpha[keep]])
+            check("alpha-error-decreasing", errs[-1] <= max(errs[0], 5e-14),
+                  first=float(errs[0]), last=float(errs[-1]),
+                  per_degree=[[int(n), float(e)] for n, e in zip(ns, errs)])
             pos = errs > floor
             if pole_like and declared_rho and np.count_nonzero(pos) >= 6:
-                slope = _slope(ns_shared[pos], np.log(errs[pos]))
-                ok = slope <= 1.5 * math.log(declared_rho)
-                checks.append({"name": "prediction-error-slope", "passed": bool(ok),
-                               "details": {"slope": slope,
-                                           "required": 1.5 * math.log(declared_rho)}})
+                slope = _slope(ns[pos], np.log(errs[pos]))
+                check("prediction-error-slope", slope <= 1.5 * math.log(declared_rho),
+                      slope=slope, required=1.5 * math.log(declared_rho))
 
     if method == "essential":
-        resid_ok = bool(np.all(pred_tab["residual"] <= 1e-12))
-        checks.append({"name": "saddle-residual", "passed": resid_ok,
-                       "details": {"max": float(np.max(pred_tab["residual"]))}})
+        check("saddle-residual", np.all(pred_tab["residual"] <= 1e-12),
+              max=float(np.max(pred_tab["residual"])))
         if not os.path.exists(os.path.join(out, "levelcurve.csv")):
             raise MissingInputError("missing levelcurve.csv")
 
@@ -503,7 +500,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                                lambda doc: {int(n): len(pts)
                                             for n, pts in doc["predicted"].items()})
         mismatches, checked = [], 0
-        for n, count in predicted.items():
+        for n, count in sorted(predicted.items()):   # the file's keys sort as strings
             path = os.path.join(out, f"zeros_{n}.json")
             if not os.path.exists(path):
                 continue
@@ -516,8 +513,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         if not checked:
             raise MissingInputError("no degree that zeros_predicted.json names "
                                     f"has a zeros_<n>.json in {out}")
-        checks.append({"name": "interior-zero-count", "passed": not mismatches,
-                       "details": {"mismatches": mismatches}})
+        check("interior-zero-count", not mismatches, mismatches=mismatches)
 
     # a run that judged no prediction does not pass: only a scattering or
     # poles table none of whose degrees alpha.csv reaches gets here, with at

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from opuc.asymptotics import (PolePrescription, dominant_pole_phi,
-                              dominant_pole_predicted_roots, fisher_hartwig_fit,
+from opuc.asymptotics import (PolePrescription, _rational_fraction_roots,
+                              dominant_pole_phi, dominant_pole_predicted_roots,
+                              fisher_hartwig_fit,
                               kappa_zero_weight, level_curve, saddle_solve,
                               verblunsky_essential_asymptote,
                               verblunsky_pole_asymptote, zero_weight_phi,
@@ -54,6 +55,12 @@ def test_dominant_pole_detection(bs2):
     # single simple dominant pole: the predictor sum has no interior root
     sz = szego_data_for(bs2, 60)
     assert dominant_pole_predicted_roots(p, sz, 17).size == 0
+
+
+def test_rational_fraction_roots_are_complex_when_every_root_is_zero():
+    # 1/(1 - z) + 1/(-1 - z) = -2z / (1 - z^2); np.roots returns a real 0 here
+    zs = _rational_fraction_roots(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
+    assert zs.dtype == complex and zs.tolist() == [0j]
 
 
 def test_dominant_pole_interior_value(bs2, bs2_szego, bs2_oracle):

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from opuc import __version__, cli
+from opuc.asymptotics import (PolePrescription, dominant_pole_predicted_roots,
+                              zero_weight_predicted_roots)
 from opuc.canonical import default_lens_radius, default_truncation_order, neumann_solve
 from opuc.cli import RunConfig, _write_json, main
 from opuc.oracle import moments, szego_recurrence
-from opuc.szego import szego_data_for, theta_constants
+from opuc.szego import build_modified, szego_data_for, theta_constants
 from opuc.weights import weight_from_json
 from opuc.zeros import match
 from oracles import csv_reference, json_reference, theta_one_sided
@@ -282,6 +284,16 @@ def test_invalid_configs(tmp_path):
     assert main(["oracle", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_config_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"weight": {"kind": "bernstein_szego", "c": 2.0}, "n_list": [1, 2], '
+                    b'"outputs": "\xff"}')
+    assert main(["oracle", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("opuc: config error: config is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("weight, method, extra", [
     ({"kind": "no_such_weight"}, None, {}),
     ({"kind": "bernstein_szego"}, None, {}),
@@ -454,6 +466,23 @@ def test_compare_table_without_a_column_it_reads_exits_5(tmp_path, capsys, weigh
     assert capsys.readouterr().err == f"opuc: {path} has no {column} column\n"
 
 
+@pytest.mark.parametrize("table", ["alpha.csv", "predictions.csv"])
+def test_compare_table_that_is_not_utf8_exits_5(tmp_path, capsys, table):
+    # the byte that is not UTF-8 sits in a comment line, which is never parsed
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       list(range(1, 6)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
+    path = tmp_path / "out" / table
+    with open(path, "ab") as fh:
+        fh.write(b"# \xff\n")
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"opuc: malformed input {path}: UnicodeDecodeError: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("row", ["5,abc,1", "5,1", "5,1,2,3"])
 def test_compare_bad_csv_row_exits_5(tmp_path, capsys, row):
     weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
@@ -596,6 +625,26 @@ def test_compare_counts_interior_zeros_per_degree(tmp_path):
     mismatches = check["details"]["mismatches"]
     assert [m["n"] for m in mismatches] == [16]
     assert mismatches[0]["predicted"] == n_before + 1
+
+
+def test_compare_lists_zero_count_mismatches_by_ascending_degree(tmp_path):
+    # zeros_predicted.json keys its degrees as strings, which sort "10" before "9"
+    weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
+              "zeros": [{"angle": 0.0, "beta": 0.5},
+                        {"angle": math.pi, "beta": 0.5}]}
+    cfg = write_config(tmp_path / "cfg.json", weight, [9, 10], tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "zero-weight", "--config", cfg]) == 0
+    path = tmp_path / "out" / "zeros_predicted.json"
+    doc = json.loads(path.read_text())
+    assert list(doc["predicted"]) == ["10", "9"]
+    for n in ("9", "10"):
+        doc["predicted"][n].append({"re": 0.0, "im": 0.0})
+    path.write_text(json.dumps(doc))
+    assert main(["compare", "--config", cfg]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    check, = [c for c in report["checks"] if c["name"] == "interior-zero-count"]
+    assert [m["n"] for m in check["details"]["mismatches"]] == [9, 10]
 
 
 def test_compare_without_any_oracle_zeros_exits_5(tmp_path, capsys):
@@ -836,6 +885,54 @@ def test_report_per_degree_renders_as_rows(tmp_path, monkeypatch):
     text = (tmp_path / "out" / "report.json").read_text()
     assert text == json_reference({**report, "_meta": {"config_sha256": RunConfig.load(
         cfg).sha256, "opuc_version": __version__}}) + "\n"
+
+
+def test_report_per_degree_takes_python_abs_per_difference(tmp_path):
+    # np.abs over the complex differences gives another last bit on some
+    # of these 149 degrees; the report keeps Python's abs of each one
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 1.3},
+                       list(range(1, 151)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
+    assert main(["compare", "--config", cfg]) == 0
+    _, alpha = read_csv(tmp_path / "out" / "alpha.csv")
+    _, pred = read_csv(tmp_path / "out" / "predictions.csv")
+    oracle = {int(n): complex(float(re), float(im)) for n, re, im in alpha}
+    expected = [[int(n), abs(oracle[int(n)] - complex(float(re), float(im)))]
+                for n, re, im, *_ in pred if int(n) in oracle]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    scored = next(c for c in report["checks"] if c["name"] == "alpha-error-decreasing")
+    assert len(expected) == 149 and scored["details"]["per_degree"] == expected
+
+
+@pytest.mark.parametrize("weight, n_max, method, extra", [
+    ({"kind": "rational_modulus", "cs": [2.0, -2.0]}, 12, "poles", {}),
+    ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
+      "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]},
+     40, "zero-weight", {"N_quad": 1 << 15})])
+def test_predicted_zeros_render_as_lists_of_complex_numbers(tmp_path, weight, n_max,
+                                                            method, extra):
+    # predict hands over arrays; the file holds what lists of Python complex
+    # numbers, the kept zeros strictly inside the bound, render to
+    cfg = write_config(tmp_path / "cfg.json", weight, list(range(1, n_max + 1)),
+                       tmp_path / "out", **extra)
+    assert main(["predict", "--method", method, "--config", cfg]) == 0
+    config = RunConfig.load(cfg)
+    spec = weight_from_json(weight)
+    if method == "poles":
+        p = PolePrescription.from_weight(spec)
+        sz = szego_data_for(spec, config.K)
+        zeros = [(dominant_pole_predicted_roots(p, sz, n), p.rho) for n in config.n_list]
+    else:
+        msz = build_modified(spec, szego_data_for(spec.base, config.K))
+        zeros = [(zero_weight_predicted_roots(msz, n), 1.0) for n in config.n_list]
+    predicted = {str(n): [complex(z) for z in zs if abs(z) < bound]
+                 for n, (zs, bound) in zip(config.n_list, zeros)}
+    assert any(predicted.values())
+    meta = {"config_sha256": config.sha256, "opuc_version": __version__}
+    text = (tmp_path / "out" / "zeros_predicted.json").read_text()
+    assert text == json_reference({"schema": "opuc.zeros/1", "predicted": predicted,
+                                   "_meta": meta}) + "\n"
 
 
 @pytest.mark.parametrize("obj", [
