@@ -6,11 +6,11 @@ it was produced from plus the package version.
 
 Exit codes: 0 all good / comparisons pass, 1 comparison failures,
 2 a usage error, or config or weight validation failure (including a weight
-or degree the requested method cannot handle, and an n_max, K or N_quad too
-large to allocate),
+or degree the requested method cannot handle, an n_max, K or N_quad too
+large to allocate, and an output that cannot be written),
 3 positivity loss in the recursion, 4 compare judged no prediction (no
-predicted degree has an oracle value), 5 missing, empty or malformed input
-files.
+predicted degree has an oracle value), 5 missing, unreadable, empty or
+malformed input files, or input tables whose degrees are not the config's.
 """
 
 from __future__ import annotations
@@ -189,18 +189,25 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _write(path: str, text: str) -> None:
+    """The only place an output is opened; one that cannot be written is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}")
+
+
 def _write_csv(path: str, cfg: RunConfig, header: list, *columns) -> None:
     """One row per item of the equal-length value columns, every cell %.17g
     (an int below 1e17 prints as an integer)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# config_sha256={cfg.sha256} opuc_version={__version__}\n{','.join(header)}\n")
-        fh.write(_fill(",".join(["%.17g"] * len(columns)) + "\n", columns, ""))
+    head = f"# config_sha256={cfg.sha256} opuc_version={__version__}\n{','.join(header)}\n"
+    _write(path, head + _fill(",".join(["%.17g"] * len(columns)) + "\n", columns, ""))
 
 
 def _write_json(path: str, cfg: RunConfig, obj: dict) -> None:
     meta = {"config_sha256": cfg.sha256, "opuc_version": __version__}
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_json({**obj, "_meta": meta}) + "\n")
+    _write(path, _json({**obj, "_meta": meta}) + "\n")
 
 
 def _load_weight(cfg: RunConfig):
@@ -220,7 +227,7 @@ def _load_weight(cfg: RunConfig):
 def _make_outputs(cfg: RunConfig) -> None:
     try:
         os.makedirs(cfg.outputs, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # ValueError: a NUL or a lone surrogate
         raise ConfigError(f"cannot create outputs directory {cfg.outputs!r}: {exc}")
 
 
@@ -380,15 +387,21 @@ class _Table(dict):
         raise MissingInputError(f"{self.path} has no {name} column")
 
 
-def _read_csv(path: str) -> _Table:
-    if not os.path.exists(path):
-        raise MissingInputError(f"missing input table: {path}")
+def _read(path: str) -> str:
+    """The text at path, the only place compare opens an input file."""
     try:
-        with open(path) as fh:
-            lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1)
-                     if ln.strip() and not ln.startswith("#")]
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise MissingInputError(f"malformed input {path}: {type(exc).__name__}: {exc}")
+    except (OSError, ValueError) as exc:   # ValueError: a NUL or a lone surrogate
+        raise MissingInputError(f"cannot read input {path!r}: "
+                                f"{getattr(exc, 'strerror', None) or exc}")
+
+
+def _read_csv(path: str) -> _Table:
+    lines = [(i, ln.strip()) for i, ln in enumerate(_read(path).split("\n"), 1)
+             if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise MissingInputError(f"input table has no header line: {path}")
     if len(lines) == 1:
@@ -411,11 +424,8 @@ def _read_csv(path: str) -> _Table:
 def _read_json(path: str, parse):
     """parse(document) for the JSON file at path; a file that is not JSON or
     lacks what parse reads is malformed input."""
-    try:
-        with open(path) as fh:
-            return parse(json.load(fh))
-    except OSError as exc:
-        raise MissingInputError(str(exc))
+    try:   # _read raises a MissingInputError, which passes through
+        return parse(json.loads(_read(path)))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise MissingInputError(f"malformed input {path}: {type(exc).__name__}: {exc}")
 
@@ -444,10 +454,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     pred_path = os.path.join(out, "predictions.csv")
     pred_tab = _read_csv(pred_path)
     method, alpha_key = _infer_method(pred_tab)
-    pred_ns = pred_tab.get("n")
-    if pred_ns is None or not np.all(np.isfinite(pred_ns) & (pred_ns >= 0)
-                                     & (pred_ns == np.floor(pred_ns))):
-        raise MissingInputError(f"{pred_path} needs an n column of whole numbers >= 0")
+    # the oracle's alpha_n for n < n_max, and a prediction for each degree of n_list
+    if not np.array_equal(alpha_tab["n"], range(cfg.n_max)):
+        raise MissingInputError(f"{alpha_tab.path} must hold n = 0..{cfg.n_max - 1}")
+    pred_ns = np.array(cfg.n_list)
+    if not np.array_equal(pred_tab["n"], pred_ns):
+        raise MissingInputError(f"{pred_path} must hold the config's n_list as its n column")
 
     checks = []
 
@@ -474,10 +486,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     # and on pole-type weights must fall at least like rho^{1.5 n}
     if alpha_key is not None:
         pred_alpha = pred_tab[f"{alpha_key}_re"] + 1j * pred_tab[f"{alpha_key}_im"]
-        # a degree past the oracle's is skipped before the cast, which wraps 1e20
+        # alpha.csv stops at alpha_{n_max - 1}, so n_max itself has no oracle value
         keep = (pred_ns < len(alpha)) & np.isfinite(pred_alpha)
         if keep.any():
-            ns = pred_ns[keep].astype(int)
+            ns = pred_ns[keep]
             # Python's abs per item: np.abs over the array differs in some last bits
             errs = np.array([abs(d) for d in alpha[ns] - pred_alpha[keep]])
             check("alpha-error-decreasing", errs[-1] <= max(errs[0], 5e-14),
@@ -492,27 +504,19 @@ def cmd_compare(cfg: RunConfig) -> int:
     if method == "essential":
         check("saddle-residual", np.all(pred_tab["residual"] <= 1e-12),
               max=float(np.max(pred_tab["residual"])))
-        if not os.path.exists(os.path.join(out, "levelcurve.csv")):
-            raise MissingInputError("missing levelcurve.csv")
+        _read(os.path.join(out, "levelcurve.csv"))   # read, not parsed
 
     if method == "zero-weight":
-        predicted = _read_json(os.path.join(out, "zeros_predicted.json"),
-                               lambda doc: {int(n): len(pts)
-                                            for n, pts in doc["predicted"].items()})
-        mismatches, checked = [], 0
-        for n, count in sorted(predicted.items()):   # the file's keys sort as strings
-            path = os.path.join(out, f"zeros_{n}.json")
-            if not os.path.exists(path):
-                continue
-            checked += 1
-            zs = _read_json(path, lambda doc: np.array(
+        # a degree of n_list that the file lacks is malformed; any other it holds is not read
+        counts = _read_json(os.path.join(out, "zeros_predicted.json"),
+                            lambda doc: [len(doc["predicted"][str(n)]) for n in cfg.n_list])
+        mismatches = []
+        for n, count in zip(cfg.n_list, counts):
+            zs = _read_json(os.path.join(out, f"zeros_{n}.json"), lambda doc: np.array(
                 [complex(z["re"], z["im"]) for z in doc["zeros"]]))
             actual = int(np.sum(np.abs(zs) <= 0.4))
             if actual != count:
                 mismatches.append({"n": n, "predicted": count, "actual": actual})
-        if not checked:
-            raise MissingInputError("no degree that zeros_predicted.json names "
-                                    f"has a zeros_<n>.json in {out}")
         check("interior-zero-count", not mismatches, mismatches=mismatches)
 
     # a run that judged no prediction does not pass: only a scattering or

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -423,6 +424,114 @@ def test_compare_missing_inputs(tmp_path):
     assert main(["compare", "--config", cfg]) == 5
 
 
+# per method: a weight, an n_list and every file compare reads from its run
+_RUNS = {
+    "scattering": ({"kind": "bernstein_szego", "c": 2.0}, [1, 2, 3, 4, 5],
+                   ["alpha.csv", "predictions.csv"]),
+    "poles": ({"kind": "bernstein_szego", "c": 2.0}, [1, 2, 3, 4, 5],
+              ["alpha.csv", "predictions.csv"]),
+    "essential": ({"kind": "essential", "rho": 0.5}, [10, 11, 12],
+                  ["alpha.csv", "predictions.csv", "levelcurve.csv"]),
+    "zero-weight": ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
+                     "zeros": [{"angle": 0.0, "beta": 0.5}]}, [4, 5, 6],
+                    ["alpha.csv", "predictions.csv", "zeros_predicted.json",
+                     "zeros_5.json"]),
+}
+
+
+@pytest.fixture(scope="module")
+def method_runs(tmp_path_factory):
+    """The outputs directory of one oracle and predict run per method."""
+    runs = {}
+    for method, (weight, n_list, _) in _RUNS.items():
+        root = tmp_path_factory.mktemp(method)
+        cfg = write_config(root / "cfg.json", weight, n_list, root / "out")
+        assert main(["oracle", "--config", cfg]) == 0
+        assert main(["predict", "--method", method, "--config", cfg]) == 0
+        runs[method] = root / "out"
+    return runs
+
+
+def assert_one_line(err):
+    assert err.startswith("opuc: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method, name", [(m, name) for m, (_, _, names) in _RUNS.items()
+                                          for name in names])
+@pytest.mark.parametrize("fault", ["missing", "directory", "not utf-8"])
+def test_compare_refuses_an_unreadable_input_with_exit_5(tmp_path, capsys, method_runs,
+                                                         method, name, fault):
+    weight, n_list, _ = _RUNS[method]
+    shutil.copytree(method_runs[method], tmp_path / "out")
+    cfg = write_config(tmp_path / "cfg.json", weight, n_list, tmp_path / "out")
+    path = tmp_path / "out" / name
+    if fault == "not utf-8":
+        with open(path, "ab") as fh:
+            fh.write(b"# \xff\n")
+    else:
+        path.unlink()
+        if fault == "directory":
+            path.mkdir()
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 5
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert name in err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("oracle", "kappa.csv"),
+    ("predict --method scattering", "predictions.csv"),
+    ("compare", "report.json"),
+])
+def test_a_directory_in_place_of_an_output_exits_2(tmp_path, capsys, command, name):
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       [1, 2, 3, 4, 5], tmp_path / "out")
+    if command != "oracle":
+        assert main(["oracle", "--config", cfg]) == 0
+    if command == "compare":
+        assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
+    (tmp_path / "out" / name).mkdir(parents=True)
+    capsys.readouterr()
+    assert main(command.split() + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert err.startswith(f"opuc: config error: cannot write {str(tmp_path / 'out' / name)!r}")
+
+
+@pytest.mark.parametrize("outputs", ["a\u0000b", "\ud800"])
+@pytest.mark.parametrize("command, code", [
+    ("oracle", 2), ("predict --method scattering", 2), ("compare", 5)])
+def test_an_outputs_path_no_file_can_have_is_refused(tmp_path, capsys, monkeypatch,
+                                                     outputs, command, code):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       [1, 2, 3], outputs)
+    assert main(command.split() + ["--config", cfg]) == code
+    assert_one_line(capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("edit", ["drop n = 5", "n = 11 first"])
+def test_compare_alpha_table_without_exactly_the_oracle_degrees_exits_5(tmp_path, capsys,
+                                                                       edit):
+    # alpha is indexed by degree, so a lost or moved row would blame the predictor
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       list(range(1, 13)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
+    path = tmp_path / "out" / "alpha.csv"
+    comment, header, *rows = path.read_text().splitlines(keepends=True)
+    assert [int(r.split(",")[0]) for r in rows] == list(range(12))
+    rows = rows[:5] + rows[6:] if edit == "drop n = 5" else [rows[11]] + rows[:11]
+    path.write_text("".join([comment, header, *rows]))
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 5
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "alpha.csv" in err
+
+
 @pytest.mark.parametrize("table, text", [
     ("alpha.csv", None),                          # None: the config sha line alone
     ("predictions.csv", None),
@@ -502,9 +611,10 @@ def test_compare_bad_csv_row_exits_5(tmp_path, capsys, row):
     assert "predictions.csv line 4" in err
 
 
-@pytest.mark.parametrize("cell", ["nan", "-1", "2.5", "inf", "-0.5"])
+@pytest.mark.parametrize("cell", ["nan", "-1", "2.5", "inf", "-0.5", "1e20"])
 def test_compare_n_that_is_not_a_whole_number_exits_5(tmp_path, capsys, cell):
-    # -1 would index alpha from the end, and 2.5 would be truncated to 2
+    # -1 would index alpha from the end, 2.5 would be truncated to 2, and the
+    # cast to int would wrap 1e20
     cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
                        list(range(1, 13)), tmp_path / "out")
     assert main(["oracle", "--config", cfg]) == 0
@@ -521,15 +631,11 @@ def test_compare_n_that_is_not_a_whole_number_exits_5(tmp_path, capsys, cell):
 
 
 def test_compare_skips_a_degree_past_the_oracle(tmp_path):
-    # a whole n beyond alpha.csv, however large, has no oracle value to score
+    # alpha.csv stops at alpha_11, so the prediction for n_max = 12 has no oracle value
     cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
                        list(range(1, 13)), tmp_path / "out")
     assert main(["oracle", "--config", cfg]) == 0
     assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
-    path = tmp_path / "out" / "predictions.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    lines[-1] = "1e20" + lines[-1][2:]    # the last data row, n = 12
-    path.write_text("".join(lines))
     assert main(["compare", "--config", cfg]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     scored = next(c for c in report["checks"] if c["name"] == "alpha-error-decreasing")
@@ -588,6 +694,7 @@ def test_compare_inverse_essential_passes_on_the_saddle_residual(tmp_path):
 @pytest.mark.parametrize("name, text", [
     ("zeros_predicted.json", '{"x": 1}'),                 # no "predicted"
     ("zeros_predicted.json", "not json"),
+    ("zeros_predicted.json", '{"predicted": {"5": []}}'),   # no degree 6
     ("zeros_5.json", '{"n": 5}'),                         # no "zeros"
     ("zeros_5.json", '{"zeros": [{"im": 0.0}]}'),         # a zero without "re"
 ])
@@ -617,7 +724,6 @@ def test_compare_counts_interior_zeros_per_degree(tmp_path):
     n_before = len(doc["predicted"]["16"])
     doc["predicted"]["16"].append({"re": 0.0, "im": 0.0})
     path.write_text(json.dumps(doc))
-    (tmp_path / "out" / "zeros_17.json").unlink()   # a degree without oracle zeros is skipped
     assert main(["compare", "--config", cfg]) == 1
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     check, = [c for c in report["checks"] if c["name"] == "interior-zero-count"]
@@ -660,7 +766,7 @@ def test_compare_without_any_oracle_zeros_exits_5(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", "--config", cfg]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("opuc: ") and "zeros_predicted.json" in err
+    assert err.startswith("opuc: ") and "zeros_10.json" in err   # the first degree
     assert err.count("\n") == 1
 
 
