@@ -95,7 +95,7 @@ def phi(result: OpucResult, n: int, z):
 def orthonormality_residual(spec, result: OpucResult, n_max: int,
                             n_quad: int | None = None) -> float:
     """max |<phi_n, phi_m> - delta_{nm}| over 0 <= m <= n <= n_max by quadrature."""
-    n_quad = default_quadrature_size(spec, n_max) if n_quad is None else n_quad
+    n_quad = default_quadrature_size(n_max) if n_quad is None else n_quad
     theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
     w = np.asarray(spec(theta), dtype=float) * (2.0 * np.pi / n_quad)
     z = np.exp(1j * theta)
@@ -235,7 +235,7 @@ def moments_reference(spec, max_k: int, n_quad: int | None = None) -> Moments:
     """oracle.moments as it was with every sample in one array and the FFT of
     the real samples scaled as a whole: the trapezoid rule that the block
     evaluation is checked against bit for bit."""
-    n_quad = default_quadrature_size(spec, max_k) if n_quad is None else n_quad
+    n_quad = default_quadrature_size(max_k) if n_quad is None else n_quad
     theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
     vals = np.asarray(spec(theta), dtype=float)
     spectrum = np.fft.fft(vals) * (2.0 * np.pi / n_quad)
@@ -243,6 +243,24 @@ def moments_reference(spec, max_k: int, n_quad: int | None = None) -> Moments:
     d = spectrum[np.mod(ks, n_quad)]
     d = 0.5 * (d + np.conj(d[::-1]))
     return Moments(d, max_k)
+
+
+def zero_weight_moments_mpmath(c: float | None, zeros, max_k: int) -> np.ndarray:
+    """d_0 .. d_max_k of |1 - z/c|^2 prod_j |z - e^{i a_j}|^{2 beta_j} (the
+    Lebesgue base for c None) by mpmath's tanh-sinh quadrature at 30 digits,
+    split at the zero angles, where the integrand is not smooth."""
+    import mpmath
+    with mpmath.workdps(30):
+        def weight(t):
+            w = 1 if c is None else 1 - 2 * mpmath.cos(t) / c + 1 / mpmath.mpf(c) ** 2
+            for a, beta in zeros:
+                w *= abs(2 * mpmath.sin((t - a) / 2)) ** (2 * mpmath.mpf(beta))
+            return w
+
+        cuts = sorted(mpmath.mpf(a) % (2 * mpmath.pi) for a, _ in zeros)
+        cuts.append(cuts[0] + 2 * mpmath.pi)
+        return np.array([complex(mpmath.quad(lambda t: mpmath.expj(-k * t) * weight(t), cuts))
+                         for k in range(max_k + 1)])
 
 
 def traced_peak(f, *args) -> int:

@@ -402,6 +402,27 @@ def test_out_of_memory_names_the_size_at_fault(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == f"opuc: config error: not enough memory for {size}\n"
 
 
+def test_zero_weight_oracle_does_not_read_n_quad(tmp_path, capsys):
+    # the panel rule takes no N_quad: configs that differ only in it write the
+    # same files apart from the config sha lines, and a too small one is
+    # still refused
+    weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
+              "zeros": [{"angle": 0.0, "beta": 0.3}, {"angle": math.pi, "beta": 0.3}]}
+    written = []
+    for n_quad in (1 << 15, 1 << 17):
+        cfg = write_config(tmp_path / "cfg.json", weight, list(range(1, 41)),
+                           tmp_path / "out", N_quad=n_quad)
+        assert main(["oracle", "--config", cfg]) == 0
+        written.append({p.name: [ln for ln in p.read_text().splitlines()
+                                 if "config_sha256" not in ln]
+                        for p in (tmp_path / "out").iterdir()})
+    assert len(written[0]) == 4 + 2 * 40 and written[0] == written[1]
+    cfg = write_config(tmp_path / "cfg.json", weight, list(range(1, 41)), tmp_path / "out",
+                       N_quad=8)
+    assert main(["oracle", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "opuc: config error: n_quad = 8 too small for max_k = 41\n"
+
+
 @pytest.mark.parametrize("base", [{"kind": "lebesgue"},
                                   {"kind": "bernstein_szego", "c": 1.5}])
 def test_near_coincident_zeros_predict(tmp_path, base):

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import bs2_alpha_closed
-from opuc.oracle import (_SAMPLE_BLOCK, Moments, PositivityLossError, moments,
-                         szego_recurrence)
-from opuc.weights import (bernstein_szego, essential, inverse_essential, lebesgue,
-                          rational_modulus, zero_modified)
-from oracles import moments_reference, orthonormality_residual, traced_peak
+from opuc import oracle
+from opuc.oracle import (_SAMPLE_BLOCK, Moments, PositivityLossError, _trapezoid_moments,
+                         moments, szego_recurrence)
+from opuc.weights import (ZeroModifiedWeight, bernstein_szego, essential, inverse_essential,
+                          lebesgue, rational_modulus, zero_modified)
+from oracles import (moments_reference, orthonormality_residual, traced_peak,
+                     zero_weight_moments_mpmath)
 
 
-def gamma_moment(k: int, beta: float = 0.5) -> float:
+def gamma_moment(k: int, beta: float) -> float:
     """Closed-form moments of |z - 1|^{2 beta} via the binomial expansion of
     (2 - 2 cos theta)^beta."""
     return (2.0 * np.pi * (-1) ** k * math.gamma(1.0 + 2.0 * beta)
@@ -32,10 +34,37 @@ def test_bernstein_moments(bs2):
     assert max(abs(m.d(k)) for k in range(2, 7)) <= 1e-10
 
 
-def test_zero_weight_gamma_moments(zmod1):
-    m = moments(zmod1, 12, 1 << 17)
-    for k in range(13):
-        assert abs(m.d(k) - gamma_moment(k)) <= 1e-8
+def test_zero_weight_gamma_moments():
+    for beta in (0.5, 0.3, 0.05):
+        m = moments(zero_modified(lebesgue(), [(0.0, beta)]), 12)
+        for k in range(13):
+            assert abs(m.d(k) - gamma_moment(k, beta)) <= 1e-13, (beta, k)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5])
+def test_zero_weight_alpha_sieved_jacobi(beta):
+    # |z - 1|^{2 beta} |z + 1|^{2 beta}: alpha_{2k+1} = -beta / (k + beta + 1),
+    # alpha_{2k} = 0
+    w = zero_modified(lebesgue(), [(0.0, beta), (math.pi, beta)])
+    alpha = szego_recurrence(moments(w, 130), 129).alpha
+    law = np.zeros(129)
+    law[1::2] = -beta / (np.arange(64) + beta + 1.0)
+    assert np.max(np.abs(alpha - law)) <= 1e-13
+
+
+@pytest.mark.parametrize("c, zeros", [
+    (1.5, [(0.0, 0.5), (math.pi, 0.2)]),
+    # one negative angle: the arc from the last zero wraps past 2 pi
+    (None, [(-1.0, 0.3), (0.5, 0.5), (2.5, 0.15)])], ids=["bs", "three"])
+def test_panel_moments_match_mpmath(monkeypatch, c, zeros):
+    w = zero_modified(lebesgue() if c is None else bernstein_szego(c), zeros)
+    m = moments(w, 20)
+    ref = zero_weight_moments_mpmath(c, zeros, 20)
+    assert np.max(np.abs(m.values - np.concatenate([np.conj(ref[:0:-1]), ref]))) <= 1e-13
+    # twice the nodes on every panel
+    nodes_needed = oracle._nodes_needed
+    monkeypatch.setattr(oracle, "_nodes_needed", lambda *args: 2 * nodes_needed(*args))
+    assert np.max(np.abs(moments(w, 20).values - m.values)) <= 1e-13
 
 
 def test_lebesgue_recursion_exact(leb):
@@ -181,11 +210,22 @@ CATALOG = {
                                     1 << 17], ids=["default", "part", "ragged", "2^17"])
 @pytest.mark.parametrize("kind", sorted(CATALOG))
 def test_moments_match_reference_bit_for_bit(kind, n_quad):
-    # the samples are taken in blocks; the moments are those of the one-shot rule
-    got, ref = moments(CATALOG[kind], 40, n_quad), moments_reference(CATALOG[kind], 40, n_quad)
+    # the samples are taken in blocks; the moments are those of the one-shot
+    # rule.  moments takes zero-modified weights to the panel rule, so on
+    # them the block trapezoid is called directly, zeros on the grid included
+    rule = _trapezoid_moments if isinstance(CATALOG[kind], ZeroModifiedWeight) else moments
+    got, ref = rule(CATALOG[kind], 40, n_quad), moments_reference(CATALOG[kind], 40, n_quad)
     assert got.values.tobytes() == ref.values.tobytes()
 
 
-def test_moments_working_set(zmod2):
-    # the zm-circle rule: one 2 MiB complex sample buffer and block temporaries
-    assert traced_peak(moments, zmod2, 130, 1 << 17) <= 3_000_000
+def test_moments_working_set(bs2):
+    # the trapezoid at N_quad = 2^17: one 2 MiB complex sample buffer and
+    # block temporaries
+    assert traced_peak(moments, bs2, 130, 1 << 17) <= 3_000_000
+
+
+def test_panel_moments_working_set(zmod2):
+    # zm-circle's config: the panel rule holds no N_quad buffer, only
+    # exponential tables and Jacobi matrices of under 128 KiB each (0.28 MB
+    # traced in all, against 2.3 MB for the 2^17 trapezoid)
+    assert traced_peak(moments, zmod2, 130, 1 << 17) <= 400_000
