@@ -6,8 +6,8 @@ it was produced from plus the package version.
 
 Exit codes: 0 all good / comparisons pass, 1 comparison failures,
 2 a usage error, or config or weight validation failure (including a weight
-or degree the requested method cannot handle, an n_max, K or N_quad too
-large to allocate, and an output that cannot be written),
+or degree the requested method cannot handle, an n_max or K too large to
+allocate, and an output that cannot be written),
 3 positivity loss in the recursion, 4 compare judged no prediction (no
 predicted degree has an oracle value), 5 missing, unreadable, empty or
 malformed input files, or input tables whose degrees are not the config's.
@@ -33,7 +33,7 @@ from .asymptotics import (PolePrescription, dominant_pole_predicted_roots,
 from .canonical import (NeumannDivergenceError, default_truncation_order,
                         kappa_estimate, neumann_alpha, neumann_kappa_sq,
                         neumann_solve, verblunsky_estimate)
-from .oracle import PositivityLossError, moments, szego_recurrence
+from .oracle import PositivityLossError, moments, phi_store, szego_recurrence
 from .szego import build_modified, szego_data_for
 from .weights import (AnalyticWeight, ZeroModifiedWeight, validate,
                       weight_from_json)
@@ -142,7 +142,6 @@ class RunConfig:
     n_list: list
     outputs: str
     K: int | None = None      # Szego coefficient window; None: the default for n_max
-    n_quad: int | None = None
     sha256: str = ""
 
     def __post_init__(self):
@@ -173,12 +172,11 @@ class RunConfig:
                               f"in strictly ascending order, got {n_list!r}")
         if not isinstance(doc["outputs"], str):
             raise ConfigError(f"outputs must be a path string, got {doc['outputs']!r}")
-        for key in ("K", "N_quad"):   # null, like a missing key, means the default
-            if doc.get(key) is not None and not (_is_int(doc[key]) and doc[key] > 0):
-                raise ConfigError(f"{key} must be a positive integer, got {doc[key]!r}")
+        K = doc.get("K")   # null, like a missing key, means the default
+        if K is not None and not (_is_int(K) and K > 0):
+            raise ConfigError(f"K must be a positive integer, got {K!r}")
         return cls(weight_doc=doc["weight"], n_list=n_list, outputs=doc["outputs"],
-                   K=doc.get("K"), n_quad=doc.get("N_quad"),
-                   sha256=hashlib.sha256(raw).hexdigest())
+                   K=K, sha256=hashlib.sha256(raw).hexdigest())
 
     @property
     def n_max(self) -> int:
@@ -235,11 +233,12 @@ def cmd_oracle(cfg: RunConfig) -> int:
     spec = _load_weight(cfg)
     _make_outputs(cfg)
     n_max = cfg.n_max
+    phi = phi_store(n_max)   # first: an n_max too large to store fails here
     try:
-        moms = moments(spec, n_max + 1, cfg.n_quad)
-    except ValueError as exc:   # N_quad too small, or a non-finite weight sample
+        moms = moments(spec, n_max + 1)
+    except ValueError as exc:   # a non-finite weight sample
         raise ConfigError(str(exc))
-    result = szego_recurrence(moms, n_max)
+    result = szego_recurrence(moms, phi)
     ns = range(n_max + 1)
     alpha_re, alpha_im = result.alpha.real.tolist(), result.alpha.imag.tolist()
     kappa, log_det = result.kappa.tolist(), result.log_det.tolist()
@@ -588,11 +587,7 @@ def main(argv=None) -> int:
         print(f"opuc: config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        size = "the config"
-        if cfg:
-            size = f"n_max = {cfg.n_max}, K = {cfg.K}"
-            if cfg.n_quad is not None:
-                size += f", N_quad = {cfg.n_quad}"
+        size = f"n_max = {cfg.n_max}, K = {cfg.K}" if cfg else "the config"
         print(f"opuc: config error: not enough memory for {size}", file=sys.stderr)
         return 2
     except PositivityLossError as exc:

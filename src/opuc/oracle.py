@@ -24,6 +24,7 @@ __all__ = [
     "PositivityLossError",
     "default_quadrature_size",
     "moments",
+    "phi_store",
     "szego_recurrence",
 ]
 
@@ -60,39 +61,38 @@ _SAMPLE_BLOCK = 4096
 
 
 def default_quadrature_size(max_k: int) -> int:
-    return _next_pow2(max(4096, 8 * max_k))
+    """A power of two of at least 8 max_k, and a whole number of sample blocks."""
+    return _next_pow2(max(_SAMPLE_BLOCK, 8 * max_k))
 
 
-def moments(spec, max_k: int, n_quad: int | None = None) -> Moments:
+def moments(spec, max_k: int) -> Moments:
     """Moments d_k, |k| <= max_k, with d_{-k} = conj(d_k) exactly.
 
     A weight with zeros on the circle (some beta_k > 0) is integrated by
-    Gauss-Jacobi panels, which do not read n_quad; any other weight by the
-    trapezoid rule on n_quad uniform angles (via FFT), spectrally accurate
-    for analytic weights.  An n_quad below 8 max_k is refused for every weight.
+    Gauss-Jacobi panels; any other weight by the trapezoid rule on
+    default_quadrature_size(max_k) uniform angles (via FFT), spectrally
+    accurate for analytic weights.
     """
-    if n_quad is not None and n_quad < 8 * max_k:
-        raise ValueError(f"n_quad = {n_quad} too small for max_k = {max_k}")
     if isinstance(spec, ZeroModifiedWeight) and np.any(spec.betas > 0.0):
         return _panel_moments(spec, max_k)
-    return _trapezoid_moments(spec, max_k, n_quad)
+    return _trapezoid_moments(spec, max_k)
 
 
-def _trapezoid_moments(spec, max_k: int, n_quad: int | None = None) -> Moments:
-    """Moments by the trapezoid rule on n_quad uniform angles (via FFT),
-    d_{-k} = conj(d_k) enforced."""
-    n_quad = default_quadrature_size(max_k) if n_quad is None else n_quad
-    buf = np.zeros(n_quad, dtype=complex)   # first: an N_quad too large fails here
+def _trapezoid_moments(spec, max_k: int) -> Moments:
+    """Moments by the trapezoid rule on default_quadrature_size(max_k)
+    uniform angles (via FFT), d_{-k} = conj(d_k) enforced."""
+    size = default_quadrature_size(max_k)
+    buf = np.zeros(size, dtype=complex)
     samples = buf.real
-    for i in range(0, n_quad, _SAMPLE_BLOCK):
-        theta = 2.0 * np.pi * np.arange(i, min(i + _SAMPLE_BLOCK, n_quad)) / n_quad
+    for i in range(0, size, _SAMPLE_BLOCK):
+        theta = 2.0 * np.pi * np.arange(i, i + _SAMPLE_BLOCK) / size
         vals = np.asarray(spec(theta), dtype=float)
         if np.any(~np.isfinite(vals)):
             raise ValueError("non-finite weight sample")
         samples[i:i + _SAMPLE_BLOCK] = vals
     np.fft.fft(buf, out=buf)
-    d = buf[np.mod(np.arange(-max_k, max_k + 1), n_quad)]
-    d *= 2.0 * np.pi / n_quad
+    d = buf[np.mod(np.arange(-max_k, max_k + 1), size)]
+    d *= 2.0 * np.pi / size
     d = 0.5 * (d + np.conj(d[::-1]))
     return Moments(d, max_k)
 
@@ -243,8 +243,16 @@ class OpucResult:
     log_det: np.ndarray      # log D_0 .. log D_{n_max}
 
 
-def szego_recurrence(moms: Moments, N: int) -> OpucResult:
-    """Monic OPUC by the Szego recurrence on moment data.
+def phi_store(N: int) -> list:
+    """Zeroed room for the coefficients of Phi_0 .. Phi_N: views of one block
+    of (N + 1)(N + 2)/2 complex numbers, so a degree too large fails at once."""
+    block = np.zeros((N + 1) * (N + 2) // 2, dtype=complex)
+    return [block[n * (n + 1) // 2:(n + 1) * (n + 2) // 2] for n in range(N + 1)]
+
+
+def szego_recurrence(moms: Moments, phi: list) -> OpucResult:
+    """Monic OPUC of degrees 0 .. N by the Szego recurrence on moment data,
+    written into phi = phi_store(N).
 
     Phi_{n+1} = z Phi_n - conj(alpha_n) Phi_n^*, with
     conj(alpha_n) = <z Phi_n, 1> / ||Phi_n||^2 and
@@ -252,6 +260,7 @@ def szego_recurrence(moms: Moments, N: int) -> OpucResult:
     the Toeplitz moment matrix).  Raises PositivityLossError when some
     |alpha_n| reaches 1.
     """
+    N = len(phi) - 1
     if N > moms.max_k:
         raise ValueError(f"need moments to order {N}, have {moms.max_k}")
     d0 = moms.d(0).real
@@ -261,22 +270,19 @@ def szego_recurrence(moms: Moments, N: int) -> OpucResult:
     alpha = np.zeros(N, dtype=complex)
     kappa = np.zeros(N + 1)
     log_det = np.zeros(N + 1)
-    phi = [np.array([1.0 + 0.0j])]
     energy = d0                      # ||Phi_n||^2 = D_n / D_{n-1}
     kappa[0] = 1.0 / math.sqrt(energy)
     log_det[0] = math.log(d0)
-    c = np.array([1.0 + 0.0j])
+    phi[0][0] = 1.0
     for n in range(N):
+        c, c_next = phi[n], phi[n + 1]
         a_conj = np.dot(c, dconj[:n + 1]) / energy
         if abs(a_conj) >= 1.0:
             raise PositivityLossError(n, np.conj(a_conj))
-        c_next = np.zeros(n + 2, dtype=complex)
         c_next[1:] = c                                  # z * Phi_n
         c_next[:n + 1] -= a_conj * np.conj(c[::-1])     # - conj(alpha_n) Phi_n^*
         alpha[n] = np.conj(a_conj)
         energy *= (1.0 - abs(a_conj) ** 2)
         kappa[n + 1] = 1.0 / math.sqrt(energy)
         log_det[n + 1] = log_det[n] + math.log(energy)
-        c = c_next
-        phi.append(c)                                   # fresh each degree and only read
     return OpucResult(N, alpha, kappa, phi, log_det)

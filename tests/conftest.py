@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opuc.canonical import default_truncation_order
-from opuc.oracle import moments, szego_recurrence
+from opuc.oracle import moments, phi_store, szego_recurrence
 from opuc.szego import szego_data_for
 from opuc.weights import (bernstein_szego, essential, inverse_essential,
                           lebesgue, zero_modified)
@@ -25,7 +25,7 @@ def bs2_szego(bs2):
 
 @pytest.fixture(scope="session")
 def bs2_oracle(bs2):
-    return szego_recurrence(moments(bs2, 44), 42)
+    return szego_recurrence(moments(bs2, 44), phi_store(42))
 
 
 @pytest.fixture(scope="session")
@@ -50,12 +50,12 @@ def inv_ess05():
 
 @pytest.fixture(scope="session")
 def ess_oracle(ess05):
-    return szego_recurrence(moments(ess05, 62, 1 << 13), 61)
+    return szego_recurrence(moments(ess05, 62), phi_store(61))
 
 
 @pytest.fixture(scope="session")
 def inv_ess_oracle(inv_ess05):
-    return szego_recurrence(moments(inv_ess05, 32, 1 << 13), 31)
+    return szego_recurrence(moments(inv_ess05, 32), phi_store(31))
 
 
 @pytest.fixture(scope="session")
@@ -72,9 +72,9 @@ def zmod2(leb):
 
 @pytest.fixture(scope="session")
 def zmod1_oracle(zmod1):
-    return szego_recurrence(moments(zmod1, 130, 1 << 17), 129)
+    return szego_recurrence(moments(zmod1, 130), phi_store(129))
 
 
 @pytest.fixture(scope="session")
 def zmod2_oracle(zmod2):
-    return szego_recurrence(moments(zmod2, 130, 1 << 17), 129)
+    return szego_recurrence(moments(zmod2, 130), phi_store(129))

@@ -19,7 +19,7 @@ from opuc.asymptotics import (fisher_hartwig_fit, kappa_zero_weight,
 from opuc.canonical import (apply_M_exterior, apply_M_interior, kappa_estimate,
                             neumann_alpha, neumann_kappa_sq, neumann_solve,
                             reconstruct_phi, verblunsky_estimate)
-from opuc.oracle import moments, szego_recurrence
+from opuc.oracle import moments, phi_store, szego_recurrence
 from opuc.szego import build_modified, szego_data_for, szego_function
 from opuc.zeros import classify, roots
 from oracles import (constant_series, distance, equidistribution_check, phi,
@@ -33,7 +33,7 @@ def report(num, name, ok, detail=""):
 
 
 def test_criterion_01_lebesgue_exactness(leb, leb_szego):
-    r = szego_recurrence(moments(leb, 22), 21)
+    r = szego_recurrence(moments(leb, 22), phi_store(21))
     ok_alpha = bool(np.max(np.abs(r.alpha)) <= 1e-14)
     ok_kappa = bool(np.max(np.abs(r.kappa ** 2 - 1 / (2 * np.pi))) <= 1e-12)
     ok_phi = all(abs(r.phi_monic[n][-1] - 1.0) <= 1e-14
@@ -165,7 +165,7 @@ def test_criterion_08_saddle_point():
 def test_criterion_09_zero_modified_weights(zmod1, zmod1_oracle, zmod2,
                                             zmod2_oracle, leb_szego):
     # Gamma-moment oracle vs quadrature
-    m = moments(zmod1, 12, 1 << 17)
+    m = moments(zmod1, 12)
     gamma_d = lambda k: (2 * np.pi * (-1) ** k * math.gamma(2.0)
                          / (math.gamma(1.5 + k) * math.gamma(1.5 - k)))
     ok_gamma = max(abs(m.d(k) - gamma_d(k)) for k in range(13)) <= 1e-8

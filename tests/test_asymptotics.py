@@ -10,7 +10,7 @@ from opuc.asymptotics import (PolePrescription, _rational_fraction_roots,
                               verblunsky_essential_asymptote,
                               verblunsky_pole_asymptote, zero_weight_phi,
                               zero_weight_predicted_roots)
-from opuc.oracle import moments, szego_recurrence
+from opuc.oracle import moments, phi_store, szego_recurrence
 from opuc.szego import build_modified, szego_data_for, szego_function
 from opuc.weights import (bernstein_szego, lebesgue, rational_modulus,
                           zero_modified)
@@ -89,7 +89,7 @@ def test_two_symmetric_poles_zero_parity():
     sz = szego_data_for(w, 80)
     p = PolePrescription.from_weight(w)
     assert p.ell == 2 and abs(p.theta_args[1] - 0.5) <= 1e-12
-    r = szego_recurrence(moments(w, 32), 31)
+    r = szego_recurrence(moments(w, 32), phi_store(31))
     for n in range(10, 31):
         pred = [z for z in dominant_pole_predicted_roots(p, sz, n) if abs(z) < 0.5]
         actual = roots(r.phi_monic[n]).zeros
@@ -110,7 +110,7 @@ def test_double_pole_asymptotics():
     (s,) = w.singularities
     assert s.multiplicity == 2 and abs(s.de_coefficient - 0.25) <= 1e-14
     sz = szego_data_for(w, 120)
-    r = szego_recurrence(moments(w, 46), 45)
+    r = szego_recurrence(moments(w, 46), phi_store(45))
     p = PolePrescription.from_weight(w)
     assert p.ell == 1 and p.multiplicity == 2
     rels = []
@@ -280,7 +280,7 @@ def test_asymmetric_zero_tracking(leb, leb_szego):
     # moves with n and the innermost polynomial zero follows it
     spec = zero_modified(leb, [(0.0, 0.5), (2.2, 0.3)])
     msz = build_modified(spec, leb_szego)
-    result = szego_recurrence(moments(spec, 92, 1 << 16), 91)
+    result = szego_recurrence(moments(spec, 92), phi_store(91))
     dists = []
     for n in (31, 51, 71, 91):
         pred = zero_weight_predicted_roots(msz, n)
@@ -301,7 +301,7 @@ def test_zero_on_analytic_base(bs2):
     W = zero_modified(bs2, [(np.pi / 2, 0.5)])
     msz = build_modified(W, sz)
     assert abs(msz.theta[0] - (0.6 - 0.8j)) <= 1e-14
-    result = szego_recurrence(moments(W, 100, 1 << 16), 99)
+    result = szego_recurrence(moments(W, 100), phi_store(99))
     rels = []
     for n in (24, 48, 96):
         pred = -np.conj(zero_weight_phi(msz, n + 1, 0.0))
@@ -341,7 +341,7 @@ def test_kappa_zero_weight_vs_oracle(zmod1, zmod1_oracle, leb_szego):
 # -- Toeplitz determinant growth ---------------------------------------------
 
 def test_fisher_hartwig_lebesgue(leb):
-    result = szego_recurrence(moments(leb, 66), 65)
+    result = szego_recurrence(moments(leb, 66), phi_store(65))
     slope, intercept = fisher_hartwig_fit(result.log_det, 2 * np.pi)
     assert abs(slope) <= 0.01
     assert abs(intercept - math.log(2 * np.pi)) <= 1e-9

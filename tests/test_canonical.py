@@ -365,14 +365,14 @@ def test_kappa_error_decay_rate():
 def test_rotated_weight_pipeline():
     # nothing in the chain may assume a real reflection point
     from opuc.asymptotics import PolePrescription, verblunsky_pole_asymptote
-    from opuc.oracle import moments, szego_recurrence
+    from opuc.oracle import moments, phi_store, szego_recurrence
     from opuc.szego import szego_data_for
     from opuc.weights import rational_modulus
 
     c = 2.0 * np.exp(0.7j)
     w = rational_modulus([c])
     sz = szego_data_for(w, 100)
-    r = szego_recurrence(moments(w, 30), 25)
+    r = szego_recurrence(moments(w, 30), phi_store(25))
     errs = [abs(verblunsky_estimate(n, sz) - r.alpha[n]) for n in range(2, 16)]
     slope = np.polyfit(range(2, 16), np.log(errs), 1)[0]
     assert slope <= -3 * math.log(2) + 0.15

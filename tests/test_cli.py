@@ -14,7 +14,7 @@ from opuc.asymptotics import (PolePrescription, dominant_pole_predicted_roots,
                               zero_weight_predicted_roots)
 from opuc.canonical import default_lens_radius, default_truncation_order, neumann_solve
 from opuc.cli import RunConfig, _write_json, main
-from opuc.oracle import moments, szego_recurrence
+from opuc.oracle import moments, phi_store, szego_recurrence
 from opuc.szego import build_modified, szego_data_for, theta_constants
 from opuc.weights import weight_from_json
 from opuc.zeros import match
@@ -305,8 +305,8 @@ def test_config_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
     ({"kind": "zero_modified", "base": 3, "zeros": []}, None, {}),
     ({"kind": "bernstein_szego", "c": 2.0}, "scattering", {"K": "x"}),
     ({"kind": "bernstein_szego", "c": 2.0}, "scattering", {"K": 3.5}),
-    ({"kind": "lebesgue"}, None, {"N_quad": 64.0}),
-    ({"kind": "lebesgue"}, None, {"N_quad": 8}),
+    ({"kind": "lebesgue"}, None, {"K": 64.0}),
+    ({"kind": "lebesgue"}, None, {"K": 0}),
     ({"kind": "lebesgue"}, None, {"n_list": "12"}),
     ({"kind": "lebesgue"}, None, {"n_list": [1.5]}),
     ({"kind": "lebesgue"}, None, {"n_list": [2, 2, 3]}),
@@ -367,17 +367,21 @@ def test_essential_without_a_level_curve_writes_nothing(tmp_path, capsys):
     assert list((tmp_path / "out").iterdir()) == []
 
 
-@pytest.mark.parametrize("command, allocator", [
-    (["oracle"], "moments"), (["predict", "--method", "scattering"], "szego_data_for")])
-def test_out_of_memory_exits_2_naming_n_max(tmp_path, capsys, monkeypatch, command, allocator):
-    # stands in for n_list [100000000], whose moments or Szego data numpy
-    # cannot allocate; nothing that large is allocated here
+@pytest.mark.parametrize("command, weight", [
+    (["oracle"], {"kind": "bernstein_szego", "c": 2.0}),
+    (["oracle"], {"kind": "zero_modified", "base": {"kind": "lebesgue"},
+                  "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]}),
+    (["predict", "--method", "scattering"], {"kind": "bernstein_szego", "c": 2.0})],
+    ids=["oracle", "oracle-circle-zeros", "predict"])
+def test_out_of_memory_exits_2_naming_n_max(tmp_path, capsys, monkeypatch, command, weight):
+    # numpy refuses the oracle's 71 PiB store for Phi_0 .. Phi_n_max at once,
+    # before any moment is computed; predict's Szego data (which the oracle
+    # does not read) fails by a stand-in, so nothing that large is allocated
     def no_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, allocator, no_memory)
-    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
-                       [100000000], tmp_path / "out")
+    monkeypatch.setattr(cli, "szego_data_for", no_memory)
+    cfg = write_config(tmp_path / "cfg.json", weight, [100000000], tmp_path / "out")
     assert main(command + ["--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err == ("opuc: config error: not enough memory for "
@@ -386,12 +390,10 @@ def test_out_of_memory_exits_2_naming_n_max(tmp_path, capsys, monkeypatch, comma
 
 @pytest.mark.parametrize("command, allocator, extra, size", [
     (["predict", "--method", "scattering"], "szego_data_for", {"K": 2000000000},
-     "n_max = 3, K = 2000000000"),
-    (["oracle"], "moments", {"N_quad": 20000000000},
-     "n_max = 3, K = 80, N_quad = 20000000000")], ids=["K", "N_quad"])
+     "n_max = 3, K = 2000000000")], ids=["K"])
 def test_out_of_memory_names_the_size_at_fault(tmp_path, capsys, monkeypatch,
                                                command, allocator, extra, size):
-    # a small n_max with a huge K or N_quad; nothing that large is allocated
+    # a small n_max with a huge K; nothing that large is allocated
     def no_memory(*args, **kwargs):
         raise MemoryError
 
@@ -402,25 +404,21 @@ def test_out_of_memory_names_the_size_at_fault(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == f"opuc: config error: not enough memory for {size}\n"
 
 
-def test_zero_weight_oracle_does_not_read_n_quad(tmp_path, capsys):
-    # the panel rule takes no N_quad: configs that differ only in it write the
-    # same files apart from the config sha lines, and a too small one is
-    # still refused
-    weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
-              "zeros": [{"angle": 0.0, "beta": 0.3}, {"angle": math.pi, "beta": 0.3}]}
-    written = []
-    for n_quad in (1 << 15, 1 << 17):
-        cfg = write_config(tmp_path / "cfg.json", weight, list(range(1, 41)),
-                           tmp_path / "out", N_quad=n_quad)
-        assert main(["oracle", "--config", cfg]) == 0
-        written.append({p.name: [ln for ln in p.read_text().splitlines()
-                                 if "config_sha256" not in ln]
-                        for p in (tmp_path / "out").iterdir()})
-    assert len(written[0]) == 4 + 2 * 40 and written[0] == written[1]
-    cfg = write_config(tmp_path / "cfg.json", weight, list(range(1, 41)), tmp_path / "out",
-                       N_quad=8)
-    assert main(["oracle", "--config", cfg]) == 2
-    assert capsys.readouterr().err == "opuc: config error: n_quad = 8 too small for max_k = 41\n"
+def test_oracle_ignores_n_quad(tmp_path):
+    # N_quad is read by no command: configs that differ only in it write the
+    # same files apart from the config sha lines
+    zeros = [{"angle": 0.0, "beta": 0.3}, {"angle": math.pi, "beta": 0.3}]
+    for weight in ({"kind": "bernstein_szego", "c": 1.3},
+                   {"kind": "zero_modified", "base": {"kind": "lebesgue"}, "zeros": zeros}):
+        written = []
+        for extra in ({}, {"N_quad": 8}, {"N_quad": 1 << 17}):
+            cfg = write_config(tmp_path / "cfg.json", weight, list(range(1, 41)),
+                               tmp_path / "out", **extra)
+            assert main(["oracle", "--config", cfg]) == 0
+            written.append({p.name: [ln for ln in p.read_text().splitlines()
+                                     if "config_sha256" not in ln]
+                            for p in (tmp_path / "out").iterdir()})
+        assert len(written[0]) == 4 + 2 * 40 and written[0] == written[1] == written[2]
 
 
 @pytest.mark.parametrize("base", [{"kind": "lebesgue"},
@@ -815,7 +813,7 @@ def test_zero_weight_pipeline_leaves_numpy_polynomial_unimported(tmp_path):
     cfg = write_config(tmp_path / "cfg.json",
                        {"kind": "zero_modified", "base": {"kind": "lebesgue"},
                         "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]},
-                       list(range(1, 13)), tmp_path / "out", N_quad=4096)
+                       list(range(1, 13)), tmp_path / "out")
     script = ("import sys\nfrom opuc.cli import main\n"
               "codes = [main([*cmd, '--config', sys.argv[1]]) for cmd in "
               "(['oracle'], ['predict', '--method', 'zero-weight'], ['compare'])]\n"
@@ -894,11 +892,10 @@ def test_config_resolves_K(tmp_path):
 
 
 def test_positivity_loss_exits_3(tmp_path, capsys):
-    # a beta = 8 zero on 1024 quadrature nodes loses positivity before degree 80
+    # the moments of a beta = 8 zero lose positivity before degree 80
     weight = {"kind": "zero_modified", "base": {"kind": "lebesgue"},
               "zeros": [{"angle": 0.0, "beta": 8.0}]}
-    cfg = write_config(tmp_path / "cfg.json", weight, [80], tmp_path / "out",
-                       N_quad=1024)
+    cfg = write_config(tmp_path / "cfg.json", weight, [80], tmp_path / "out")
     assert main(["oracle", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("opuc: |alpha_") and err.count("\n") == 1
@@ -977,7 +974,7 @@ def test_json_renderer_matches_reference_on_oracle_documents(tmp_path, monkeypat
                # on every odd degree (-0.0 parts are in the cases of the test below)
                ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
                  "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]},
-                40, {"N_quad": 1 << 15})]
+                40, {})]
     for i, (weight, n_max, extra) in enumerate(weights):
         cfg = write_config(tmp_path / f"cfg{i}.json", weight, list(range(1, n_max + 1)),
                            tmp_path / f"out{i}", **extra)
@@ -1036,7 +1033,7 @@ def test_report_per_degree_takes_python_abs_per_difference(tmp_path):
     ({"kind": "rational_modulus", "cs": [2.0, -2.0]}, 12, "poles", {}),
     ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
       "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]},
-     40, "zero-weight", {"N_quad": 1 << 15})])
+     40, "zero-weight", {})])
 def test_predicted_zeros_render_as_lists_of_complex_numbers(tmp_path, weight, n_max,
                                                             method, extra):
     # predict hands over arrays; the file holds what lists of Python complex
@@ -1135,7 +1132,7 @@ def test_csv_writer_matches_reference(tmp_path, monkeypatch):
             ({"kind": "essential", "rho": 0.5}, range(10, 31), "essential", {}),
             # alpha_n is nan on every row of this weight's predictions
             ({"kind": "inverse_essential", "rho": 0.5}, range(10, 21), "essential", {}),
-            (zm, range(1, 41), "zero-weight", {"N_quad": 1 << 15})]
+            (zm, range(1, 41), "zero-weight", {})]
     for i, (weight, ns, method, extra) in enumerate(runs):
         cfg = write_config(tmp_path / f"cfg{i}.json", weight, list(ns),
                            tmp_path / f"out{i}", **extra)
@@ -1157,6 +1154,6 @@ def test_kappa_sq_squares_each_kappa(tmp_path):
     weight = {"kind": "bernstein_szego", "c": 2.0}
     cfg = write_config(tmp_path / "cfg.json", weight, list(range(1, 13)), tmp_path / "out")
     assert main(["oracle", "--config", cfg]) == 0
-    result = szego_recurrence(moments(weight_from_json(weight), 13), 12)
+    result = szego_recurrence(moments(weight_from_json(weight), 13), phi_store(12))
     _, data = read_csv(tmp_path / "out" / "kappa.csv")
     assert [row[2] for row in data] == [format(float(k ** 2), ".17g") for k in result.kappa]

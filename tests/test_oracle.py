@@ -5,8 +5,8 @@ import pytest
 
 from conftest import bs2_alpha_closed
 from opuc import oracle
-from opuc.oracle import (_SAMPLE_BLOCK, Moments, PositivityLossError, _trapezoid_moments,
-                         moments, szego_recurrence)
+from opuc.oracle import (Moments, PositivityLossError, _trapezoid_moments,
+                         default_quadrature_size, moments, phi_store, szego_recurrence)
 from opuc.weights import (ZeroModifiedWeight, bernstein_szego, essential, inverse_essential,
                           lebesgue, rational_modulus, zero_modified)
 from oracles import (moments_reference, orthonormality_residual, traced_peak,
@@ -46,7 +46,7 @@ def test_zero_weight_alpha_sieved_jacobi(beta):
     # |z - 1|^{2 beta} |z + 1|^{2 beta}: alpha_{2k+1} = -beta / (k + beta + 1),
     # alpha_{2k} = 0
     w = zero_modified(lebesgue(), [(0.0, beta), (math.pi, beta)])
-    alpha = szego_recurrence(moments(w, 130), 129).alpha
+    alpha = szego_recurrence(moments(w, 130), phi_store(129)).alpha
     law = np.zeros(129)
     law[1::2] = -beta / (np.arange(64) + beta + 1.0)
     assert np.max(np.abs(alpha - law)) <= 1e-13
@@ -68,7 +68,7 @@ def test_panel_moments_match_mpmath(monkeypatch, c, zeros):
 
 
 def test_lebesgue_recursion_exact(leb):
-    r = szego_recurrence(moments(leb, 22), 21)
+    r = szego_recurrence(moments(leb, 22), phi_store(21))
     assert np.max(np.abs(r.alpha)) <= 1e-14
     assert np.max(np.abs(r.kappa ** 2 - 1.0 / (2.0 * np.pi))) <= 1e-12
     for n in range(22):
@@ -148,26 +148,34 @@ def test_determinant_ratio_identity(bs2_oracle):
 
 
 def test_determinants_closed_forms(leb, bs2, zmod1):
-    ld = szego_recurrence(moments(leb, 10), 10).log_det
+    ld = szego_recurrence(moments(leb, 10), phi_store(10)).log_det
     for n in range(10):
         assert abs(ld[n] - (n + 1) * math.log(2.0 * np.pi)) <= 1e-10
-    ld2 = szego_recurrence(moments(bs2, 10), 10).log_det
+    ld2 = szego_recurrence(moments(bs2, 10), phi_store(10)).log_det
     assert abs(math.exp(ld2[1]) - 21.0 * np.pi ** 2 / 4.0) <= 1e-8
-    ld3 = szego_recurrence(moments(zmod1, 10, 1 << 17), 10).log_det
+    ld3 = szego_recurrence(moments(zmod1, 10), phi_store(10)).log_det
     assert abs(math.exp(ld3[1]) - 512.0 / 9.0) <= 1e-6
 
 
 def test_orthonormality_residuals(leb, bs2, zmod1):
     for spec, nq in ((leb, None), (bs2, None), (zmod1, 1 << 17)):
-        r = szego_recurrence(moments(spec, 22, nq), 20)
+        r = szego_recurrence(moments(spec, 22), phi_store(20))
         assert orthonormality_residual(spec, r, 20, nq) <= 1e-8
 
 
-def test_quadrature_doubling_stability(bs2, ess05):
-    for spec in (bs2, ess05):
-        r1 = szego_recurrence(moments(spec, 32, 1024), 31)
-        r2 = szego_recurrence(moments(spec, 32, 2048), 31)
-        assert np.max(np.abs(r1.alpha - r2.alpha)) <= 1e-9
+@pytest.mark.parametrize("max_k", [41, 151, 1001])
+@pytest.mark.parametrize("spec", [
+    lebesgue(), bernstein_szego(1.05), bernstein_szego(1.3),
+    rational_modulus([2.0, -2.0, 1.5j]), essential(0.5), essential(0.9), essential(0.95),
+    inverse_essential(0.5), inverse_essential(0.9)],
+    ids=["lebesgue", "bs1.05", "bs1.3", "rational", "ess0.5", "ess0.9", "ess0.95",
+         "inv_ess0.5", "inv_ess0.9"])
+def test_default_quadrature_size_is_converged(spec, max_k):
+    # the trapezoid converges geometrically on analytic weights: eight times
+    # the default nodes change no moment beyond rounding (1.8e-15 at worst)
+    d = moments(spec, max_k).values
+    ref = moments_reference(spec, max_k, 8 * default_quadrature_size(max_k)).values
+    assert np.max(np.abs(d - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_nevai_totik_rate(bs2_oracle):
@@ -181,16 +189,14 @@ def test_positivity_loss_raises():
     # d_1 > d_0 cannot come from a positive measure
     vals = np.array([2.0, 1.0, 2.0], dtype=complex)
     with pytest.raises(PositivityLossError) as err:
-        szego_recurrence(Moments(vals, 1), 1)
+        szego_recurrence(Moments(vals, 1), phi_store(1))
     assert err.value.degree == 0
 
 
 def test_moment_preconditions(leb):
-    with pytest.raises(ValueError):
-        moments(leb, 100, 256)     # n_quad < 8 max_k
     m = moments(leb, 4)
     with pytest.raises(ValueError):
-        szego_recurrence(m, 10)    # not enough moments
+        szego_recurrence(m, phi_store(10))    # not enough moments
     with pytest.raises(IndexError):
         m.d(9)
 
@@ -206,26 +212,29 @@ CATALOG = {
 }
 
 
-@pytest.mark.parametrize("n_quad", [None, _SAMPLE_BLOCK // 4, 3 * _SAMPLE_BLOCK + 1000,
-                                    1 << 17], ids=["default", "part", "ragged", "2^17"])
+@pytest.mark.parametrize("n_quad", [None, 1 << 17], ids=["default", "2^17"])
 @pytest.mark.parametrize("kind", sorted(CATALOG))
-def test_moments_match_reference_bit_for_bit(kind, n_quad):
-    # the samples are taken in blocks; the moments are those of the one-shot
-    # rule.  moments takes zero-modified weights to the panel rule, so on
-    # them the block trapezoid is called directly, zeros on the grid included
+def test_moments_match_reference_bit_for_bit(monkeypatch, kind, n_quad):
+    # the samples are taken in blocks, one block at max_k = 40 and 32 at
+    # 2^17; the moments are those of the one-shot rule.  moments takes
+    # zero-modified weights to the panel rule, so on them the block
+    # trapezoid is called directly, zeros on the grid included
+    if n_quad is not None:
+        monkeypatch.setattr(oracle, "default_quadrature_size", lambda max_k: n_quad)
     rule = _trapezoid_moments if isinstance(CATALOG[kind], ZeroModifiedWeight) else moments
-    got, ref = rule(CATALOG[kind], 40, n_quad), moments_reference(CATALOG[kind], 40, n_quad)
+    got, ref = rule(CATALOG[kind], 40), moments_reference(CATALOG[kind], 40, n_quad)
     assert got.values.tobytes() == ref.values.tobytes()
 
 
-def test_moments_working_set(bs2):
-    # the trapezoid at N_quad = 2^17: one 2 MiB complex sample buffer and
+def test_moments_working_set(monkeypatch, bs2):
+    # the trapezoid on 2^17 nodes: one 2 MiB complex sample buffer and
     # block temporaries
-    assert traced_peak(moments, bs2, 130, 1 << 17) <= 3_000_000
+    monkeypatch.setattr(oracle, "default_quadrature_size", lambda max_k: 1 << 17)
+    assert traced_peak(moments, bs2, 130) <= 3_000_000
 
 
 def test_panel_moments_working_set(zmod2):
-    # zm-circle's config: the panel rule holds no N_quad buffer, only
+    # zm-circle's config: the panel rule holds no sample buffer, only
     # exponential tables and Jacobi matrices of under 128 KiB each (0.28 MB
     # traced in all, against 2.3 MB for the 2^17 trapezoid)
-    assert traced_peak(moments, zmod2, 130, 1 << 17) <= 400_000
+    assert traced_peak(moments, zmod2, 130) <= 400_000

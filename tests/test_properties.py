@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opuc.oracle import moments, szego_recurrence
+from opuc.oracle import moments, phi_store, szego_recurrence
 from opuc.weights import bernstein_szego, essential, lebesgue, zero_modified
 
 N = 12   # highest degree of each drawn oracle
@@ -29,7 +29,7 @@ drawn = settings(deadline=None, database=None, max_examples=25)
 
 
 def oracle(w):
-    return szego_recurrence(moments(w, N + 1), N)
+    return szego_recurrence(moments(w, N + 1), phi_store(N))
 
 
 def star(c):
@@ -77,7 +77,7 @@ def test_reversed_polynomial_recursion(w):
 @given(WEIGHTS)
 def test_log_det_matches_dense_determinant(w):
     moms = moments(w, N + 1)
-    res = szego_recurrence(moms, N)
+    res = szego_recurrence(moms, phi_store(N))
     for n in range(9):
         T = np.array([[moms.d(j - i) for j in range(n + 1)] for i in range(n + 1)])
         sign, ld = np.linalg.slogdet(T)

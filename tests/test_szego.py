@@ -182,7 +182,7 @@ def test_random_rational_weight_identities(seed):
     # (boundary factorization, unimodularity, Parseval, level-1 consistency)
     # must hold for any member of the family
     from opuc.canonical import verblunsky_estimate
-    from opuc.oracle import moments, szego_recurrence
+    from opuc.oracle import moments, phi_store, szego_recurrence
     from opuc.weights import rational_modulus
 
     rng = np.random.default_rng(seed)
@@ -197,7 +197,7 @@ def test_random_rational_weight_identities(seed):
                          - 1.0)) <= 1e-9
     total = sum(sz.S.coeff(k) * np.conj(sz.S.coeff(k)) for k in range(-96, 97))
     assert abs(total - 1.0) <= 1e-8
-    r = szego_recurrence(moments(w, 20), 16)
+    r = szego_recurrence(moments(w, 20), phi_store(16))
     for n in (6, 10, 14):
         gap = abs(verblunsky_estimate(n, sz) - r.alpha[n])
         assert gap <= 10.0 * sz.rho ** (3 * n) + 1e-12

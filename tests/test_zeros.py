@@ -11,7 +11,7 @@ import pytest
 
 from opuc import zeros
 from opuc.cli import main
-from opuc.oracle import moments, szego_recurrence
+from opuc.oracle import moments, phi_store, szego_recurrence
 from opuc.weights import bernstein_szego
 from opuc.zeros import classify, match, roots
 from oracles import aberth_reference, angular_gaps, clusters, equidistribution_check
@@ -69,7 +69,7 @@ def newton_corrections(coeffs, zs):
 def test_zeros_certified_past_eps_threshold(tmp_path):
     # rho^136 < eps for |1 - z/1.334442|^2: the companion eigenvalues of
     # Phi_136 are off by 0.3 while |Phi_136| stays at 1e-16 on them
-    phi = szego_recurrence(moments(bernstein_szego(1.334442), 137), 136).phi_monic[136]
+    phi = szego_recurrence(moments(bernstein_szego(1.334442), 137), phi_store(136)).phi_monic[136]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"weight": {"kind": "bernstein_szego", "c": 1.334442},
                                "n_list": list(range(130, 137)), "outputs": str(tmp_path)}))
@@ -93,7 +93,7 @@ def test_kept_degree_zeros_certified(tmp_path):
               "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"weight": weight, "n_list": list(range(120, 129)),
-                               "N_quad": 1 << 17, "outputs": str(tmp_path)}))
+                               "outputs": str(tmp_path)}))
     assert main(["oracle", "--config", str(cfg)]) == 0
     phi_doc = json.loads((tmp_path / "phi_128.json").read_text())
     phi = np.array([complex(c["re"], c["im"]) for c in phi_doc["monic_coefficients"]])
@@ -106,7 +106,7 @@ def test_kept_degree_zeros_certified(tmp_path):
 
 
 def test_track_predicted_seeds_give_the_cold_zeros(bs2):
-    phi = szego_recurrence(moments(bs2, 61), 60).phi_monic
+    phi = szego_recurrence(moments(bs2, 61), phi_store(60)).phi_monic
     history = ()
     for n in range(1, 61):
         c = phi[n]
@@ -148,7 +148,7 @@ def assert_bitwise_equal(got, want):
 
 @pytest.fixture(scope="module")
 def bs13_phi():
-    return szego_recurrence(moments(bernstein_szego(1.3), 151), 150).phi_monic
+    return szego_recurrence(moments(bernstein_szego(1.3), 151), phi_store(150)).phi_monic
 
 
 def test_work_arrays_give_the_zeros_of_fresh_tables(bs13_phi, zmod2_oracle, monkeypatch):
@@ -172,7 +172,7 @@ def test_work_arrays_on_seeds_that_differ_in_the_sign_of_zero():
 
 
 def test_work_arrays_carry_nothing_between_sequences(bs13_phi):
-    phi_b = szego_recurrence(moments(bernstein_szego(2.0), 41), 40).phi_monic
+    phi_b = szego_recurrence(moments(bernstein_szego(2.0), 41), phi_store(40)).phi_monic
     first = oracle_chain(bs13_phi, 150)
     alone_b = oracle_chain(phi_b, 40)
     assert_bitwise_equal(oracle_chain(bs13_phi, 150), first)
