@@ -59,10 +59,6 @@ class PolePrescription:
     @classmethod
     def from_weight(cls, spec: AnalyticWeight) -> "PolePrescription":
         poles = [s for s in spec.singularities if s.kind == "pole"]
-        if not poles:
-            raise ValueError(f"weight {spec.name!r} declares no poles")
-        if any(p.de_coefficient is None for p in poles):
-            raise ValueError("pole metadata must include the exterior Szego residue coefficient")
         rho = max(abs(p.location) for p in poles)
         on_circle = [p for p in poles if abs(abs(p.location) - rho) <= 1e-9 * rho]
         m = max(p.multiplicity for p in on_circle)
@@ -168,6 +164,7 @@ def _bisect_first_crossing(f, start: float, step: float, limit: float,
     """First sign change of f marching from start toward limit, then bisection.
 
     f tends to -inf at start; the march stops at the first positive value.
+    A clamp point not past start is not evaluated (f may be singular there).
     """
     direction = 1.0 if limit > start else -1.0
     t = start + direction * 1e-13
@@ -177,7 +174,7 @@ def _bisect_first_crossing(f, start: float, step: float, limit: float,
         if direction * (t_next - limit) >= 0.0:
             t_next = limit - direction * 1e-13
             clamped = True
-        if f(t_next) > 0.0:
+        if direction * (t_next - start) > 0.0 and f(t_next) > 0.0:
             a, b = t, t_next
             for _ in range(200):
                 mid = 0.5 * (a + b)
@@ -213,10 +210,11 @@ def saddle_solve(rho: float, n: int, inverse: bool = False) -> SaddleData:
     worst = 0.0
     if not inverse:
         f = lambda t: _saddle_equation(t, rho, n, sign)   # real t: a float
-        # f -> -inf at rho from both sides (the double pole dominates)
+        # f -> -inf at rho from both sides (the double pole dominates); t_- first:
+        # when rho^2 (n+1) is below ~1e-13 it is refused at once, and t_+ is far away
+        t_minus = complex(_bisect_first_crossing(f, rho, step / 8.0, 0.0, 1e-12))
         t_plus = complex(_bisect_first_crossing(f, rho, step / 8.0,
                                                 0.5 * (rho + 1.0 / rho), 1e-12))
-        t_minus = complex(_bisect_first_crossing(f, rho, step / 8.0, 0.0, 1e-12))
         roots = [t_plus, t_minus]
         worst = max(abs(_saddle_equation(t, rho, n, sign)) for t in roots)
         if not worst <= 1e-12:

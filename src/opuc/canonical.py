@@ -74,7 +74,7 @@ class SMatrixEntries:
     s11..s22 are summed from them when first read.  s11/s21 split at 1/r,
     s12/s22 split at r; tail_bound records the decay rate r^{(2N+2)n}
     (diagonal) and r^{(2N+3)n} (off-diagonal) of the discarded remainder,
-    with the existential constant left at 1.
+    with the existential constant left at 1; the sums hold on S's annulus.
     """
 
     n: int
@@ -82,30 +82,25 @@ class SMatrixEntries:
     r: float
     tail_bound: dict
     K: int
-    rho: float
+    annulus: tuple
     f: list = field(repr=False)
     g: list = field(repr=False)
 
-    @property
-    def _annulus(self) -> tuple:
-        """(rho, 1/rho), the annulus of S that the entries converge on."""
-        return self.rho, (1.0 / self.rho if self.rho > 0.0 else math.inf)
-
     @cached_property
     def s11(self) -> PiecewiseSeries:
-        return _summed(self.f[1::2], 1.0, self.K, *self._annulus)
+        return _summed(self.f[1::2], 1.0, self.K, *self.annulus)
 
     @cached_property
     def s12(self) -> PiecewiseSeries:
-        return _summed(self.f[0::2], 0.0, self.K, *self._annulus)
+        return _summed(self.f[0::2], 0.0, self.K, *self.annulus)
 
     @cached_property
     def s21(self) -> PiecewiseSeries:
-        return _summed(self.g[0::2], 0.0, self.K, *self._annulus)
+        return _summed(self.g[0::2], 0.0, self.K, *self.annulus)
 
     @cached_property
     def s22(self) -> PiecewiseSeries:
-        return _summed(self.g[1::2], 1.0, self.K, *self._annulus)
+        return _summed(self.g[1::2], 1.0, self.K, *self.annulus)
 
     def to_manifest(self) -> dict:
         return {"n": self.n, "n_terms": self.K_neumann, "r": self.r, "K": self.K,
@@ -241,7 +236,7 @@ def neumann_solve(n: int, sz: SzegoData, n_terms: int = 2,
             "s21": r ** ((2 * n_terms + 3) * n),
             "s22": r ** ((2 * n_terms + 2) * n),
         },
-        K=sz.K, rho=sz.rho,
+        K=sz.K, annulus=(sz.S.r_inner, sz.S.r_outer),
         f=_chain(n, sz, True, 2 * n_terms + 1),     # f[0] is f^(1)
         g=_chain(n, sz, False, 2 * n_terms + 1))
 

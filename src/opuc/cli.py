@@ -215,10 +215,9 @@ def _load_weight(cfg: RunConfig):
         raise ConfigError(f"weight spec is missing key {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid weight spec: {exc}")
-    diag = validate(spec.base)
-    if not diag.ok:
-        raise ConfigError(f"weight validation failed: min={diag.min_value}, "
-                          f"winding={diag.winding_number}")
+    low = validate(spec.base)
+    if not low > 0.0:
+        raise ConfigError(f"weight validation failed: min={low}")
     return spec
 
 
@@ -474,7 +473,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     declared_rho = spec.base.rho
     pole_like = isinstance(spec, AnalyticWeight) and any(
         s.kind == "pole" for s in spec.singularities)
-    if pole_like and declared_rho and np.count_nonzero(mags > floor) >= 8:
+    if pole_like and np.count_nonzero(mags > floor) >= 8:
         ns = np.nonzero(mags > floor)[0]
         ns = ns[ns >= max(4, ns[-1] // 2)]
         rho_fit = math.exp(_slope(ns, np.log(mags[ns])))
@@ -495,7 +494,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                   first=float(errs[0]), last=float(errs[-1]),
                   per_degree=[[int(n), float(e)] for n, e in zip(ns, errs)])
             pos = errs > floor
-            if pole_like and declared_rho and np.count_nonzero(pos) >= 6:
+            if pole_like and np.count_nonzero(pos) >= 6:
                 slope = _slope(ns[pos], np.log(errs[pos]))
                 check("prediction-error-slope", slope <= 1.5 * math.log(declared_rho),
                       slope=slope, required=1.5 * math.log(declared_rho))

@@ -42,18 +42,21 @@ class SzegoData:
     """Szego data of an analytic weight.
 
     lhat holds the Laurent coefficients of log w; S and S_inv are the
-    scattering function and its reciprocal on the annulus (rho, 1/rho).
+    scattering function and its reciprocal, all on lhat's annulus (rho, 1/rho).
     """
 
     lhat: LaurentSeries
     tau: float
     S: LaurentSeries
     S_inv: LaurentSeries
-    rho: float = 0.0
 
     @property
     def K(self) -> int:
         return self.S.K
+
+    @property
+    def rho(self) -> float:
+        return self.lhat.r_inner
 
     @cached_property
     def bands(self) -> tuple:
@@ -61,12 +64,12 @@ class SzegoData:
         return band(self.S.coeffs), band(self.S_inv.coeffs)
 
 
-def scattering(lhat: LaurentSeries, K: int, rho: float) -> SzegoData:
+def scattering(lhat: LaurentSeries, K: int) -> SzegoData:
     """Build scattering data from the log-weight coefficients.
 
     S = exp(sum_{k>=1} (L_k z^k - conj(L_k) z^{-k})) is evaluated on the
-    unit-circle grid and its coefficients extracted; S_inv comes from the
-    negated exponent.  tau = exp(-L_0/2) is recorded.
+    unit-circle grid and its coefficients extracted, on lhat's annulus;
+    S_inv comes from the negated exponent.  tau = exp(-L_0/2) is recorded.
     """
     N = max(default_grid_size(K), 1024)
     l0 = lhat.coeff(0).real
@@ -77,36 +80,37 @@ def scattering(lhat: LaurentSeries, K: int, rho: float) -> SzegoData:
     exponent = 2j * plus_part.imag                 # L_k z^k - conj(L_k) z^{-k}
     if np.any(~np.isfinite(exponent)):
         raise ValueError("scattering exponent is not finite on the grid")
-    r_in, r_out = (rho, 1.0 / rho) if rho > 0.0 else (0.0, math.inf)
-    S = coefficients_from_samples(np.exp(exponent), K, r_in, r_out).denoised()
-    S_inv = coefficients_from_samples(np.exp(-exponent), K, r_in, r_out).denoised()
-    return SzegoData(lhat, math.exp(-0.5 * l0), S, S_inv, rho)
+    annulus = lhat.r_inner, lhat.r_outer
+    S = coefficients_from_samples(np.exp(exponent), K, *annulus).denoised()
+    S_inv = coefficients_from_samples(np.exp(-exponent), K, *annulus).denoised()
+    return SzegoData(lhat, math.exp(-0.5 * l0), S, S_inv)
 
 
 def szego_data_for(spec: AnalyticWeight, K: int) -> SzegoData:
     """Convenience: log-weight coefficients and scattering data in one step."""
-    lhat = log_weight_coefficients(spec, K)
-    return scattering(lhat, K, rho=spec.rho)
+    return scattering(log_weight_coefficients(spec, K), K)
 
 
 def szego_function(d: SzegoData, z, side: str):
     """Interior or exterior Szego function from the log-weight coefficients.
 
     D_i(z) = exp(L_0/2 + sum_{k>=1} L_k z^k) for |z| < 1/rho,
-    D_e(z) = exp(-L_0/2 - sum_{k>=1} conj(L_k) z^{-k}) for |z| > rho.
+    D_e(z) = exp(-L_0/2 - sum_{k>=1} conj(L_k) z^{-k}) for |z| > rho,
+    with (rho, 1/rho) the annulus of the log-weight coefficients.
     """
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     scalar = np.asarray(z).ndim == 0
     l0 = d.lhat.coeff(0).real
     plus = d.lhat.plus_coeffs.copy()
     plus[0] = 0.0
+    r_in, r_out = d.lhat.r_inner, d.lhat.r_outer
     if side == "interior":
-        if d.rho > 0.0 and np.any(np.abs(zarr) >= 1.0 / d.rho):
-            raise ValueError(f"interior Szego function only continues to |z| < {1.0 / d.rho:.6g}")
+        if np.any(np.abs(zarr) >= r_out):
+            raise ValueError(f"interior Szego function only continues to |z| < {r_out:.6g}")
         out = np.exp(0.5 * l0 + _horner(plus, zarr))
     elif side == "exterior":
-        if np.any(np.abs(zarr) <= d.rho):
-            raise ValueError(f"exterior Szego function only continues to |z| > {d.rho:.6g}")
+        if np.any(np.abs(zarr) <= r_in):
+            raise ValueError(f"exterior Szego function only continues to |z| > {r_in:.6g}")
         u = 1.0 / zarr
         out = np.exp(-0.5 * l0 - _horner(np.conj(plus), u))
     else:

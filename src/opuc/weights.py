@@ -9,7 +9,7 @@ finite set of zeros |z - a_k|^{2 beta_k} on the circle itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -21,7 +21,6 @@ __all__ = [
     "CircleZero",
     "ExactSzego",
     "Singularity",
-    "WeightDiagnostics",
     "ZeroModifiedWeight",
     "bernstein_szego",
     "essential",
@@ -133,28 +132,10 @@ WeightSpec = Union[AnalyticWeight, ZeroModifiedWeight]
 # validation and log-weight analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightDiagnostics:
-    min_value: float
-    winding_number: int
-
-    @property
-    def ok(self) -> bool:
-        return self.min_value > 0.0 and self.winding_number == 0
-
-
-def validate(spec: WeightSpec) -> WeightDiagnostics:
-    """Positivity and winding diagnostics on 256 uniform angles.
-
-    Failures are reported, not raised; callers decide what is fatal.
-    """
+def validate(spec: WeightSpec) -> float:
+    """The weight's minimum on 256 uniform angles; callers decide what is fatal."""
     theta = 2.0 * np.pi * np.arange(256) / 256
-    vals = np.asarray(spec(theta), dtype=complex)
-    phases = np.angle(np.where(vals == 0.0, 1.0, vals))
-    dphi = np.diff(np.concatenate([phases, phases[:1]]))
-    dphi = (dphi + np.pi) % (2.0 * np.pi) - np.pi
-    winding = int(round(float(np.sum(dphi)) / (2.0 * np.pi)))
-    return WeightDiagnostics(float(np.min(vals.real)), winding)
+    return float(np.min(spec(theta)))
 
 
 def log_weight_coefficients(spec: AnalyticWeight, K: int) -> LaurentSeries:
@@ -308,37 +289,28 @@ def _number(x, name: str) -> float:
 def weight_from_json(doc: dict) -> WeightSpec:
     """Build a catalog weight from its JSON description.
 
-    An optional "rho" entry in [0, 1) overrides the derived Nevai-Totik
-    radius (used by diagnostics that cross-check a declared radius); a
-    zero_modified weight refuses it, since its radius is its base's.
+    A key that the kind does not read is ignored: "rho" defines the
+    essential kinds, and every other kind derives its Nevai-Totik radius
+    from its own parameters.
     """
     if not isinstance(doc, dict):
         raise TypeError(f"a weight description must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "lebesgue":
-        w = lebesgue()
-    elif kind == "bernstein_szego":
-        w = bernstein_szego(_number(doc["c"], "c"))
-    elif kind == "rational_modulus":
-        w = rational_modulus([_number(c, "cs item") for c in doc["cs"]])
-    elif kind == "essential":
-        w = essential(_number(doc["rho"], "rho"))
-    elif kind == "inverse_essential":
-        w = inverse_essential(_number(doc["rho"], "rho"))
-    elif kind == "zero_modified":
-        if "rho" in doc:
-            raise ValueError("a rho override belongs on the zero_modified base weight")
+        return lebesgue()
+    if kind == "bernstein_szego":
+        return bernstein_szego(_number(doc["c"], "c"))
+    if kind == "rational_modulus":
+        return rational_modulus([_number(c, "cs item") for c in doc["cs"]])
+    if kind == "essential":
+        return essential(_number(doc["rho"], "rho"))
+    if kind == "inverse_essential":
+        return inverse_essential(_number(doc["rho"], "rho"))
+    if kind == "zero_modified":
         base = weight_from_json(doc["base"])
         if not isinstance(base, AnalyticWeight):
             raise ValueError("zero_modified base must be an analytic weight")
         return zero_modified(base, [(_number(z["angle"], "angle"),
                                      _number(z["beta"], "beta"))
                                     for z in doc["zeros"]])
-    else:
-        raise ValueError(f"unknown weight kind {kind!r}")
-    if "rho" in doc and kind not in ("essential", "inverse_essential"):
-        rho = _number(doc["rho"], "rho")
-        if not 0.0 <= rho < 1.0:
-            raise ValueError(f"rho override must lie in [0, 1), got {rho}")
-        w = replace(w, rho=rho)
-    return w
+    raise ValueError(f"unknown weight kind {kind!r}")

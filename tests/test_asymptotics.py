@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from opuc import asymptotics
 from opuc.asymptotics import (PolePrescription, _rational_fraction_roots,
                               dominant_pole_phi, dominant_pole_predicted_roots,
                               fisher_hartwig_fit,
@@ -170,6 +171,24 @@ def test_saddle_small_degree():
     # below that the pole terms swamp 1/t and no saddle exists yet
     with pytest.raises(RuntimeError):
         saddle_solve(0.5, 2)
+
+
+@pytest.mark.parametrize("rho", [1e-20, 1e-13])
+def test_saddle_tiny_rho_is_refused_at_once(monkeypatch, rho):
+    # at rho^2 (n + 1) below 1e-13 the t_- crossing lies under the march's
+    # clamp (at rho = 1e-13 the clamp is rho itself), so t_- is refused at
+    # once; the march to t_+ near 1/(n + 1) would take ~2e10 steps at 1e-20
+    equation, calls = asymptotics._saddle_equation, []
+
+    def counted(*args):
+        calls.append(None)
+        if len(calls) > 10_000:
+            raise AssertionError("the saddle equation was evaluated 10^4 times")
+        return equation(*args)
+
+    monkeypatch.setattr(asymptotics, "_saddle_equation", counted)
+    with pytest.raises(RuntimeError, match="degree is too small"):
+        saddle_solve(rho, 10)
 
 
 def test_saddle_inverse_weight_leaves_axis():

@@ -209,7 +209,7 @@ def test_neumann_divergence_guard():
     K = 24
     ks = np.arange(-K, K + 1)
     bad = LaurentSeries(2.0 ** np.abs(ks) + 0j, K, 0.1, 10.0)
-    sz = SzegoData(zero_series(K), 1.0, bad, bad, 0.0)
+    sz = SzegoData(zero_series(K), 1.0, bad, bad)
     with pytest.raises(NeumannDivergenceError):
         neumann_solve(2, sz, 3, 0.7)
 

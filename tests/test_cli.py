@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from opuc import __version__, cli
 from opuc.asymptotics import (PolePrescription, dominant_pole_predicted_roots,
                               zero_weight_predicted_roots)
-from opuc.canonical import default_lens_radius, default_truncation_order, neumann_solve
+from opuc.canonical import default_truncation_order, neumann_solve
 from opuc.cli import RunConfig, _write_json, main
 from opuc.oracle import moments, phi_store, szego_recurrence
 from opuc.szego import build_modified, szego_data_for, theta_constants
@@ -106,9 +107,13 @@ def test_compare_trivial_weight_passes(tmp_path):
     assert main(["compare", "--config", cfg]) == 0
 
 
-def test_compare_flags_wrong_rho(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json",
-                       {"kind": "bernstein_szego", "c": 2.0, "rho": 0.8},
+def test_compare_flags_wrong_rho(tmp_path, monkeypatch):
+    # a weight whose declared radius (0.8) is not its own (0.5); no config
+    # can declare one, so every command reads it through a stand-in
+    load = cli.weight_from_json
+    monkeypatch.setattr(cli, "weight_from_json",
+                        lambda doc: dataclasses.replace(load(doc), rho=0.8))
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
                        list(range(1, 13)), tmp_path / "out")
     main(["oracle", "--config", cfg])
     main(["predict", "--method", "scattering", "--config", cfg])
@@ -235,37 +240,26 @@ def test_predict_scattering_manifest(tmp_path):
     assert all(e["r"] == 0.75 and e["n_terms"] == 2 for e in manifest["entries"])
 
 
-def test_rho_override_reaches_every_reader(tmp_path):
-    # the declared radius labels the oracle zeros, sets the lens radius of
-    # the Neumann solve and the annulus of the log-weight coefficients
-    weight = {"kind": "bernstein_szego", "c": 2.0}
-    labels, lens = {}, {}
-    for rho in (None, 0.8):
-        doc = weight if rho is None else {**weight, "rho": rho}
-        out = tmp_path / str(rho)
-        cfg = write_config(tmp_path / f"{rho}.json", doc, [8, 16], out)
-        assert main(["oracle", "--config", cfg]) == 0
-        assert main(["predict", "--method", "scattering", "--config", cfg]) == 0
-        labels[rho] = [read_zeros(out / f"zeros_{n}.json")[1] for n in (8, 16)]
-        manifest = json.loads((out / "smatrix_manifest.json").read_text())
-        lens[rho] = {e["r"] for e in manifest["entries"]}
-    assert labels[0.8] != labels[None]
-    assert lens == {None: {default_lens_radius(0.5)}, 0.8: {default_lens_radius(0.8)}}
-    sz = szego_data_for(weight_from_json({**weight, "rho": 0.8}), 80)
-    assert sz.rho == sz.lhat.r_inner == 0.8
-
-
-@pytest.mark.parametrize("rho", [5, 0.5])
-def test_rho_override_on_zero_modified_weight_exits_2(tmp_path, capsys, rho):
-    # the radius of a zero-modified weight is its base's, where the override goes
-    weight = {"kind": "zero_modified", "base": {"kind": "bernstein_szego", "c": 2.0},
-              "zeros": [{"angle": 0.0, "beta": 0.5}], "rho": rho}
-    cfg = write_config(tmp_path / "cfg.json", weight, [4, 5], tmp_path / "out")
-    for argv in (["oracle"], ["predict", "--method", "zero-weight"]):
-        assert main(argv + ["--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("opuc: config error: ") and err.count("\n") == 1
-        assert "rho override belongs on the zero_modified base weight" in err
+@pytest.mark.parametrize("weight, key, method", [
+    ({"kind": "bernstein_szego", "c": 2.0}, {"rho": 0.8}, "scattering"),
+    ({"kind": "lebesgue"}, {"rho": 0.8}, "scattering"),
+    ({"kind": "zero_modified", "base": {"kind": "bernstein_szego", "c": 2.0},
+      "zeros": [{"angle": 0.0, "beta": 0.5}]}, {"rho": 5}, "zero-weight"),
+], ids=["bernstein_szego", "lebesgue", "zero_modified"])
+def test_weight_ignores_keys_its_kind_does_not_read(tmp_path, weight, key, method):
+    # rho defines only the essential kinds; every other kind owns its radius,
+    # so weights that differ only in a rho key write the same files apart
+    # from the config sha lines
+    written = []
+    for doc in (weight, {**weight, **key}):
+        out = tmp_path / str(len(written))
+        cfg = write_config(tmp_path / "cfg.json", doc, list(range(1, 13)), out)
+        codes = [main(argv + ["--config", cfg]) for argv in
+                 (["oracle"], ["predict", "--method", method], ["compare"])]
+        written.append((codes, {p.name: [ln for ln in p.read_text().splitlines()
+                                         if "config_sha256" not in ln]
+                                for p in out.iterdir()}))
+    assert written[0][0] == [0, 0, 0] and written[0] == written[1]
 
 
 def test_method_metadata_mismatch(tmp_path):
@@ -312,9 +306,10 @@ def test_config_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
     ({"kind": "lebesgue"}, None, {"n_list": [2, 2, 3]}),
     ({"kind": "lebesgue"}, None, {"n_list": [True]}),
     ({"kind": "lebesgue"}, None, {"outputs": 3}),
-    ({"kind": "bernstein_szego", "c": 2.0, "rho": 1.5}, None, {}),
-    ({"kind": "bernstein_szego", "c": 2.0, "rho": -0.5}, None, {}),
-    ({"kind": "bernstein_szego", "c": 2.0, "rho": True}, None, {}),
+    # rho is the defining parameter of the essential kinds, in (0, 1)
+    ({"kind": "essential", "rho": 1.5}, None, {}),
+    ({"kind": "inverse_essential", "rho": -0.5}, None, {}),
+    ({"kind": "essential", "rho": True}, None, {}),
     ({"kind": "bernstein_szego", "c": "2.0"}, None, {}),
     ({"kind": "essential", "rho": "0.5"}, None, {}),
     ({"kind": "rational_modulus", "cs": [1.5, "2"]}, None, {}),
@@ -322,7 +317,7 @@ def test_config_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
       "zeros": [{"angle": "0", "beta": 0.5}]}, None, {}),
     ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
       "zeros": [{"angle": 0.0, "beta": "0.5"}]}, None, {}),
-    ({"kind": "bernstein_szego", "c": 2.0, "rho": 1.5}, "scattering", {}),
+    ({"kind": "inverse_essential", "rho": 1.5}, "scattering", {}),
     # angles 0 and 2 pi name the same circle zero
     ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
       "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": 2 * math.pi, "beta": 0.5}]},
@@ -346,6 +341,11 @@ def test_config_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
     # no cell of the level-curve grid changes sign at degrees this low
     ({"kind": "inverse_essential", "rho": 0.9}, "essential", {"n_list": [2]}),
     ({"kind": "inverse_essential", "rho": 0.95}, "essential", {"n_list": [2]}),
+    # rho^2 (n + 1) so small that the t_- crossing lies below the saddle
+    # march's clamp: refused at once, before the long march to t_+
+    ({"kind": "essential", "rho": 1e-20}, "essential", {"n_list": [10, 20]}),
+    # the clamp of the t_- march lands on the singularity itself
+    ({"kind": "essential", "rho": 1e-13}, "essential", {"n_list": [10, 20]}),
 ])
 def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, weight, method, extra):
     doc = {"weight": weight, "n_list": [5] if method == "essential" else [2],

