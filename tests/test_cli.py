@@ -245,7 +245,9 @@ def test_predict_scattering_manifest(tmp_path):
     ({"kind": "lebesgue"}, {"rho": 0.8}, "scattering"),
     ({"kind": "zero_modified", "base": {"kind": "bernstein_szego", "c": 2.0},
       "zeros": [{"angle": 0.0, "beta": 0.5}]}, {"rho": 5}, "zero-weight"),
-], ids=["bernstein_szego", "lebesgue", "zero_modified"])
+    ({"kind": "zero_modified", "base": {"kind": "bernstein_szego", "c": 2.0},
+      "zeros": [{"angle": 0.0, "beta": 0.5}]}, {"rho": 0.5}, "zero-weight"),
+], ids=["bernstein_szego", "lebesgue", "zero_modified-rho5", "zero_modified-rho0.5"])
 def test_weight_ignores_keys_its_kind_does_not_read(tmp_path, weight, key, method):
     # rho defines only the essential kinds; every other kind owns its radius,
     # so weights that differ only in a rho key write the same files apart
