@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .szego import ModifiedSzegoData, SzegoData, modified_szego, szego_function
-from .weights import AnalyticWeight
+from .weights import AnalyticWeight, essential_exponent
 
 __all__ = [
     "LevelCurve",
@@ -41,9 +41,10 @@ __all__ = [
 class PolePrescription:
     """Poles of the exterior Szego function on the critical circle.
 
-    The dominant subset maximizes first the modulus, then the multiplicity;
-    theta_args holds the normalized argument offsets of the dominant poles
-    relative to the first one.
+    The weight declares only the poles on its circle |a| = rho, so the
+    dominant subset is those of the largest multiplicity; theta_args holds
+    the normalized argument offsets of the dominant poles relative to the
+    first one.
     """
 
     poles: tuple
@@ -58,28 +59,21 @@ class PolePrescription:
 
     @classmethod
     def from_weight(cls, spec: AnalyticWeight) -> "PolePrescription":
-        poles = [s for s in spec.singularities if s.kind == "pole"]
-        rho = max(abs(p.location) for p in poles)
-        on_circle = [p for p in poles if abs(abs(p.location) - rho) <= 1e-9 * rho]
-        m = max(p.multiplicity for p in on_circle)
-        dominant = [p for p in on_circle if p.multiplicity == m]
-        rest = [p for p in poles if p not in dominant]
+        m = max(p.multiplicity for p in spec.poles)
+        dominant = [p for p in spec.poles if p.multiplicity == m]
+        rest = [p for p in spec.poles if p not in dominant]
         a1 = dominant[0].location
         thetas = tuple(float(((np.angle(p.location) - np.angle(a1))
                               / (2.0 * np.pi)) % 1.0)
                        for p in dominant)
-        return cls(tuple(dominant + rest), rho, len(dominant), m, thetas)
+        return cls(tuple(dominant + rest), spec.rho, len(dominant), m, thetas)
 
 
-def _dominant_sum(p: PolePrescription, sz: SzegoData, n: int, z: complex) -> complex:
+def _residues(p: PolePrescription, sz: SzegoData, n: int) -> list:
+    """a^{n-m+1} D_i(a) De_hat(a) for each dominant pole a of multiplicity m."""
     m = p.multiplicity
-    binom = math.comb(n, m - 1)
-    total = 0.0 + 0.0j
-    for s in p.dominant:
-        a = s.location
-        d_i_a = szego_function(sz, a, "interior")
-        total += binom * a ** (n - m + 1) * d_i_a * s.de_coefficient / (a - z)
-    return total
+    return [s.location ** (n - m + 1) * szego_function(sz, s.location, "interior")
+            * s.de_coefficient for s in p.dominant]
 
 
 def dominant_pole_phi(p: PolePrescription, sz: SzegoData, n: int, z: complex) -> complex:
@@ -96,8 +90,10 @@ def dominant_pole_phi(p: PolePrescription, sz: SzegoData, n: int, z: complex) ->
     if abs(z) >= p.rho:
         raise ValueError(f"|z| = {abs(z):.6g} is not inside the critical circle "
                          f"|z| < {p.rho:.6g}; this form omits the exterior term")
+    binom = math.comb(n, p.multiplicity - 1)
+    total = sum(binom * r / (s.location - z) for s, r in zip(p.dominant, _residues(p, sz, n)))
     d_i_ratio = szego_function(sz, 0.0, "interior") / szego_function(sz, z, "interior")
-    return complex(d_i_ratio * _dominant_sum(p, sz, n, z))
+    return complex(d_i_ratio * total)
 
 
 def dominant_pole_predicted_roots(p: PolePrescription, sz: SzegoData, n: int) -> np.ndarray:
@@ -116,14 +112,8 @@ def dominant_pole_predicted_roots(p: PolePrescription, sz: SzegoData, n: int) ->
 def verblunsky_pole_asymptote(p: PolePrescription, sz: SzegoData, n: int) -> complex:
     """alpha_n from the dominant poles:
     -sum_k binom(n+1, m-1) conj(a_k^{n-m+1} D_i(a_k) De_hat(a_k))."""
-    m = p.multiplicity
-    binom = math.comb(n + 1, m - 1)
-    total = 0.0 + 0.0j
-    for s in p.dominant:
-        a = s.location
-        d_i_a = szego_function(sz, a, "interior")
-        total += binom * np.conj(a ** (n - m + 1) * d_i_a * s.de_coefficient)
-    return complex(-total)
+    binom = math.comb(n + 1, p.multiplicity - 1)
+    return complex(-sum(binom * np.conj(r) for r in _residues(p, sz, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +122,11 @@ def verblunsky_pole_asymptote(p: PolePrescription, sz: SzegoData, n: int) -> com
 
 @dataclass(frozen=True)
 class SaddleData:
-    """Saddle points of Psi_n(t) = log t + (sign/n) log S(w; t) near t = rho."""
+    """Saddle points near t = rho of log t + (sign/(n+1)) log S(w; t), the
+    stationarity that _saddle_equation solves, with sign -1 for the inverse
+    weight.  psi is the 1/n form, Psi_n(z) = log z + (sign/n) log S(w; z),
+    whose value at t_plus sets level_curve's reference level; t_plus is not
+    a stationary point of Psi_n itself."""
 
     rho: float
     n: int
@@ -144,8 +138,7 @@ class SaddleData:
     def psi(self, z):
         z = np.asarray(z, dtype=complex)
         sign = -1.0 if self.inverse else 1.0
-        return np.log(z) + (sign / self.n) * (1.0 / (z - self.rho)
-                                              + z / (self.rho * z - 1.0))
+        return np.log(z) + (sign / self.n) * essential_exponent(z, self.rho)
 
 
 def _saddle_equation(t, rho: float, n: int, sign: float):
@@ -242,7 +235,7 @@ def verblunsky_essential_asymptote(sd: SaddleData, spec: AnalyticWeight) -> comp
     -(1/(2 sqrt(pi))) t_+^n S(w; t_+) (rho/n)^{3/4}."""
     if sd.inverse:
         raise ValueError("the Verblunsky asymptote needs the plain weight's saddle")
-    s_val = complex(spec.exact.scattering(sd.t_plus))
+    s_val = complex(spec.scattering(sd.t_plus))
     return complex(-1.0 / (2.0 * math.sqrt(math.pi))
                    * sd.t_plus ** sd.n * s_val * (sd.rho / sd.n) ** 0.75)
 
@@ -272,7 +265,8 @@ _REFINE_TOL = 1e-10
 
 def level_curve(sd: SaddleData) -> LevelCurve:
     """Extract the level curve Re(Psi_n(z) - Psi_n(t_+)) = level on a polar grid,
-    for the weight, radius and degree of the saddle sd.
+    for the weight, radius and degree of the saddle sd, with Psi_n = sd.psi
+    (the 1/n form) and t_+ the saddle of the 1/(n+1) form.
 
     level = (1/n) log(rho^{3/4} / (2 sqrt(pi) n^{3/4})).  A cell is active when
     its corners take both signs and all lie clear of z = rho.  Each active cell
@@ -291,8 +285,8 @@ def level_curve(sd: SaddleData) -> LevelCurve:
     sign = -1.0 if sd.inverse else 1.0
 
     def F(z):
-        lam = 1.0 / (z - rho) + z / (rho * z - 1.0)
-        return np.log(np.abs(z)) + (sign / n) * lam.real - psi_ref - level
+        return (np.log(np.abs(z)) + (sign / n) * essential_exponent(z, rho).real
+                - psi_ref - level)
 
     m = _RESOLUTION
     rs = np.linspace(_ANNULUS[0] * rho, r_outer * rho, m + 1)

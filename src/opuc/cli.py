@@ -298,8 +298,7 @@ def _predict_scattering(cfg: RunConfig, spec) -> int:
 
 
 def _predict_poles(cfg: RunConfig, spec) -> int:
-    if not isinstance(spec, AnalyticWeight) or not any(
-            s.kind == "pole" for s in spec.singularities):
+    if not isinstance(spec, AnalyticWeight) or not spec.poles:
         raise ConfigError("method=poles requires declared pole metadata")
     sz = szego_data_for(spec, cfg.K)
     p = PolePrescription.from_weight(spec)
@@ -471,8 +470,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     # declared Nevai-Totik radius vs the decay rate of the oracle alphas;
     # only pole-type weights converge fast enough for a sharp check
     declared_rho = spec.base.rho
-    pole_like = isinstance(spec, AnalyticWeight) and any(
-        s.kind == "pole" for s in spec.singularities)
+    pole_like = isinstance(spec, AnalyticWeight) and bool(spec.poles)
     if pole_like and np.count_nonzero(mags > floor) >= 8:
         ns = np.nonzero(mags > floor)[0]
         ns = ns[ns >= max(4, ns[-1] // 2)]

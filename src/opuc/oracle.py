@@ -68,12 +68,11 @@ def default_quadrature_size(max_k: int) -> int:
 def moments(spec, max_k: int) -> Moments:
     """Moments d_k, |k| <= max_k, with d_{-k} = conj(d_k) exactly.
 
-    A weight with zeros on the circle (some beta_k > 0) is integrated by
-    Gauss-Jacobi panels; any other weight by the trapezoid rule on
-    default_quadrature_size(max_k) uniform angles (via FFT), spectrally
-    accurate for analytic weights.
+    A weight with zeros on the circle is integrated by Gauss-Jacobi panels,
+    any other weight by the trapezoid rule on default_quadrature_size(max_k)
+    uniform angles (via FFT), spectrally accurate for analytic weights.
     """
-    if isinstance(spec, ZeroModifiedWeight) and np.any(spec.betas > 0.0):
+    if isinstance(spec, ZeroModifiedWeight) and spec.zeros:
         return _panel_moments(spec, max_k)
     return _trapezoid_moments(spec, max_k)
 
@@ -186,7 +185,7 @@ def _panel_moments(spec: ZeroModifiedWeight, max_k: int) -> Moments:
     block of k at a time, so no exponential table exceeds _SAMPLE_BLOCK
     entries.
     """
-    zeros = [z for z in spec.zeros if z.beta > 0.0]
+    zeros = spec.zeros
     rho = spec.base.rho
     strip = -math.log(rho) if rho > 0.0 else math.inf
     rules = {}
@@ -245,8 +244,12 @@ class OpucResult:
 
 def phi_store(N: int) -> list:
     """Zeroed room for the coefficients of Phi_0 .. Phi_N: views of one block
-    of (N + 1)(N + 2)/2 complex numbers, so a degree too large fails at once."""
-    block = np.zeros((N + 1) * (N + 2) // 2, dtype=complex)
+    of (N + 1)(N + 2)/2 complex numbers, so a degree too large fails at once
+    with a MemoryError."""
+    try:
+        block = np.zeros((N + 1) * (N + 2) // 2, dtype=complex)
+    except ValueError:   # more bytes than an array can address
+        raise MemoryError from None
     return [block[n * (n + 1) // 2:(n + 1) * (n + 2) // 2] for n in range(N + 1)]
 
 

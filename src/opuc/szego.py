@@ -132,8 +132,6 @@ def _branch_product(zeros, z):
     zarr = np.asarray(z, dtype=complex)
     out = np.ones_like(zarr)
     for zk in zeros:
-        if zk.beta == 0.0:
-            continue
         w = zarr - np.exp(1j * zk.angle)
         phi_adj = zk.angle - np.mod(zk.angle - np.angle(w), 2.0 * np.pi)
         out = out * np.abs(w) ** zk.beta * np.exp(1j * zk.beta * phi_adj)

@@ -1,16 +1,17 @@
 """Orthogonality weights on the unit circle.
 
 Two families are supported: strictly positive analytic weights, given by a
-pointwise evaluator, the Nevai-Totik radius, exact Szego evaluators and the
-singularities of the exterior Szego function, and their modifications by a
-finite set of zeros |z - a_k|^{2 beta_k} on the circle itself.
+pointwise evaluator, the Nevai-Totik radius, the closed forms of D_e and S
+and the poles of D_e on the critical circle, and their modifications by a
+finite set of zeros |z - a_k|^{2 beta_k} on the circle itself.  Each of these
+facts is the weight's own: the predictors read them here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -19,11 +20,11 @@ from .laurent import LaurentSeries, coefficients_from_samples, default_grid_size
 __all__ = [
     "AnalyticWeight",
     "CircleZero",
-    "ExactSzego",
-    "Singularity",
+    "Pole",
     "ZeroModifiedWeight",
     "bernstein_szego",
     "essential",
+    "essential_exponent",
     "inverse_essential",
     "lebesgue",
     "log_weight_coefficients",
@@ -35,37 +36,30 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Singularity:
-    """Singularity of the exterior Szego function on the critical circle."""
+class Pole:
+    """Pole of the exterior Szego function on the critical circle."""
 
     location: complex
-    kind: str                  # "pole" | "essential"
-    multiplicity: int = 1
-    de_coefficient: Optional[complex] = None   # lim (z-a)^m D_e(w; z) for poles
-
-
-@dataclass(frozen=True)
-class ExactSzego:
-    """Closed-form Szego data for catalog weights.
-
-    d_e / scattering are analytic continuations valid off the singularities
-    (in particular inside the critical circle, where the Laurent-series
-    representations diverge).
-    """
-
-    d_e: Callable
-    scattering: Callable
+    multiplicity: int
+    de_coefficient: complex    # lim (z-a)^m D_e(w; z)
 
 
 @dataclass(frozen=True)
 class AnalyticWeight:
-    """Strictly positive analytic weight w(e^{i theta}) on the unit circle."""
+    """Strictly positive analytic weight w(e^{i theta}) on the unit circle.
+
+    d_e and scattering are the closed forms of D_e(w; z) and S(w; z), valid
+    off the singularities (in particular inside the critical circle, where
+    the Laurent-series representations diverge); poles are those of D_e on
+    the critical circle |a| = rho, none for the Lebesgue and essential kinds.
+    """
 
     name: str
     evaluate_theta: Callable
     rho: float
-    exact: ExactSzego
-    singularities: tuple = ()
+    d_e: Callable
+    scattering: Callable
+    poles: tuple = ()
 
     @property
     def base(self) -> "AnalyticWeight":
@@ -84,7 +78,8 @@ class CircleZero:
 
 @dataclass(frozen=True)
 class ZeroModifiedWeight:
-    """w(z) * prod_k |z - a_k|^{2 beta_k} with a_k = exp(i angle_k) on the circle."""
+    """w(z) * prod_k |z - a_k|^{2 beta_k} with a_k = exp(i angle_k) on the
+    circle; every zero kept has beta_k > 0."""
 
     base: AnalyticWeight
     zeros: tuple
@@ -98,6 +93,8 @@ class ZeroModifiedWeight:
                     raise ValueError("circle zeros must be pairwise distinct")
         if any(z.beta < 0 for z in self.zeros):
             raise ValueError("zero exponents beta must be nonnegative")
+        # a factor |z - a|^0 is 1: such an entry is no zero, and is dropped
+        object.__setattr__(self, "zeros", tuple(z for z in self.zeros if z.beta > 0.0))
 
     @property
     def locations(self) -> np.ndarray:
@@ -110,19 +107,14 @@ class ZeroModifiedWeight:
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
         # |e^{i theta} - e^{i a}|^{2 beta} computed in log space: the sine
-        # factor underflows near the zero before the power does.
+        # factor underflows near the zero before the power does.  At a zero
+        # the log is -inf, and 2 beta (-inf) is -inf since beta > 0.
         log_factor = np.zeros_like(theta, dtype=float)
-        hit = np.zeros_like(theta, dtype=bool)
         for z in self.zeros:
-            if z.beta == 0.0:
-                continue
             s = np.abs(2.0 * np.sin(0.5 * (theta - z.angle)))
-            zero_here = s == 0.0
-            hit |= zero_here
             with np.errstate(divide="ignore"):
-                log_factor += 2.0 * z.beta * np.where(zero_here, 0.0, np.log(s))
-        vals = self.base(theta) * np.exp(log_factor)
-        return np.where(hit, 0.0, vals)
+                log_factor += 2.0 * z.beta * np.log(s)
+        return self.base(theta) * np.exp(log_factor)
 
 
 WeightSpec = Union[AnalyticWeight, ZeroModifiedWeight]
@@ -160,11 +152,9 @@ def log_weight_coefficients(spec: AnalyticWeight, K: int) -> LaurentSeries:
 
 def lebesgue() -> AnalyticWeight:
     """The constant weight 1."""
-    one = ExactSzego(
-        d_e=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-        scattering=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-    )
-    return AnalyticWeight("lebesgue", lambda th: np.ones_like(th), rho=0.0, exact=one)
+    one = lambda z: np.ones_like(np.asarray(z, dtype=complex))
+    return AnalyticWeight("lebesgue", lambda th: np.ones_like(th), rho=0.0,
+                          d_e=one, scattering=one)
 
 
 def rational_modulus(cs) -> AnalyticWeight:
@@ -206,7 +196,7 @@ def rational_modulus(cs) -> AnalyticWeight:
     groups: dict = {}
     for c in cs:
         groups[complex(c)] = groups.get(complex(c), 0) + 1
-    sings = []
+    poles = []
     for c, mult in groups.items():
         a = 1.0 / np.conj(c)
         if abs(abs(a) - rho) > 1e-12:
@@ -217,16 +207,21 @@ def rational_modulus(cs) -> AnalyticWeight:
                 continue
             cb2 = np.conj(c2)
             coeff *= ((cb2 * a) / (cb2 * a - 1.0)) ** mult2
-        sings.append(Singularity(complex(a), "pole", mult, complex(coeff)))
+        poles.append(Pole(complex(a), mult, complex(coeff)))
     return AnalyticWeight(
-        "bernstein_szego" if len(cs) == 1 else "rational_modulus",
-        w_theta, rho=rho, singularities=tuple(sings),
-        exact=ExactSzego(d_e, lambda z: d_i(z) * d_e(z)))
+        "bernstein_szego" if len(cs) == 1 else "rational_modulus", w_theta, rho=rho,
+        d_e=d_e, scattering=lambda z: d_i(z) * d_e(z), poles=tuple(poles))
 
 
 def bernstein_szego(c) -> AnalyticWeight:
     """w(z) = |1 - z/c|^2, |c| > 1; one simple pole of D_e at 1/conj(c)."""
     return rational_modulus([c])
+
+
+def essential_exponent(z, rho: float):
+    """lambda(z) = 1/(z - rho) + z/(rho z - 1): S(w; z) = exp(lambda(z)) for
+    the essential weight at radius rho, and exp(-lambda(z)) for its inverse."""
+    return 1.0 / (z - rho) + z / (rho * z - 1.0)
 
 
 def _essential_family(rho: float, sign: int) -> AnalyticWeight:
@@ -237,19 +232,14 @@ def _essential_family(rho: float, sign: int) -> AnalyticWeight:
         z = np.exp(1j * theta)
         return np.exp(sign * 2.0 * np.real(1.0 / (rho - z)))
 
-    def exponent(z):
-        z = np.asarray(z, dtype=complex)
-        return sign * (1.0 / (z - rho) + z / (rho * z - 1.0))
-
     def d_e(z):
-        z = np.asarray(z, dtype=complex)
-        return np.exp(sign * 1.0 / (z - rho))
+        return np.exp(sign * 1.0 / (np.asarray(z, dtype=complex) - rho))
+
+    def scattering(z):
+        return np.exp(sign * essential_exponent(np.asarray(z, dtype=complex), rho))
 
     name = "essential" if sign > 0 else "inverse_essential"
-    return AnalyticWeight(
-        name, w_theta, rho=rho,
-        singularities=(Singularity(complex(rho), "essential"),),
-        exact=ExactSzego(d_e, lambda z: np.exp(exponent(z))))
+    return AnalyticWeight(name, w_theta, rho=rho, d_e=d_e, scattering=scattering)
 
 
 def essential(rho: float) -> AnalyticWeight:

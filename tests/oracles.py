@@ -310,7 +310,7 @@ def equidistribution_check(zeros, labels, rho: float, n: int, m: int = 1) -> dic
 
 
 def _residue_radius(spec: AnalyticWeight) -> float:
-    locs = [s.location for s in spec.singularities]
+    locs = [s.location for s in spec.poles]
     delta = 2.0 * 0.05
     if len(locs) > 1:
         pair = min(abs(a - b) for i, a in enumerate(locs) for b in locs[i + 1:])
@@ -332,13 +332,13 @@ def residue_quadrature(spec: AnalyticWeight, a: complex, n: int, z: complex) -> 
         raise ValueError(f"evaluation point {z} too close to the singularity at {a}")
     phi = 2.0 * np.pi * np.arange(64) / 64
     t = a + radius * np.exp(1j * phi)
-    vals = spec.exact.scattering(t) * t ** n / (t - z)
+    vals = spec.scattering(t) * t ** n / (t - z)
     return complex(radius * np.mean(vals * np.exp(1j * phi)))
 
 
 def residue_predictor(spec: AnalyticWeight, sz: SzegoData, n: int, z: complex,
                       form: str) -> complex:
-    """First-order prediction of Phi_n(z) from the circle singularities.
+    """First-order prediction of Phi_n(z) from the poles on the critical circle.
 
     'interior' uses (D_i(0)/D_i(z)) * sum of residues; 'annulus' adds the
     exterior term z^n D_e(z)/tau and is valid on a slightly larger disk.
@@ -346,11 +346,11 @@ def residue_predictor(spec: AnalyticWeight, sz: SzegoData, n: int, z: complex,
     if form not in ("interior", "annulus"):
         raise ValueError(f"form must be 'interior' or 'annulus', got {form!r}")
     res_sum = sum(residue_quadrature(spec, s.location, n, z)
-                  for s in spec.singularities)
+                  for s in spec.poles)
     d_i_ratio = szego_function(sz, 0.0, "interior") / szego_function(sz, z, "interior")
     value = d_i_ratio * res_sum
     if form == "annulus":
-        value = value + z ** n * complex(spec.exact.d_e(z)) / sz.tau
+        value = value + z ** n * complex(spec.d_e(z)) / sz.tau
     return complex(value)
 
 

@@ -26,7 +26,7 @@ from oracles import (distance, level_curve_reference, phi, residue_predictor,
 def test_residue_quadrature_matches_formula(c):
     w = bernstein_szego(c)
     sz = szego_data_for(w, 60)
-    pole = w.singularities[0]
+    pole = w.poles[0]
     a, n, z = pole.location, 9, 0.1 + 0.05j
     quad = residue_quadrature(w, a, n, z)
     formula = (szego_function(sz, a, "interior") * pole.de_coefficient
@@ -108,7 +108,7 @@ def test_double_pole_asymptotics():
     # |1 - z/2|^4: D_e has one pole of multiplicity 2, so the binomial factor
     # is live and the relative error of the pole asymptote decays like 1/n
     w = rational_modulus([2.0, 2.0])
-    (s,) = w.singularities
+    (s,) = w.poles
     assert s.multiplicity == 2 and abs(s.de_coefficient - 0.25) <= 1e-14
     sz = szego_data_for(w, 120)
     r = szego_recurrence(moments(w, 46), phi_store(45))

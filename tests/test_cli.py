@@ -247,11 +247,16 @@ def test_predict_scattering_manifest(tmp_path):
       "zeros": [{"angle": 0.0, "beta": 0.5}]}, {"rho": 5}, "zero-weight"),
     ({"kind": "zero_modified", "base": {"kind": "bernstein_szego", "c": 2.0},
       "zeros": [{"angle": 0.0, "beta": 0.5}]}, {"rho": 0.5}, "zero-weight"),
-], ids=["bernstein_szego", "lebesgue", "zero_modified-rho5", "zero_modified-rho0.5"])
+    ({"kind": "zero_modified", "base": {"kind": "bernstein_szego", "c": 2.0},
+      "zeros": [{"angle": 0.0, "beta": 0.5}]},
+     {"zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": 1.0, "beta": 0.0}]}, "zero-weight"),
+], ids=["bernstein_szego", "lebesgue", "zero_modified-rho5", "zero_modified-rho0.5",
+        "zero_modified-beta0"])
 def test_weight_ignores_keys_its_kind_does_not_read(tmp_path, weight, key, method):
     # rho defines only the essential kinds; every other kind owns its radius,
     # so weights that differ only in a rho key write the same files apart
-    # from the config sha lines
+    # from the config sha lines; so do weights that differ only in a circle
+    # zero with beta = 0, whose factor |z - a|^0 is 1
     written = []
     for doc in (weight, {**weight, **key}):
         out = tmp_path / str(len(written))
@@ -369,25 +374,29 @@ def test_essential_without_a_level_curve_writes_nothing(tmp_path, capsys):
     assert list((tmp_path / "out").iterdir()) == []
 
 
-@pytest.mark.parametrize("command, weight", [
-    (["oracle"], {"kind": "bernstein_szego", "c": 2.0}),
+@pytest.mark.parametrize("command, weight, n_max, K", [
+    (["oracle"], {"kind": "bernstein_szego", "c": 2.0}, 100000000, 400000068),
     (["oracle"], {"kind": "zero_modified", "base": {"kind": "lebesgue"},
-                  "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]}),
-    (["predict", "--method", "scattering"], {"kind": "bernstein_szego", "c": 2.0})],
-    ids=["oracle", "oracle-circle-zeros", "predict"])
-def test_out_of_memory_exits_2_naming_n_max(tmp_path, capsys, monkeypatch, command, weight):
+                  "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]},
+     100000000, 400000068),
+    (["predict", "--method", "scattering"], {"kind": "bernstein_szego", "c": 2.0},
+     100000000, 400000068),
+    (["oracle"], {"kind": "bernstein_szego", "c": 2.0}, 1100000000, 4400000068)],
+    ids=["oracle", "oracle-circle-zeros", "predict", "oracle-past-array-size"])
+def test_out_of_memory_exits_2_naming_n_max(tmp_path, capsys, monkeypatch, command, weight,
+                                            n_max, K):
     # numpy refuses the oracle's 71 PiB store for Phi_0 .. Phi_n_max at once,
-    # before any moment is computed; predict's Szego data (which the oracle
-    # does not read) fails by a stand-in, so nothing that large is allocated
+    # before any moment is computed, and at n_max = 1.1e9 its 9.7 EB are more
+    # than an array can address; predict's Szego data (which the oracle does
+    # not read) fails by a stand-in, so nothing that large is allocated
     def no_memory(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(cli, "szego_data_for", no_memory)
-    cfg = write_config(tmp_path / "cfg.json", weight, [100000000], tmp_path / "out")
+    cfg = write_config(tmp_path / "cfg.json", weight, [n_max], tmp_path / "out")
     assert main(command + ["--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err == ("opuc: config error: not enough memory for "
-                   "n_max = 100000000, K = 400000068\n")
+    assert err == f"opuc: config error: not enough memory for n_max = {n_max}, K = {K}\n"
 
 
 @pytest.mark.parametrize("command, allocator, extra, size", [

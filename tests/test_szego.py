@@ -150,10 +150,13 @@ def test_theta_symmetric_pair(zmod2, leb_szego):
     assert abs(msz.theta[0] / msz.theta[1] - 1.0) <= 1e-9
 
 
-def test_theta_beta_zero_equals_base_scattering(leb, leb_szego):
-    W = zero_modified(leb, [(1.0, 0.0)])
-    thetas = theta_constants(W, leb_szego)
-    assert abs(thetas[0] - 1.0) <= 1e-12   # S(w; a) = 1 for the Lebesgue weight
+def test_theta_single_zero_equals_base_scattering(bs2, bs2_szego):
+    # with one zero, q^2(0)^2 = e^{2i beta (angle - pi)} cancels the phase,
+    # so theta = S(w; a) whatever beta is
+    for beta in (0.3, 0.5):
+        for angle in (1.0, 2.5, -0.7):
+            (theta,) = theta_constants(zero_modified(bs2, [(angle, beta)]), bs2_szego)
+            assert abs(theta - bs2_szego.S.evaluate(np.exp(1j * angle))) <= 1e-15
 
 
 def test_modified_scattering_unimodular_off_zeros(zmod2, leb_szego):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opuc.weights import (bernstein_szego, essential, inverse_essential,
+from opuc.weights import (Pole, bernstein_szego, essential, inverse_essential,
                           lebesgue, log_weight_coefficients, rational_modulus,
                           validate, weight_from_json, zero_modified)
 
@@ -73,8 +73,8 @@ def test_builtin_rejects_bad_parameters():
 
 
 def test_bernstein_pole_metadata(bs2):
-    (pole,) = bs2.singularities
-    assert pole.kind == "pole" and pole.multiplicity == 1
+    (pole,) = bs2.poles
+    assert isinstance(pole, Pole) and pole.multiplicity == 1
     assert abs(pole.location - 0.5) <= 1e-15
     assert abs(pole.de_coefficient - 0.5) <= 1e-15
     assert abs(bs2.rho - 0.5) <= 1e-15
@@ -82,9 +82,9 @@ def test_bernstein_pole_metadata(bs2):
 
 def test_two_pole_metadata():
     w = rational_modulus([2.0, -2.0])
-    locs = sorted(s.location.real for s in w.singularities)
+    locs = sorted(s.location.real for s in w.poles)
     assert np.allclose(locs, [-0.5, 0.5])
-    for s in w.singularities:
+    for s in w.poles:
         # D_e = (2z/(2z-1)) * (-2z/(-2z-1)); residue at +-1/2 works out to +-1/4
         assert abs(abs(s.location) - 0.5) <= 1e-15
         assert abs(s.de_coefficient - np.sign(s.location.real) * 0.25) <= 1e-15
