@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .szego import ModifiedSzegoData, SzegoData, modified_szego, szego_function
-from .weights import AnalyticWeight, essential_exponent
+from .szego import SzegoData, modified_szego, szego_function
+from .weights import AnalyticWeight, ZeroModifiedWeight, essential_exponent
 
 __all__ = [
     "LevelCurve",
-    "PolePrescription",
+    "SADDLE_TOL",
     "SaddleData",
     "dominant_pole_phi",
+    "dominant_pole_predicted_roots",
     "fisher_hartwig_fit",
     "kappa_zero_weight",
     "level_curve",
@@ -37,46 +38,22 @@ __all__ = [
 # dominant poles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolePrescription:
-    """Poles of the exterior Szego function on the critical circle.
-
-    The weight declares only the poles on its circle |a| = rho, so the
-    dominant subset is those of the largest multiplicity; theta_args holds
-    the normalized argument offsets of the dominant poles relative to the
-    first one.
-    """
-
-    poles: tuple
-    rho: float
-    ell: int
-    multiplicity: int
-    theta_args: tuple
-
-    @property
-    def dominant(self) -> tuple:
-        return self.poles[:self.ell]
-
-    @classmethod
-    def from_weight(cls, spec: AnalyticWeight) -> "PolePrescription":
-        m = max(p.multiplicity for p in spec.poles)
-        dominant = [p for p in spec.poles if p.multiplicity == m]
-        rest = [p for p in spec.poles if p not in dominant]
-        a1 = dominant[0].location
-        thetas = tuple(float(((np.angle(p.location) - np.angle(a1))
-                              / (2.0 * np.pi)) % 1.0)
-                       for p in dominant)
-        return cls(tuple(dominant + rest), spec.rho, len(dominant), m, thetas)
+def _dominant(spec: AnalyticWeight) -> tuple:
+    """The dominant poles, those of the largest multiplicity m among the
+    poles the weight declares on its critical circle, in declared order,
+    and m."""
+    m = max(p.multiplicity for p in spec.poles)
+    return [p for p in spec.poles if p.multiplicity == m], m
 
 
-def _residues(p: PolePrescription, sz: SzegoData, n: int) -> list:
+def _residues(spec: AnalyticWeight, sz: SzegoData, n: int) -> list:
     """a^{n-m+1} D_i(a) De_hat(a) for each dominant pole a of multiplicity m."""
-    m = p.multiplicity
+    dominant, m = _dominant(spec)
     return [s.location ** (n - m + 1) * szego_function(sz, s.location, "interior")
-            * s.de_coefficient for s in p.dominant]
+            * s.de_coefficient for s in dominant]
 
 
-def dominant_pole_phi(p: PolePrescription, sz: SzegoData, n: int, z: complex) -> complex:
+def dominant_pole_phi(spec: AnalyticWeight, sz: SzegoData, n: int, z: complex) -> complex:
     """Explicit dominant-pole prediction of Phi_n(z) for |z| < rho.
 
     Inside the critical circle only the pole sum (weighted by D_i(0)/D_i(z))
@@ -84,36 +61,41 @@ def dominant_pole_phi(p: PolePrescription, sz: SzegoData, n: int, z: complex) ->
     form leaves out.  A point within 0.05 of a pole, or with |z| >= rho,
     raises ValueError.
     """
-    for s in p.poles:
+    for s in spec.poles:
         if abs(z - s.location) < 0.05:
             raise ValueError(f"z within 0.05 of the pole at {s.location}")
-    if abs(z) >= p.rho:
+    if abs(z) >= spec.rho:
         raise ValueError(f"|z| = {abs(z):.6g} is not inside the critical circle "
-                         f"|z| < {p.rho:.6g}; this form omits the exterior term")
-    binom = math.comb(n, p.multiplicity - 1)
-    total = sum(binom * r / (s.location - z) for s, r in zip(p.dominant, _residues(p, sz, n)))
+                         f"|z| < {spec.rho:.6g}; this form omits the exterior term")
+    dominant, m = _dominant(spec)
+    binom = math.comb(n, m - 1)
+    total = sum(binom * r / (s.location - z) for s, r in zip(dominant, _residues(spec, sz, n)))
     d_i_ratio = szego_function(sz, 0.0, "interior") / szego_function(sz, z, "interior")
     return complex(d_i_ratio * total)
 
 
-def dominant_pole_predicted_roots(p: PolePrescription, sz: SzegoData, n: int) -> np.ndarray:
-    """Roots of the dominant-pole sum (at most ell - 1 of them)."""
+def dominant_pole_predicted_roots(spec: AnalyticWeight, sz: SzegoData, n: int) -> np.ndarray:
+    """Roots of the dominant-pole sum (one fewer at most than the dominant
+    poles).  Each a^{n-m+1} enters as exp(2 pi i (n-m+1) t), with t the
+    argument offset of a from the first dominant pole a_1 over 2 pi: the
+    common factor a_1^{n-m+1} does not move the roots."""
+    dominant, m = _dominant(spec)
+    a1 = dominant[0].location
     weights_ = []
-    locs = []
-    m = p.multiplicity
-    for s, t in zip(p.dominant, p.theta_args):
+    for s in dominant:
         a = s.location
+        t = float(((np.angle(a) - np.angle(a1)) / (2.0 * np.pi)) % 1.0)
         weights_.append(szego_function(sz, a, "interior") * s.de_coefficient
                         * np.exp(2j * np.pi * (n - m + 1) * t))
-        locs.append(a)
-    return _rational_fraction_roots(np.array(weights_), np.array(locs))
+    return _rational_fraction_roots(np.array(weights_),
+                                    np.array([s.location for s in dominant]))
 
 
-def verblunsky_pole_asymptote(p: PolePrescription, sz: SzegoData, n: int) -> complex:
+def verblunsky_pole_asymptote(spec: AnalyticWeight, sz: SzegoData, n: int) -> complex:
     """alpha_n from the dominant poles:
     -sum_k binom(n+1, m-1) conj(a_k^{n-m+1} D_i(a_k) De_hat(a_k))."""
-    binom = math.comb(n + 1, p.multiplicity - 1)
-    return complex(-sum(binom * np.conj(r) for r in _residues(p, sz, n)))
+    binom = math.comb(n + 1, _dominant(spec)[1] - 1)
+    return complex(-sum(binom * np.conj(r) for r in _residues(spec, sz, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +123,11 @@ class SaddleData:
         return np.log(z) + (sign / self.n) * essential_exponent(z, self.rho)
 
 
+# The residual of the saddle equation every saddle is solved to, and that
+# compare's saddle-residual check holds predictions.csv to.
+SADDLE_TOL = 1e-12
+
+
 def _saddle_equation(t, rho: float, n: int, sign: float):
     # stationarity of log t + (sign/(n+1)) log S for the essential weight
     return 1.0 / t - sign / (n + 1) * (1.0 / (t - rho) ** 2
@@ -152,12 +139,12 @@ def _saddle_equation_prime(t, rho: float, n: int, sign: float):
                                              + 2.0 * rho / (rho * t - 1.0) ** 3)
 
 
-def _bisect_first_crossing(f, start: float, step: float, limit: float,
-                           tol: float) -> float:
+def _bisect_first_crossing(f, start: float, step: float, limit: float) -> float:
     """First sign change of f marching from start toward limit, then bisection.
 
-    f tends to -inf at start; the march stops at the first positive value.
-    A clamp point not past start is not evaluated (f may be singular there).
+    f tends to -inf at start; the march stops at the first positive value,
+    and the bisection once |f| <= SADDLE_TOL.  A clamp point not past start
+    is not evaluated (f may be singular there).
     """
     direction = 1.0 if limit > start else -1.0
     t = start + direction * 1e-13
@@ -172,7 +159,7 @@ def _bisect_first_crossing(f, start: float, step: float, limit: float,
             for _ in range(200):
                 mid = 0.5 * (a + b)
                 fm = f(mid)
-                if abs(fm) <= tol:
+                if abs(fm) <= SADDLE_TOL:
                     return mid
                 if fm > 0.0:
                     b = mid
@@ -186,7 +173,7 @@ def _bisect_first_crossing(f, start: float, step: float, limit: float,
 
 
 def saddle_solve(rho: float, n: int, inverse: bool = False) -> SaddleData:
-    """Saddle pair near t = rho, solved to residual 1e-12.
+    """Saddle pair near t = rho, solved to residual SADDLE_TOL.
 
     The real saddles (plain weight) are the first crossings of the saddle
     equation on either side of rho, located by bracketed bisection: bare
@@ -205,12 +192,11 @@ def saddle_solve(rho: float, n: int, inverse: bool = False) -> SaddleData:
         f = lambda t: _saddle_equation(t, rho, n, sign)   # real t: a float
         # f -> -inf at rho from both sides (the double pole dominates); t_- first:
         # when rho^2 (n+1) is below ~1e-13 it is refused at once, and t_+ is far away
-        t_minus = complex(_bisect_first_crossing(f, rho, step / 8.0, 0.0, 1e-12))
-        t_plus = complex(_bisect_first_crossing(f, rho, step / 8.0,
-                                                0.5 * (rho + 1.0 / rho), 1e-12))
+        t_minus = complex(_bisect_first_crossing(f, rho, step / 8.0, 0.0))
+        t_plus = complex(_bisect_first_crossing(f, rho, step / 8.0, 0.5 * (rho + 1.0 / rho)))
         roots = [t_plus, t_minus]
         worst = max(abs(_saddle_equation(t, rho, n, sign)) for t in roots)
-        if not worst <= 1e-12:
+        if not worst <= SADDLE_TOL:
             raise RuntimeError(f"saddle bisection stalled at residual {worst:.3e}")
     else:
         roots = []
@@ -218,11 +204,11 @@ def saddle_solve(rho: float, n: int, inverse: bool = False) -> SaddleData:
             t = complex(seed)
             for _ in range(80):
                 ft = _saddle_equation(t, rho, n, sign)
-                if abs(ft) <= 1e-12:
+                if abs(ft) <= SADDLE_TOL:
                     break
                 t -= ft / _saddle_equation_prime(t, rho, n, sign)
             resid = abs(_saddle_equation(t, rho, n, sign))
-            if not resid <= 1e-12 or abs(t - rho) > 6.0 * step:
+            if not resid <= SADDLE_TOL or abs(t - rho) > 6.0 * step:
                 raise RuntimeError(f"saddle Newton left its basin "
                                    f"(t = {t:.6g}, residual {resid:.3e})")
             worst = max(worst, resid)
@@ -370,30 +356,31 @@ def _rational_fraction_roots(weights_: np.ndarray, locations: np.ndarray) -> np.
     return np.roots(numer[::-1]).astype(complex)   # real when every root is 0
 
 
-def zero_weight_phi(msz: ModifiedSzegoData, n: int, z: complex) -> complex:
+def zero_weight_phi(spec: ZeroModifiedWeight, sz: SzegoData, theta: np.ndarray,
+                    n: int, z: complex) -> complex:
     """Interior predictor for a weight with circle zeros:
-    (D_i(W;0)/D_i(W;z)) * (1/n) * sum_k beta_k theta_k a_k^{n+1} / (a_k - z)."""
-    spec = msz.spec
+    (D_i(W;0)/D_i(W;z)) * (1/n) * sum_k beta_k theta_k a_k^{n+1} / (a_k - z),
+    with sz the Szego data of the analytic base and theta its
+    theta_constants."""
     locs = spec.locations
-    betas = spec.betas
-    total = np.sum(betas * msz.theta * locs ** (n + 1) / (locs - z))
-    d0 = modified_szego(spec, msz.base, 0.0, "interior")
-    dz = modified_szego(spec, msz.base, z, "interior")
+    total = np.sum(spec.betas * theta * locs ** (n + 1) / (locs - z))
+    d0 = modified_szego(spec, sz, 0.0, "interior")
+    dz = modified_szego(spec, sz, z, "interior")
     return complex(d0 / dz * total / n)
 
 
-def zero_weight_predicted_roots(msz: ModifiedSzegoData, n: int) -> np.ndarray:
+def zero_weight_predicted_roots(spec: ZeroModifiedWeight, theta: np.ndarray,
+                                n: int) -> np.ndarray:
     """Roots of the rational fraction sum_k beta_k theta_k a_k^{n+1}/(a_k - z)."""
-    locs = msz.spec.locations
-    w = msz.spec.betas * msz.theta * locs ** (n + 1)
-    return _rational_fraction_roots(w, locs)
+    locs = spec.locations
+    return _rational_fraction_roots(spec.betas * theta * locs ** (n + 1), locs)
 
 
-def kappa_zero_weight(msz: ModifiedSzegoData, n: int) -> float:
+def kappa_zero_weight(spec: ZeroModifiedWeight, sz: SzegoData, n: int) -> float:
     """Predicted kappa_{n-1}^2 = (tau^2 / 2 pi)(1 - sum_k beta_k^2 / n), with
-    tau that of the analytic base weight."""
-    beta_sq = float(np.sum(msz.spec.betas ** 2))
-    return msz.base.tau ** 2 / (2.0 * math.pi) * (1.0 - beta_sq / n)
+    tau that of the analytic base weight, whose Szego data sz is."""
+    beta_sq = float(np.sum(spec.betas ** 2))
+    return sz.tau ** 2 / (2.0 * math.pi) * (1.0 - beta_sq / n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ it was produced from plus the package version.
 Exit codes: 0 all good / comparisons pass, 1 comparison failures,
 2 a usage error, or config or weight validation failure (including a weight
 or degree the requested method cannot handle, an n_max or K too large to
-allocate, and an output that cannot be written),
+allocate, circle zeros that need too many quadrature panels, and an output
+that cannot be written),
 3 positivity loss in the recursion, 4 compare judged no prediction (no
 predicted degree has an oracle value), 5 missing, unreadable, empty or
 malformed input files, or input tables whose degrees are not the config's.
@@ -26,7 +27,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .asymptotics import (PolePrescription, dominant_pole_predicted_roots,
+from .asymptotics import (SADDLE_TOL, dominant_pole_predicted_roots,
                           kappa_zero_weight, level_curve, saddle_solve,
                           verblunsky_essential_asymptote,
                           verblunsky_pole_asymptote, zero_weight_predicted_roots)
@@ -34,7 +35,7 @@ from .canonical import (NeumannDivergenceError, default_truncation_order,
                         kappa_estimate, neumann_alpha, neumann_kappa_sq,
                         neumann_solve, verblunsky_estimate)
 from .oracle import PositivityLossError, moments, phi_store, szego_recurrence
-from .szego import build_modified, szego_data_for
+from .szego import szego_data_for, theta_constants
 from .weights import (AnalyticWeight, ZeroModifiedWeight, validate,
                       weight_from_json)
 from .zeros import classify, roots
@@ -235,7 +236,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     phi = phi_store(n_max)   # first: an n_max too large to store fails here
     try:
         moms = moments(spec, n_max + 1)
-    except ValueError as exc:   # a non-finite weight sample
+    except ValueError as exc:   # a non-finite weight sample, or too many panels
         raise ConfigError(str(exc))
     result = szego_recurrence(moms, phi)
     ns = range(n_max + 1)
@@ -301,13 +302,12 @@ def _predict_poles(cfg: RunConfig, spec) -> int:
     if not isinstance(spec, AnalyticWeight) or not spec.poles:
         raise ConfigError("method=poles requires declared pole metadata")
     sz = szego_data_for(spec, cfg.K)
-    p = PolePrescription.from_weight(spec)
     rows, zero_doc = [], {}
     for n in cfg.n_list:
-        a = verblunsky_pole_asymptote(p, sz, n)
+        a = verblunsky_pole_asymptote(spec, sz, n)
         rows.append((n, a.real, a.imag))
-        zs = dominant_pole_predicted_roots(p, sz, n)
-        zero_doc[str(n)] = zs[[abs(z) < p.rho for z in zs]]
+        zs = dominant_pole_predicted_roots(spec, sz, n)
+        zero_doc[str(n)] = zs[[abs(z) < spec.rho for z in zs]]
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
                ["n", "alpha_re", "alpha_im"], *zip(*rows))
     _write_json(os.path.join(cfg.outputs, "zeros_predicted.json"), cfg,
@@ -346,12 +346,13 @@ def _predict_essential(cfg: RunConfig, spec) -> int:
 def _predict_zero_weight(cfg: RunConfig, spec) -> int:
     if not isinstance(spec, ZeroModifiedWeight):
         raise ConfigError("method=zero-weight requires a zero-modified weight")
-    msz = build_modified(spec, szego_data_for(spec.base, cfg.K))
+    sz = szego_data_for(spec.base, cfg.K)
+    theta = theta_constants(spec, sz)   # once per run, not once per degree
     rows, zero_doc = [], {}
     for n in cfg.n_list:
-        zs = zero_weight_predicted_roots(msz, n)
+        zs = zero_weight_predicted_roots(spec, theta, n)
         zero_doc[str(n)] = zs[[abs(z) < 1.0 for z in zs]]
-        rows.append((n, kappa_zero_weight(msz, n), zero_doc[str(n)].size))
+        rows.append((n, kappa_zero_weight(spec, sz, n), zero_doc[str(n)].size))
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
                ["n", "kappa_sq_pred", "n_predicted_interior_zeros"], *zip(*rows))
     _write_json(os.path.join(cfg.outputs, "zeros_predicted.json"), cfg,
@@ -498,7 +499,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                       slope=slope, required=1.5 * math.log(declared_rho))
 
     if method == "essential":
-        check("saddle-residual", np.all(pred_tab["residual"] <= 1e-12),
+        check("saddle-residual", np.all(pred_tab["residual"] <= SADDLE_TOL),
               max=float(np.max(pred_tab["residual"])))
         _read(os.path.join(out, "levelcurve.csv"))   # read, not parsed
 

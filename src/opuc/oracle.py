@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -100,6 +101,13 @@ def _trapezoid_moments(spec, max_k: int) -> Moments:
 # matrix is O(M^3) (2 ms at M = 128, 98 ms at M = 860 on a 2-vCPU host),
 # while each half needs about half the oscillation count of the whole.
 _MAX_NODES = 128
+# More panels than this are refused before any is integrated: at about
+# 60 us a panel (small max_k, 2-vCPU host) this is about 1 s of quadrature.
+# The oscillation term needs about max_k / 50 panels, so it reaches this
+# count only past an n_max that phi_store refuses; a base rho near 1 does
+# reach it, as the strip term needs a count like 1 / (-log rho) (65,536
+# panels, 3.9 s, at rho = 1 / 1.00001), growing without bound as rho -> 1.
+_MAX_PANELS = 1 << 14
 _LOG_EPS = math.log(1.0 / np.finfo(float).eps)
 # Past n = omega the Chebyshev coefficients J_n(omega) of exp(-i omega x)
 # fall like Ai(2^{1/3} (n - omega) / omega^{1/3}): below eps once n - omega
@@ -183,15 +191,20 @@ def _panel_moments(spec: ZeroModifiedWeight, max_k: int) -> Moments:
     |2 sin(s / 2)| / (1 -+ x) at arc length s = h (1 -+ x) from its zero, so
     no cancellation in theta - a_k reaches it.  Only k >= 0 is summed, a
     block of k at a time, so no exponential table exceeds _SAMPLE_BLOCK
-    entries.
+    entries.  A weight that needs more than _MAX_PANELS panels raises
+    ValueError.
     """
     zeros = spec.zeros
     rho = spec.base.rho
     strip = -math.log(rho) if rho > 0.0 else math.inf
+    panels = list(islice(_panels(zeros, max_k, strip), _MAX_PANELS + 1))
+    if len(panels) > _MAX_PANELS:
+        raise ValueError(f"the circle zeros on a base of rho = {rho} need more than "
+                         f"{_MAX_PANELS} quadrature panels")
     rules = {}
     ks = np.arange(max_k + 1)
     d = np.zeros(max_k + 1, dtype=complex)
-    for u, v, left, right, m in _panels(zeros, max_k, strip):
+    for u, v, left, right, m in panels:
         exps = (2.0 * zeros[right].beta if right is not None else 0.0,
                 2.0 * zeros[left].beta if left is not None else 0.0)
         key = (m, *exps)

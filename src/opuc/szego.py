@@ -22,9 +22,7 @@ from .weights import AnalyticWeight, ZeroModifiedWeight, log_weight_coefficients
 
 __all__ = [
     "CutError",
-    "ModifiedSzegoData",
     "SzegoData",
-    "build_modified",
     "modified_szego",
     "scattering",
     "szego_data_for",
@@ -152,16 +150,6 @@ def _check_off_cuts(spec: ZeroModifiedWeight, z, side: str):
             raise CutError(f"z on the branch cut through angle {zk.angle:.6g}")
 
 
-@dataclass(frozen=True, eq=False)
-class ModifiedSzegoData:
-    """Szego data for a zero-modified weight: base data and the unimodular
-    constants theta_k at the circle zeros."""
-
-    base: SzegoData
-    spec: ZeroModifiedWeight
-    theta: np.ndarray
-
-
 def modified_szego(spec: ZeroModifiedWeight, d: SzegoData, z, side: str):
     """Szego function of the zero-modified weight.
 
@@ -199,8 +187,3 @@ def theta_constants(spec: ZeroModifiedWeight, d: SzegoData) -> np.ndarray:
         others = _branch_product(spec.zeros[:k] + spec.zeros[k + 1:], locs[k])
         phases[k] = np.exp(2j * (zk.beta * (zk.angle - np.pi) + np.angle(others)))
     return phases * d.S.evaluate(locs) / _branch_product(spec.zeros, 0.0) ** 2
-
-
-def build_modified(spec: ZeroModifiedWeight, base: SzegoData) -> ModifiedSzegoData:
-    """Assemble modified Szego data: the constants theta_k at the circle zeros."""
-    return ModifiedSzegoData(base, spec, theta_constants(spec, base))

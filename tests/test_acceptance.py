@@ -20,7 +20,7 @@ from opuc.canonical import (apply_M_exterior, apply_M_interior, kappa_estimate,
                             neumann_alpha, neumann_kappa_sq, neumann_solve,
                             reconstruct_phi, verblunsky_estimate)
 from opuc.oracle import moments, phi_store, szego_recurrence
-from opuc.szego import build_modified, szego_data_for, szego_function
+from opuc.szego import szego_data_for, szego_function, theta_constants
 from opuc.zeros import classify, roots
 from oracles import (constant_series, distance, equidistribution_check, phi,
                      scattering_modified)
@@ -170,8 +170,7 @@ def test_criterion_09_zero_modified_weights(zmod1, zmod1_oracle, zmod2,
                          / (math.gamma(1.5 + k) * math.gamma(1.5 - k)))
     ok_gamma = max(abs(m.d(k) - gamma_d(k)) for k in range(13)) <= 1e-8
     # kappa law
-    msz1 = build_modified(zmod1, leb_szego)
-    ok_kappa = all(abs(zmod1_oracle.kappa[n - 1] ** 2 - kappa_zero_weight(msz1, n))
+    ok_kappa = all(abs(zmod1_oracle.kappa[n - 1] ** 2 - kappa_zero_weight(zmod1, leb_szego, n))
                    <= (5.0 / n ** 2) / (2 * np.pi) for n in range(16, 129))
     # determinant growth exponents
     s1, _ = fisher_hartwig_fit(zmod1_oracle.log_det, 2 * np.pi, window=(32, 128))
@@ -180,10 +179,10 @@ def test_criterion_09_zero_modified_weights(zmod1, zmod1_oracle, zmod2,
     # interior-zero parity alternation against the rational-fraction predictor
     # (theta_1 = theta_2, so the predicted root is exactly 0 for odd degrees)
     from opuc.asymptotics import zero_weight_predicted_roots
-    msz = build_modified(zmod2, leb_szego)
+    theta = theta_constants(zmod2, leb_szego)
     ok_parity, dists = True, {}
     for n in range(15, 62):
-        pred = zero_weight_predicted_roots(msz, n)
+        pred = zero_weight_predicted_roots(zmod2, theta, n)
         pred = pred[np.abs(pred) < 1.0]
         zs = roots(zmod2_oracle.phi_monic[n]).zeros
         actual = zs[np.abs(zs) <= 0.4]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opuc import asymptotics
-from opuc.asymptotics import (PolePrescription, _rational_fraction_roots,
+from opuc.asymptotics import (_dominant, _rational_fraction_roots,
                               dominant_pole_phi, dominant_pole_predicted_roots,
                               fisher_hartwig_fit,
                               kappa_zero_weight, level_curve, saddle_solve,
@@ -12,7 +12,7 @@ from opuc.asymptotics import (PolePrescription, _rational_fraction_roots,
                               verblunsky_pole_asymptote, zero_weight_phi,
                               zero_weight_predicted_roots)
 from opuc.oracle import moments, phi_store, szego_recurrence
-from opuc.szego import build_modified, szego_data_for, szego_function
+from opuc.szego import szego_data_for, szego_function, theta_constants
 from opuc.weights import (bernstein_szego, lebesgue, rational_modulus,
                           zero_modified)
 from opuc.zeros import match, roots
@@ -51,11 +51,11 @@ def test_residue_predictor_annulus(bs2, bs2_szego, bs2_oracle):
 
 
 def test_dominant_pole_detection(bs2):
-    p = PolePrescription.from_weight(bs2)
-    assert p.ell == 1 and p.multiplicity == 1 and p.rho == 0.5
+    dominant, m = _dominant(bs2)
+    assert len(dominant) == 1 and m == 1
     # single simple dominant pole: the predictor sum has no interior root
     sz = szego_data_for(bs2, 60)
-    assert dominant_pole_predicted_roots(p, sz, 17).size == 0
+    assert dominant_pole_predicted_roots(bs2, sz, 17).size == 0
 
 
 def test_rational_fraction_roots_are_complex_when_every_root_is_zero():
@@ -65,22 +65,19 @@ def test_rational_fraction_roots_are_complex_when_every_root_is_zero():
 
 
 def test_dominant_pole_interior_value(bs2, bs2_szego, bs2_oracle):
-    p = PolePrescription.from_weight(bs2)
-    pred = dominant_pole_phi(p, bs2_szego, 10, 0.0)
+    pred = dominant_pole_phi(bs2, bs2_szego, 10, 0.0)
     oracle = -np.conj(bs2_oracle.alpha[9])
     assert abs(pred - oracle) / abs(oracle) <= 1e-6
 
 
 def test_dominant_pole_eps_guard(bs2, bs2_szego):
-    p = PolePrescription.from_weight(bs2)
     with pytest.raises(ValueError):
-        dominant_pole_phi(p, bs2_szego, 10, 0.52)
+        dominant_pole_phi(bs2, bs2_szego, 10, 0.52)
 
 
 def test_dominant_pole_only_inside_critical_circle(bs2, bs2_szego):
-    p = PolePrescription.from_weight(bs2)
     with pytest.raises(ValueError, match="not inside the critical circle"):
-        dominant_pole_phi(p, bs2_szego, 10, 0.6j)
+        dominant_pole_phi(bs2, bs2_szego, 10, 0.6j)
 
 
 def test_two_symmetric_poles_zero_parity():
@@ -88,11 +85,13 @@ def test_two_symmetric_poles_zero_parity():
     # alternates with the parity of the degree; the oracle zero sits at 0
     w = rational_modulus([2.0, -2.0])
     sz = szego_data_for(w, 80)
-    p = PolePrescription.from_weight(w)
-    assert p.ell == 2 and abs(p.theta_args[1] - 0.5) <= 1e-12
+    dominant, m = _dominant(w)
+    assert len(dominant) == 2 and m == 1
+    offset = (np.angle(dominant[1].location) - np.angle(dominant[0].location)) / (2 * np.pi)
+    assert abs(offset % 1.0 - 0.5) <= 1e-12
     r = szego_recurrence(moments(w, 32), phi_store(31))
     for n in range(10, 31):
-        pred = [z for z in dominant_pole_predicted_roots(p, sz, n) if abs(z) < 0.5]
+        pred = [z for z in dominant_pole_predicted_roots(w, sz, n) if abs(z) < 0.5]
         actual = roots(r.phi_monic[n]).zeros
         actual = actual[np.abs(actual) <= 0.3]
         if n % 2:
@@ -112,11 +111,11 @@ def test_double_pole_asymptotics():
     assert s.multiplicity == 2 and abs(s.de_coefficient - 0.25) <= 1e-14
     sz = szego_data_for(w, 120)
     r = szego_recurrence(moments(w, 46), phi_store(45))
-    p = PolePrescription.from_weight(w)
-    assert p.ell == 1 and p.multiplicity == 2
+    dominant, m = _dominant(w)
+    assert len(dominant) == 1 and m == 2
     rels = []
     for n in (10, 20, 40):
-        pred = verblunsky_pole_asymptote(p, sz, n)
+        pred = verblunsky_pole_asymptote(w, sz, n)
         rels.append(abs(pred - r.alpha[n]) / abs(r.alpha[n]))
         assert n * rels[-1] <= 0.5
     assert rels[2] < rels[1] < rels[0]
@@ -128,15 +127,14 @@ def test_double_pole_asymptotics():
 def test_mixed_multiplicity_dominance():
     # multiplicity outranks a same-modulus simple pole in the dominant set
     w = rational_modulus([2.0, 2.0, -2.0])
-    p = PolePrescription.from_weight(w)
-    assert p.ell == 1 and p.multiplicity == 2
-    assert abs(p.dominant[0].location - 0.5) <= 1e-14
+    dominant, m = _dominant(w)
+    assert len(dominant) == 1 and m == 2
+    assert abs(dominant[0].location - 0.5) <= 1e-14
 
 
 def test_verblunsky_pole_asymptote(bs2, bs2_szego, bs2_oracle):
-    p = PolePrescription.from_weight(bs2)
     for n in (3, 6, 10):
-        pred = verblunsky_pole_asymptote(p, bs2_szego, n)
+        pred = verblunsky_pole_asymptote(bs2, bs2_szego, n)
         # reduces to the level-1 scattering value for this weight
         assert abs(pred + 0.75 * 0.5 ** (n + 1)) <= 1e-13
         rel = abs(pred - bs2_oracle.alpha[n]) / abs(bs2_oracle.alpha[n])
@@ -270,14 +268,14 @@ def test_verblunsky_essential(ess05, ess_oracle):
 # -- weights with circle zeros -----------------------------------------------
 
 def test_single_zero_predicts_no_interior_root(zmod1, leb_szego):
-    msz = build_modified(zmod1, leb_szego)
-    assert zero_weight_predicted_roots(msz, 25).size == 0
+    theta = theta_constants(zmod1, leb_szego)
+    assert zero_weight_predicted_roots(zmod1, theta, 25).size == 0
 
 
 def test_symmetric_pair_parity(zmod2, leb_szego):
-    msz = build_modified(zmod2, leb_szego)
+    theta = theta_constants(zmod2, leb_szego)
     for n in (15, 16, 31, 44, 61):
-        pred = zero_weight_predicted_roots(msz, n)
+        pred = zero_weight_predicted_roots(zmod2, theta, n)
         if n % 2:
             assert pred.size == 1 and abs(pred[0]) <= 1e-9
         else:
@@ -285,9 +283,9 @@ def test_symmetric_pair_parity(zmod2, leb_szego):
 
 
 def test_symmetric_pair_oracle_match(zmod2, zmod2_oracle, leb_szego):
-    msz = build_modified(zmod2, leb_szego)
+    theta = theta_constants(zmod2, leb_szego)
     for n in (15, 31, 61):
-        pred = zero_weight_predicted_roots(msz, n)
+        pred = zero_weight_predicted_roots(zmod2, theta, n)
         zs = roots(zmod2_oracle.phi_monic[n]).zeros
         interior = zs[np.abs(zs) <= 0.4]
         result = match(pred, interior)
@@ -298,11 +296,11 @@ def test_asymmetric_zero_tracking(leb, leb_szego):
     # zeros at angles 0 and 2.2 with different exponents: the predicted root
     # moves with n and the innermost polynomial zero follows it
     spec = zero_modified(leb, [(0.0, 0.5), (2.2, 0.3)])
-    msz = build_modified(spec, leb_szego)
+    theta = theta_constants(spec, leb_szego)
     result = szego_recurrence(moments(spec, 92), phi_store(91))
     dists = []
     for n in (31, 51, 71, 91):
-        pred = zero_weight_predicted_roots(msz, n)
+        pred = zero_weight_predicted_roots(spec, theta, n)
         pred = pred[np.abs(pred) <= 0.9]
         assert pred.size == 1
         zs = roots(result.phi_monic[n]).zeros
@@ -314,16 +312,14 @@ def test_asymmetric_zero_tracking(leb, leb_szego):
 def test_zero_on_analytic_base(bs2):
     # |1 - z/2|^2 |z - i|: the constant at the zero is the base scattering
     # value S(w; i) = (3 - 4i)/5 and the interior predictor converges at 1/n
-    from opuc.szego import build_modified, szego_data_for
-
     sz = szego_data_for(bs2, 96)
     W = zero_modified(bs2, [(np.pi / 2, 0.5)])
-    msz = build_modified(W, sz)
-    assert abs(msz.theta[0] - (0.6 - 0.8j)) <= 1e-14
+    theta = theta_constants(W, sz)
+    assert abs(theta[0] - (0.6 - 0.8j)) <= 1e-14
     result = szego_recurrence(moments(W, 100), phi_store(99))
     rels = []
     for n in (24, 48, 96):
-        pred = -np.conj(zero_weight_phi(msz, n + 1, 0.0))
+        pred = -np.conj(zero_weight_phi(W, sz, theta, n + 1, 0.0))
         rels.append(abs(pred - result.alpha[n]) / abs(result.alpha[n]))
     assert rels[0] <= 0.05
     # successive halving of the degree gap halves the relative error
@@ -333,26 +329,25 @@ def test_zero_on_analytic_base(bs2):
 def test_zero_weight_phi_predicts_alpha(zmod2, zmod2_oracle, leb_szego):
     # alpha_n = -conj(Phi_{n+1}(0)); the interior predictor evaluated at the
     # origin tracks it at the stated 1/n fidelity
-    msz = build_modified(zmod2, leb_szego)
+    theta = theta_constants(zmod2, leb_szego)
     for n in (40, 80):
-        pred = -np.conj(zero_weight_phi(msz, n + 1, 0.0))
+        pred = -np.conj(zero_weight_phi(zmod2, leb_szego, theta, n + 1, 0.0))
         actual = zmod2_oracle.alpha[n]
         assert abs(pred - actual) <= 5.0 / (n + 1) ** 2
 
 
 def test_kappa_zero_weight_formula(zmod1, zmod2, leb_szego):
-    plain = build_modified(zero_modified(lebesgue(), [(0.0, 0.0)]), leb_szego)
-    assert abs(kappa_zero_weight(plain, 10) - 1.0 / (2 * np.pi)) <= 1e-15
-    k1 = kappa_zero_weight(build_modified(zmod1, leb_szego), 20)
+    plain = zero_modified(lebesgue(), [(0.0, 0.0)])
+    assert abs(kappa_zero_weight(plain, leb_szego, 10) - 1.0 / (2 * np.pi)) <= 1e-15
+    k1 = kappa_zero_weight(zmod1, leb_szego, 20)
     assert abs(k1 - (1 - 1 / 80) / (2 * np.pi)) <= 1e-15
-    k2 = kappa_zero_weight(build_modified(zmod2, leb_szego), 20)
+    k2 = kappa_zero_weight(zmod2, leb_szego, 20)
     assert abs(k2 - (1 - 1 / 40) / (2 * np.pi)) <= 1e-15
 
 
 def test_kappa_zero_weight_vs_oracle(zmod1, zmod1_oracle, leb_szego):
-    msz = build_modified(zmod1, leb_szego)
     for n in range(16, 129):
-        pred = kappa_zero_weight(msz, n)
+        pred = kappa_zero_weight(zmod1, leb_szego, n)
         err = abs(zmod1_oracle.kappa[n - 1] ** 2 - pred)
         assert err <= (5.0 / n ** 2) / (2 * np.pi)
 

@@ -10,13 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from opuc import __version__, cli
-from opuc.asymptotics import (PolePrescription, dominant_pole_predicted_roots,
-                              zero_weight_predicted_roots)
+from opuc import __version__, cli, oracle
+from opuc.asymptotics import dominant_pole_predicted_roots, zero_weight_predicted_roots
 from opuc.canonical import default_truncation_order, neumann_solve
 from opuc.cli import RunConfig, _write_json, main
 from opuc.oracle import moments, phi_store, szego_recurrence
-from opuc.szego import build_modified, szego_data_for, theta_constants
+from opuc.szego import szego_data_for, theta_constants
 from opuc.weights import weight_from_json
 from opuc.zeros import match
 from oracles import csv_reference, json_reference, theta_one_sided
@@ -413,6 +412,28 @@ def test_out_of_memory_names_the_size_at_fault(tmp_path, capsys, monkeypatch,
                        [1, 2, 3], tmp_path / "out", **extra)
     assert main(command + ["--config", cfg]) == 2
     assert capsys.readouterr().err == f"opuc: config error: not enough memory for {size}\n"
+
+
+def test_panel_count_near_unit_rho_is_refused_at_once(tmp_path, capsys, monkeypatch):
+    # a base rho near 1 needs panels like 1 / (-log rho): at c = 1 + 1e-7 some
+    # 8.4 million, about 8 minutes of quadrature; the count is bounded before
+    # any panel is integrated, so _nodes_needed runs some 33,000 times
+    nodes_needed, calls = oracle._nodes_needed, []
+
+    def counted(*args):
+        calls.append(None)
+        if len(calls) > 100_000:
+            raise AssertionError("_nodes_needed was called 10^5 times")
+        return nodes_needed(*args)
+
+    monkeypatch.setattr(oracle, "_nodes_needed", counted)
+    weight = {"kind": "zero_modified", "base": {"kind": "bernstein_szego", "c": 1.0000001},
+              "zeros": [{"angle": 1.0, "beta": 0.5}]}
+    cfg = write_config(tmp_path / "cfg.json", weight, [1, 2, 3], tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "opuc: config error: the circle zeros on a base of rho = 0.9999999000000099 "
+        "need more than 16384 quadrature panels\n")
 
 
 def test_oracle_ignores_n_quad(tmp_path):
@@ -1044,7 +1065,9 @@ def test_report_per_degree_takes_python_abs_per_difference(tmp_path):
     ({"kind": "rational_modulus", "cs": [2.0, -2.0]}, 12, "poles", {}),
     ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
       "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]},
-     40, "zero-weight", {})])
+     40, "zero-weight", {}),
+    # two dominant poles of multiplicity 2, so each term carries a^{n - 1}
+    ({"kind": "rational_modulus", "cs": [2.0, 2.0, -2.0, -2.0]}, 20, "poles", {})])
 def test_predicted_zeros_render_as_lists_of_complex_numbers(tmp_path, weight, n_max,
                                                             method, extra):
     # predict hands over arrays; the file holds what lists of Python complex
@@ -1055,12 +1078,11 @@ def test_predicted_zeros_render_as_lists_of_complex_numbers(tmp_path, weight, n_
     config = RunConfig.load(cfg)
     spec = weight_from_json(weight)
     if method == "poles":
-        p = PolePrescription.from_weight(spec)
         sz = szego_data_for(spec, config.K)
-        zeros = [(dominant_pole_predicted_roots(p, sz, n), p.rho) for n in config.n_list]
+        zeros = [(dominant_pole_predicted_roots(spec, sz, n), spec.rho) for n in config.n_list]
     else:
-        msz = build_modified(spec, szego_data_for(spec.base, config.K))
-        zeros = [(zero_weight_predicted_roots(msz, n), 1.0) for n in config.n_list]
+        theta = theta_constants(spec, szego_data_for(spec.base, config.K))
+        zeros = [(zero_weight_predicted_roots(spec, theta, n), 1.0) for n in config.n_list]
     predicted = {str(n): [complex(z) for z in zs if abs(z) < bound]
                  for n, (zs, bound) in zip(config.n_list, zeros)}
     assert any(predicted.values())

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from opuc.szego import (CutError, _branch_product, build_modified,
-                        modified_szego, scattering, szego_data_for,
+from opuc.szego import (CutError, _branch_product, modified_szego, scattering, szego_data_for,
                         szego_function, theta_constants)
 from opuc.weights import bernstein_szego, lebesgue, zero_modified
 from oracles import scattering_modified, theta_one_sided
@@ -135,19 +134,19 @@ def test_modified_cut_error(zmod1, leb_szego):
 
 
 def test_theta_single_zero(zmod1, leb_szego):
-    msz = build_modified(zmod1, leb_szego)
+    theta = theta_constants(zmod1, leb_szego)
     # q^2(0) = (0 - 1)^{1/2} on the branch arg = angle - pi
     assert abs(_branch_product(zmod1.zeros, 0.0) + 1j) <= 1e-12
-    assert abs(abs(msz.theta[0]) - 1.0) <= 1e-10
+    assert abs(abs(theta[0]) - 1.0) <= 1e-10
     # the branch convention pins the value itself
-    assert abs(msz.theta[0] - 1.0) <= 1e-9
+    assert abs(theta[0] - 1.0) <= 1e-9
 
 
 def test_theta_symmetric_pair(zmod2, leb_szego):
-    msz = build_modified(zmod2, leb_szego)
-    assert np.max(np.abs(np.abs(msz.theta) - 1.0)) <= 1e-10
+    theta = theta_constants(zmod2, leb_szego)
+    assert np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-10
     # z -> -z symmetry of the weight forces equal constants
-    assert abs(msz.theta[0] / msz.theta[1] - 1.0) <= 1e-9
+    assert abs(theta[0] / theta[1] - 1.0) <= 1e-9
 
 
 def test_theta_single_zero_equals_base_scattering(bs2, bs2_szego):
@@ -209,8 +208,8 @@ def test_random_rational_weight_identities(seed):
 def test_modified_with_analytic_base(bs2, bs2_szego):
     # zeros on the circle combined with a nontrivial analytic part
     W = zero_modified(bs2, [(np.pi / 2, 0.5)])
-    msz = build_modified(W, bs2_szego)
-    assert abs(abs(msz.theta[0]) - 1.0) <= 1e-9
+    theta = theta_constants(W, bs2_szego)
+    assert abs(abs(theta[0]) - 1.0) <= 1e-9
     z = 0.4 * np.exp(1j * 2.5)
     val = modified_szego(W, bs2_szego, z, "interior")
     assert np.isfinite(val.real) and np.isfinite(val.imag)
