@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .szego import SzegoData, modified_szego, szego_function
-from .weights import AnalyticWeight, ZeroModifiedWeight, essential_exponent
+from .weights import (AnalyticWeight, ZeroModifiedWeight, essential_exponent,
+                      essential_exponent_real)
 
 __all__ = [
     "LevelCurve",
@@ -239,14 +240,36 @@ class LevelCurve:
 
 # The level-curve grid: _RESOLUTION x _RESOLUTION polar cells over the radii
 # _ANNULUS * rho, skipping cells within _EXCLUDE_FRACTION * rho of z = rho,
-# where the curve pinches.  The grid is evaluated _ROW_BLOCK radii at a time,
-# so each complex temporary (16 x 401 x 16 B = 100 KiB) stays below glibc's
-# 128 KiB mmap threshold and is reused from the heap, not faulted in afresh.
+# where the curve pinches.  The grid's signs are evaluated _ROW_BLOCK radii at
+# a time (401 radii in 15 blocks) in six reused float work arrays of 27 x 401
+# x 8 B = 85 KiB, which with the two sign masks stay below the working set of
+# the corner tests; only the grid points within _NEAR * rho of rho take the
+# clear-of-rho test.
 _RESOLUTION = 400
-_ROW_BLOCK = 16
+_ROW_BLOCK = 27
 _ANNULUS = (0.55, 1.45)
 _EXCLUDE_FRACTION = 0.16
+_NEAR = 0.17
 _REFINE_TOL = 1e-10
+_SIGN_ULPS = 64.0
+
+
+def _sign_bound(rs: np.ndarray, rho: float, n: int, psi_ref: float,
+                level: float) -> np.ndarray:
+    """delta_i per radius rs[i]: |F_r - F| < delta_i at every grid point on
+    that radius clear of z = rho, with F level_curve's complex form and F_r
+    its real one.  Both start from the same x, y, x - rho and rho x - 1, and
+    each rounds about a dozen times more, every rounding within eps of one
+    of the magnitudes summed here: |log| z|| (|z| = r_i to a few eps, hence
+    the 2), the two terms of (1/n) Re lambda, at most 1/(0.16 rho) at a
+    clear point and |z|/|rho z - 1| <= 2 r_max/(1 - rho^2) on the whole
+    annulus (r_max rho <= (1 + rho^2)/2), and psi_ref and level.  _SIGN_ULPS
+    eps per unit leaves a margin of several times, so |F_r| >= delta_i
+    gives F the strict sign of F_r."""
+    scale = (2.0 + np.abs(np.log(rs)) + abs(psi_ref) + abs(level)
+             + (1.0 / n) * (1.0 / (_EXCLUDE_FRACTION * rho)
+                            + 2.0 * rs[-1] / (1.0 - rho * rho)))
+    return _SIGN_ULPS * np.finfo(float).eps * scale
 
 
 def level_curve(sd: SaddleData) -> LevelCurve:
@@ -278,16 +301,40 @@ def level_curve(sd: SaddleData) -> LevelCurve:
     rs = np.linspace(_ANNULUS[0] * rho, r_outer * rho, m + 1)
     ths = np.linspace(-np.pi, np.pi, m + 1)   # wraps: first == last angle
     e = np.exp(1j * ths)
-    # grid point (i, j) is rs[i] * e[j]; the signs of F and the clearance of
-    # z = rho are filled a block of rows at a time, and neither the complex
-    # grid nor the grid of F values is ever built
-    neg, pos, clear = (np.empty((m + 1, m + 1), dtype=bool) for _ in range(3))
-    for i in range(0, m + 1, _ROW_BLOCK):
-        z = rs[i:i + _ROW_BLOCK, None] * e
-        vals = F(z)
-        np.less(vals, 0, out=neg[i:i + _ROW_BLOCK])
-        np.greater(vals, 0, out=pos[i:i + _ROW_BLOCK])
-        clear[i:i + _ROW_BLOCK] = np.abs(z - rho) >= _EXCLUDE_FRACTION * rho
+    # grid point (i, j) is z = rs[i] * e[j], whose parts are bit for bit
+    # rs[i] * cos and rs[i] * sin (the promoted multiply adds exact zeros).
+    # A sign of F is read off the real form F_r = log r_i + (sign/n) Re lambda
+    # - psi_ref - level wherever |F_r| >= delta_i (_sign_bound), and F itself
+    # is evaluated at every other point, NaN included.
+    offset = np.log(rs) - psi_ref - level
+    delta = _sign_bound(rs, rho, n, psi_ref, level)
+    cos, sin = e.real.copy(), e.imag.copy()
+    neg, pos = (np.empty((m + 1, m + 1), dtype=bool) for _ in range(2))
+    work = np.empty((6, _ROW_BLOCK, m + 1))
+    with np.errstate(all="ignore"):   # z = rho exactly gives 0/0, sent to F
+        for i in range(0, m + 1, _ROW_BLOCK):
+            block = slice(i, min(i + _ROW_BLOCK, m + 1))
+            x, y = work[:2, :block.stop - i]
+            np.multiply(rs[block, None], cos, out=x)
+            np.multiply(rs[block, None], sin, out=y)
+            vals = essential_exponent_real(x, y, rho, work[2:, :block.stop - i])
+            vals *= sign / n
+            vals += offset[block, None]
+            np.greater_equal(vals, delta[block, None], out=pos[block])
+            np.less_equal(vals, -delta[block, None], out=neg[block])
+    del work, x, y, vals
+    if not (neg | pos).all():
+        ui, uj = np.nonzero(~(neg | pos))
+        f = F(rs[ui] * e[uj])
+        neg[ui, uj], pos[ui, uj] = f < 0, f > 0
+    # z lies within _NEAR * rho of rho only if | |z| - rho | and, for Re z > 0,
+    # rho |sin theta| are both below it, so every point outside that window
+    # is clear of z = rho
+    rows = np.flatnonzero(np.abs(rs - rho) < _NEAR * rho)
+    cols = np.flatnonzero((cos > 0) & (np.abs(sin) < _NEAR))
+    clear = np.ones((m + 1, m + 1), dtype=bool)
+    clear[np.ix_(rows, cols)] = (np.abs(rs[rows, None] * e[cols] - rho)
+                                 >= _EXCLUDE_FRACTION * rho)
 
     def at_all_corners(mask):
         return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
@@ -303,7 +350,8 @@ def level_curve(sd: SaddleData) -> LevelCurve:
     if ci.size == 0:
         raise RuntimeError("no level-curve crossings found at the requested level")
 
-    # masked bisection: each edge stops once |F| < _REFINE_TOL, else after 60 halvings
+    # masked bisection: each edge stops once |F| < _REFINE_TOL, else after 60
+    # halvings; the live edges are compacted only when some edge finishes
     z0, z1 = rs[ci] * e[cj], rs[ci + 1 - angular] * e[cj + angular]
     f0 = F(z0)
     points, resid = np.empty_like(z0), np.empty(z0.size)
@@ -312,22 +360,31 @@ def level_curve(sd: SaddleData) -> LevelCurve:
         zm = 0.5 * (z0 + z1)
         fm = F(zm)
         done = (np.abs(fm) < _REFINE_TOL) | (step == 60)
-        points[live[done]], resid[live[done]] = zm[done], np.abs(fm[done])
-        live, z0, z1, f0, zm, fm = (a[~done] for a in (live, z0, z1, f0, zm, fm))
+        if done.any():
+            points[live[done]], resid[live[done]] = zm[done], np.abs(fm[done])
+            live, z0, z1, f0, zm, fm = (a[~done] for a in (live, z0, z1, f0, zm, fm))
+            if not live.size:
+                break
         left = (f0 < 0) != (fm < 0)
         z1 = np.where(left, zm, z1)
         z0, f0 = np.where(left, z0, zm), np.where(left, f0, fm)
 
-    # components: merge active cells along 8-neighbour pairs, angle wrapping
+    # components: union-find over the 8-neighbour pairs of active cells, angle wrapping
     di, dj = np.array([1, 0, 1, 1]), np.array([0, 1, 1, -1])
     nb = (ai[:, None] + di) * m + (aj[:, None] + dj) % m   # past the last ring: >= m*m
     k = np.minimum(np.searchsorted(cells, nb), cells.size - 1)
     a, b = np.nonzero(cells[k] == nb)
-    comp = np.arange(cells.size)
+    root = list(range(cells.size))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
     for x, y in zip(a.tolist(), k[a, b].tolist()):
-        if comp[x] != comp[y]:
-            comp[comp == comp[y]] = comp[x]
-    _, first, inv = np.unique(comp[cell], return_index=True, return_inverse=True)
+        root[find(y)] = find(x)
+    comp = np.array([find(x) for x in cell.tolist()])
+    _, first, inv = np.unique(comp, return_index=True, return_inverse=True)
     comp_ids = np.argsort(np.argsort(first))[inv]
     return LevelCurve(points, comp_ids, first.size, psi_ref + level,
                       float(resid.max()))

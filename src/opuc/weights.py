@@ -25,6 +25,7 @@ __all__ = [
     "bernstein_szego",
     "essential",
     "essential_exponent",
+    "essential_exponent_real",
     "inverse_essential",
     "lebesgue",
     "log_weight_coefficients",
@@ -222,6 +223,32 @@ def essential_exponent(z, rho: float):
     """lambda(z) = 1/(z - rho) + z/(rho z - 1): S(w; z) = exp(lambda(z)) for
     the essential weight at radius rho, and exp(-lambda(z)) for its inverse."""
     return 1.0 / (z - rho) + z / (rho * z - 1.0)
+
+
+def essential_exponent_real(x, y, rho: float, work):
+    """Re lambda(x + iy) = (x - rho)/((x - rho)^2 + y^2)
+    + (x (rho x - 1) + rho y^2)/((rho x - 1)^2 + rho^2 y^2) for float arrays
+    x and y, in real arithmetic.  x - rho and rho x - 1 are rounded as
+    essential_exponent rounds the real parts of z - rho and rho z - 1.  The
+    temporaries live in work, a float array of shape (4,) + x.shape that a
+    caller may reuse; the value is returned in work[0]."""
+    t, a, b, c = work
+    np.subtract(x, rho, out=a)
+    np.multiply(a, a, out=t)
+    np.multiply(y, y, out=b)
+    t += b
+    np.divide(a, t, out=t)          # Re 1/(z - rho)
+    np.multiply(x, rho, out=a)
+    a -= 1.0                        # Re(rho z - 1)
+    np.multiply(a, a, out=c)
+    a *= x
+    b *= rho
+    a += b
+    b *= rho
+    c += b
+    a /= c
+    t += a                          # + Re z/(rho z - 1)
+    return t
 
 
 def _essential_family(rho: float, sign: int) -> AnalyticWeight:

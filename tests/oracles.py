@@ -166,6 +166,65 @@ def distance(lc: LevelCurve, z) -> np.ndarray:
     return np.min(np.abs(zarr[:, None] - lc.points[None, :]), axis=1)
 
 
+def saddle_reference(rho: float, n: int, inverse: bool = False) -> tuple:
+    """(t_plus, t_minus, residual) of asymptotics.saddle_solve as written with
+    Python floats and complexes throughout: the march, bisection and Newton
+    steps whose bits a rewrite of the saddle solve is checked against.
+    Raises RuntimeError with saddle_solve's messages where it refuses."""
+    sign = -1.0 if inverse else 1.0
+
+    def f(t):
+        return 1.0 / t - sign / (n + 1) * (1.0 / (t - rho) ** 2 + 1.0 / (rho * t - 1.0) ** 2)
+
+    def f_prime(t):
+        return -1.0 / t ** 2 + sign / (n + 1) * (2.0 / (t - rho) ** 3
+                                                 + 2.0 * rho / (rho * t - 1.0) ** 3)
+
+    def first_crossing(step, limit):
+        direction = 1.0 if limit > rho else -1.0
+        t, clamped = rho + direction * 1e-13, False
+        while not clamped:
+            t_next = t + direction * step
+            if direction * (t_next - limit) >= 0.0:
+                t_next, clamped = limit - direction * 1e-13, True
+            if direction * (t_next - rho) > 0.0 and f(t_next) > 0.0:
+                a, b = t, t_next
+                for _ in range(200):
+                    mid = 0.5 * (a + b)
+                    fm = f(mid)
+                    if abs(fm) <= 1e-12:
+                        return mid
+                    a, b = (a, mid) if fm > 0.0 else (mid, b)
+                return 0.5 * (a + b)
+            t = t_next
+        raise RuntimeError(
+            "no real saddle on this side of the singularity: the degree is too "
+            "small for the asymptotic regime at this radius")
+
+    step = math.sqrt(rho / (n + 1))
+    if not inverse:
+        t_minus = complex(first_crossing(step / 8.0, 0.0))
+        t_plus = complex(first_crossing(step / 8.0, 0.5 * (rho + 1.0 / rho)))
+        residual = max(abs(f(t)) for t in (t_plus, t_minus))
+        if not residual <= 1e-12:
+            raise RuntimeError(f"saddle bisection stalled at residual {residual:.3e}")
+        return t_plus, t_minus, residual
+    roots = []
+    for seed in (rho + 1j * step, rho - 1j * step):
+        t = complex(seed)
+        for _ in range(80):
+            ft = f(t)
+            if abs(ft) <= 1e-12:
+                break
+            t -= ft / f_prime(t)
+        resid = abs(f(t))
+        if not resid <= 1e-12 or abs(t - rho) > 6.0 * step:
+            raise RuntimeError(f"saddle Newton left its basin "
+                               f"(t = {t:.6g}, residual {resid:.3e})")
+        roots.append((t, resid))
+    return roots[0][0], roots[1][0], max(roots[0][1], roots[1][1])
+
+
 def level_curve_reference(sd: SaddleData) -> LevelCurve:
     """asymptotics.level_curve as it was with a meshgrid polar grid and the
     crossings read off the full (cell, edge) grid: the extraction that the

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from opuc import asymptotics
-from opuc.asymptotics import (_dominant, _rational_fraction_roots,
+from opuc.asymptotics import (_ANNULUS, _EXCLUDE_FRACTION, _RESOLUTION,
+                              _dominant, _rational_fraction_roots,
                               dominant_pole_phi, dominant_pole_predicted_roots,
                               fisher_hartwig_fit,
                               kappa_zero_weight, level_curve, saddle_solve,
@@ -13,11 +14,12 @@ from opuc.asymptotics import (_dominant, _rational_fraction_roots,
                               zero_weight_predicted_roots)
 from opuc.oracle import moments, phi_store, szego_recurrence
 from opuc.szego import szego_data_for, szego_function, theta_constants
-from opuc.weights import (bernstein_szego, lebesgue, rational_modulus,
+from opuc.weights import (bernstein_szego, essential_exponent,
+                          essential_exponent_real, lebesgue, rational_modulus,
                           zero_modified)
 from opuc.zeros import match, roots
 from oracles import (distance, level_curve_reference, phi, residue_predictor,
-                     residue_quadrature, traced_peak)
+                     residue_quadrature, saddle_reference, traced_peak)
 
 
 # -- residues and dominant poles ---------------------------------------------
@@ -203,6 +205,24 @@ def test_saddle_parameter_guards():
         saddle_solve(0.5, 1)
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("rho", [1e-6, 0.05, 0.5, 0.9])
+@pytest.mark.parametrize("n", [3, 60, 1000])
+def test_saddle_matches_reference_bit_for_bit(inverse, rho, n):
+    # predictions.csv prints t_+ and the residual to 17 digits
+    try:
+        t_plus, t_minus, residual = saddle_reference(rho, n, inverse)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError) as refused:
+            saddle_solve(rho, n, inverse=inverse)
+        assert str(refused.value) == str(exc)
+        return
+    sd = saddle_solve(rho, n, inverse=inverse)
+    assert (np.array([sd.t_plus, sd.t_minus]).tobytes()
+            == np.array([t_plus, t_minus]).tobytes())
+    assert np.float64(sd.residual).tobytes() == np.float64(residual).tobytes()
+
+
 def test_level_curve_components():
     lc = level_curve(saddle_solve(0.5, 30))
     assert lc.n_components == 1
@@ -221,21 +241,57 @@ def test_level_curve_points_satisfy_equation():
         assert np.max(np.abs(vals - lc.level)) <= 1e-8
 
 
-@pytest.mark.parametrize("inverse", [False, True])
-@pytest.mark.parametrize("rho", [0.45, 0.5, 0.55])
-@pytest.mark.parametrize("n", [10, 30, 60])
-def test_level_curve_matches_reference_bit_for_bit(inverse, rho, n):
-    sd = saddle_solve(rho, n, inverse=inverse)
-    lc, ref = level_curve(sd), level_curve_reference(sd)
+def assert_same_curve(lc, ref):
     assert lc.points.tobytes() == ref.points.tobytes()
     assert lc.component_ids.tobytes() == ref.component_ids.tobytes()
     assert (lc.n_components, lc.level, lc.max_residual) == (
         ref.n_components, ref.level, ref.max_residual)
 
 
+# (n, rho, inverse) where the sign bound of the level-curve grid is loosest:
+# tiny and near-critical radii, low and high degrees, both weights
+WIDE_CURVES = [(60, 1e-6, False), (5000, 0.001, True), (60, 0.05, True),
+               (60, 0.9, True), (5000, 0.97, False)]
+
+
+@pytest.mark.parametrize("n, rho, inverse", [
+    (n, rho, inverse) for n in (10, 30, 60) for rho in (0.45, 0.5, 0.55)
+    for inverse in (False, True)] + WIDE_CURVES)
+def test_level_curve_matches_reference_bit_for_bit(inverse, rho, n):
+    sd = saddle_solve(rho, n, inverse=inverse)
+    assert_same_curve(level_curve(sd), level_curve_reference(sd))
+
+
+@pytest.mark.parametrize("n, rho, inverse", WIDE_CURVES)
+def test_level_curve_sign_bound_holds_at_clear_points(n, rho, inverse):
+    sd = saddle_solve(rho, n, inverse=inverse)
+    level = (1.0 / n) * math.log(rho ** 0.75 / (2.0 * math.sqrt(math.pi) * n ** 0.75))
+    psi_ref, sign = float(np.real(sd.psi(sd.t_plus))), -1.0 if inverse else 1.0
+    r_outer = min(_ANNULUS[1], 0.5 * (1.0 + 1.0 / rho ** 2))
+    rs = np.linspace(_ANNULUS[0] * rho, r_outer * rho, _RESOLUTION + 1)
+    e = np.exp(1j * np.linspace(-np.pi, np.pi, _RESOLUTION + 1))
+    z = rs[:, None] * e
+    x, y = rs[:, None] * e.real, rs[:, None] * e.imag
+    assert x.tobytes() == z.real.tobytes() and y.tobytes() == z.imag.tobytes()
+    F = np.log(np.abs(z)) + (sign / n) * essential_exponent(z, rho).real - psi_ref - level
+    F_r = (essential_exponent_real(x, y, rho, np.empty((4,) + x.shape)) * (sign / n)
+           + (np.log(rs) - psi_ref - level)[:, None])
+    delta = asymptotics._sign_bound(rs, rho, n, psi_ref, level)[:, None]
+    clear = np.abs(z - rho) >= _EXCLUDE_FRACTION * rho
+    assert np.all((np.abs(F_r - F) <= delta)[clear])
+
+
+@pytest.mark.parametrize("n, rho, inverse", WIDE_CURVES)
+def test_level_curve_signs_all_from_F_give_the_same_curve(monkeypatch, n, rho, inverse):
+    sd = saddle_solve(rho, n, inverse=inverse)
+    certified = level_curve(sd)
+    monkeypatch.setattr(asymptotics, "_SIGN_ULPS", math.inf)   # no sign is certified
+    assert_same_curve(level_curve(sd), certified)
+
+
 def test_level_curve_working_set():
     # the grid is evaluated a block of rows at a time, and only its sign and
-    # clearance masks are kept: ~0.996 MB traced, bounded with a 20% margin
+    # clearance masks are kept: ~1.00 MB traced, bounded with a 20% margin
     assert traced_peak(level_curve, saddle_solve(0.534442, 60)) <= 1_200_000
 
 

@@ -98,6 +98,22 @@ def test_poles_pipeline_compare_passes(tmp_path):
     assert sorted(predicted["predicted"], key=int) == [str(n) for n in range(1, 13)]
 
 
+@pytest.mark.parametrize("cs", [[2.0, 2.0, -2.0], [2.0, 2.0]])
+def test_poles_compare_passes_on_a_double_dominant_pole(tmp_path, cs):
+    # the error falls like rho^n, not rho^{1.5 n}: the slope bound is read
+    # from the multiplicity, log rho + (m - 1.5) * (slope of log n)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "rational_modulus", "cs": cs},
+                       list(range(1, 21)), tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["predict", "--method", "poles", "--config", cfg]) == 0
+    assert main(["compare", "--config", cfg]) == 0
+    checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    slope = next(c for c in checks if c["name"] == "prediction-error-slope")
+    ns = np.arange(1, 20)
+    required = math.log(0.5) + 0.5 * np.polyfit(ns, np.log(ns), 1)[0]
+    assert slope["passed"] and slope["details"]["required"] == pytest.approx(required)
+
+
 def test_compare_trivial_weight_passes(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"kind": "lebesgue"},
                        list(range(1, 11)), tmp_path / "out")
