@@ -24,6 +24,7 @@ __all__ = [
     "SaddleData",
     "dominant_pole_phi",
     "dominant_pole_predicted_roots",
+    "dominant_pole_szego",
     "fisher_hartwig_fit",
     "kappa_zero_weight",
     "level_curve",
@@ -47,11 +48,18 @@ def _dominant(spec: AnalyticWeight) -> tuple:
     return [p for p in spec.poles if p.multiplicity == m], m
 
 
-def _residues(spec: AnalyticWeight, sz: SzegoData, n: int) -> list:
-    """a^{n-m+1} D_i(a) De_hat(a) for each dominant pole a of multiplicity m."""
+def dominant_pole_szego(spec: AnalyticWeight, sz: SzegoData) -> list:
+    """D_i(a) at each dominant pole a, in _dominant's order: the one input of
+    the pole predictors that costs a Horner sum over the log-weight
+    coefficients, the same for every degree."""
+    return [szego_function(sz, s.location, "interior") for s in _dominant(spec)[0]]
+
+
+def _residues(spec: AnalyticWeight, d_i: list, n: int) -> list:
+    """a^{n-m+1} D_i(a) De_hat(a) for each dominant pole a of multiplicity m,
+    with d_i from dominant_pole_szego."""
     dominant, m = _dominant(spec)
-    return [s.location ** (n - m + 1) * szego_function(sz, s.location, "interior")
-            * s.de_coefficient for s in dominant]
+    return [s.location ** (n - m + 1) * d * s.de_coefficient for s, d in zip(dominant, d_i)]
 
 
 def dominant_pole_phi(spec: AnalyticWeight, sz: SzegoData, n: int, z: complex) -> complex:
@@ -70,33 +78,34 @@ def dominant_pole_phi(spec: AnalyticWeight, sz: SzegoData, n: int, z: complex) -
                          f"|z| < {spec.rho:.6g}; this form omits the exterior term")
     dominant, m = _dominant(spec)
     binom = math.comb(n, m - 1)
-    total = sum(binom * r / (s.location - z) for s, r in zip(dominant, _residues(spec, sz, n)))
+    residues = _residues(spec, dominant_pole_szego(spec, sz), n)
+    total = sum(binom * r / (s.location - z) for s, r in zip(dominant, residues))
     d_i_ratio = szego_function(sz, 0.0, "interior") / szego_function(sz, z, "interior")
     return complex(d_i_ratio * total)
 
 
-def dominant_pole_predicted_roots(spec: AnalyticWeight, sz: SzegoData, n: int) -> np.ndarray:
+def dominant_pole_predicted_roots(spec: AnalyticWeight, d_i: list, ns) -> list:
     """Roots of the dominant-pole sum (one fewer at most than the dominant
-    poles).  Each a^{n-m+1} enters as exp(2 pi i (n-m+1) t), with t the
-    argument offset of a from the first dominant pole a_1 over 2 pi: the
-    common factor a_1^{n-m+1} does not move the roots."""
+    poles) for each degree n of ns, with d_i from dominant_pole_szego.  Each
+    a^{n-m+1} enters as exp(2 pi i (n-m+1) t), with t the argument offset of
+    a from the first dominant pole a_1 over 2 pi: the common factor
+    a_1^{n-m+1} does not move the roots."""
     dominant, m = _dominant(spec)
     a1 = dominant[0].location
-    weights_ = []
-    for s in dominant:
-        a = s.location
-        t = float(((np.angle(a) - np.angle(a1)) / (2.0 * np.pi)) % 1.0)
-        weights_.append(szego_function(sz, a, "interior") * s.de_coefficient
-                        * np.exp(2j * np.pi * (n - m + 1) * t))
-    return _rational_fraction_roots(np.array(weights_),
-                                    np.array([s.location for s in dominant]))
+    ts = [float(((np.angle(s.location) - np.angle(a1)) / (2.0 * np.pi)) % 1.0)
+          for s in dominant]
+    weights_ = np.array([[d * s.de_coefficient * np.exp(2j * np.pi * (n - m + 1) * t)
+                          for s, d, t in zip(dominant, d_i, ts)] for n in ns])
+    return _rational_fraction_roots(weights_, np.array([s.location for s in dominant]))
 
 
-def verblunsky_pole_asymptote(spec: AnalyticWeight, sz: SzegoData, n: int) -> complex:
-    """alpha_n from the dominant poles:
+def verblunsky_pole_asymptote(spec: AnalyticWeight, d_i: list, ns) -> list:
+    """alpha_n from the dominant poles for each degree n of ns, with d_i from
+    dominant_pole_szego:
     -sum_k binom(n+1, m-1) conj(a_k^{n-m+1} D_i(a_k) De_hat(a_k))."""
-    binom = math.comb(n + 1, _dominant(spec)[1] - 1)
-    return complex(-sum(binom * np.conj(r) for r in _residues(spec, sz, n)))
+    m = _dominant(spec)[1]
+    return [complex(-sum(math.comb(n + 1, m - 1) * np.conj(r)
+                         for r in _residues(spec, d_i, n))) for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +403,20 @@ def level_curve(sd: SaddleData) -> LevelCurve:
 # weights with zeros on the circle
 # ---------------------------------------------------------------------------
 
-def _rational_fraction_roots(weights_: np.ndarray, locations: np.ndarray) -> np.ndarray:
-    """Roots of sum_k w_k / (a_k - z): zeros of the degree <= m-1 numerator."""
-    m = len(locations)
-    numer = np.zeros(m, dtype=complex)  # ascending coefficients, degree m-1
+def _rational_fraction_roots(weights_: np.ndarray, locations: np.ndarray) -> list:
+    """Roots of sum_k w_k / (a_k - z), the zeros of its degree <= m-1
+    numerator, for each row of the (D, m) weights: one complex array a row.
+
+    Each row's numerator is summed and trimmed on its own terms, then
+    stripped as np.roots strips it; the companion matrices np.roots would
+    build are solved by one stacked eigvals per size, so each row's roots
+    keep np.roots's bits and order: the eigenvalues, then a zero root for
+    each vanishing low coefficient.
+    """
+    D, m = weights_.shape
+    if m < 2:
+        return [np.array([], dtype=complex) for _ in range(D)]
+    numer = np.zeros((D, m), dtype=complex)   # ascending coefficients, degree m-1
     for k in range(m):
         poly = np.array([1.0 + 0.0j])
         for j in range(m):
@@ -405,12 +424,31 @@ def _rational_fraction_roots(weights_: np.ndarray, locations: np.ndarray) -> np.
                 continue
             # multiply by (a_j - z)
             poly = np.convolve(poly, np.array([locations[j], -1.0], dtype=complex))
-        numer[:poly.size] += weights_[k] * poly
-    while numer.size > 1 and abs(numer[-1]) < 1e-14 * np.max(np.abs(numer)):
-        numer = numer[:-1]
-    if numer.size <= 1:
-        return np.array([], dtype=complex)
-    return np.roots(numer[::-1]).astype(complex)   # real when every root is 0
+        # a column times a row: each product rounds as the scalar w_k * poly does
+        numer += weights_[:, k, None] * poly
+    # drop top coefficients below 1e-14 of the largest left; each is measured
+    # by abs() of its scalar, libm hypot, which np.abs over an array is not
+    size = np.full(D, m)
+    top, largest = np.hypot(numer.real, numer.imag), np.abs(numer)
+    for s in range(m, 1, -1):
+        size[(size == s) & (top[:, s - 1] < 1e-14 * largest[:, :s].max(axis=1))] = s - 1
+    # the trim leaves a nonzero top coefficient unless the row is zero, so the
+    # rows np.roots finds roots for are these, and its only strip is that of
+    # the zero low coefficients
+    nonzero = numer != 0
+    live = (size > 1) & nonzero[np.arange(D), size - 1]
+    low = np.where(live, np.argmax(nonzero, axis=1), 0)
+    order = np.where(live, size - 1 - low, 0)   # each companion matrix's order
+    roots = [np.zeros(z, dtype=complex) for z in low.tolist()]
+    for n1 in sorted(set(order.tolist()) - {0}):   # np.unique would import numpy.ma
+        rows = np.flatnonzero(order == n1)
+        p = numer[rows[:, None], size[rows, None] - 1 - np.arange(n1 + 1)]   # descending
+        companion = np.zeros((rows.size, n1, n1), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(n1 - 1)
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        for r, eig in zip(rows.tolist(), np.linalg.eigvals(companion)):
+            roots[r] = np.concatenate([eig, roots[r]])
+    return roots
 
 
 def zero_weight_phi(spec: ZeroModifiedWeight, sz: SzegoData, theta: np.ndarray,
@@ -426,18 +464,22 @@ def zero_weight_phi(spec: ZeroModifiedWeight, sz: SzegoData, theta: np.ndarray,
     return complex(d0 / dz * total / n)
 
 
-def zero_weight_predicted_roots(spec: ZeroModifiedWeight, theta: np.ndarray,
-                                n: int) -> np.ndarray:
-    """Roots of the rational fraction sum_k beta_k theta_k a_k^{n+1}/(a_k - z)."""
+def zero_weight_predicted_roots(spec: ZeroModifiedWeight, theta: np.ndarray, ns) -> list:
+    """Roots of the rational fraction sum_k beta_k theta_k a_k^{n+1}/(a_k - z)
+    for each degree n of ns."""
     locs = spec.locations
-    return _rational_fraction_roots(spec.betas * theta * locs ** (n + 1), locs)
+    e = np.asarray(ns)[:, None] + 1
+    # locs ** 2 squares, which rounds unlike the multiply of power's loop
+    powers = np.where(e == 2, locs ** 2, locs ** e)
+    return _rational_fraction_roots(spec.betas * theta * powers, locs)
 
 
-def kappa_zero_weight(spec: ZeroModifiedWeight, sz: SzegoData, n: int) -> float:
-    """Predicted kappa_{n-1}^2 = (tau^2 / 2 pi)(1 - sum_k beta_k^2 / n), with
-    tau that of the analytic base weight, whose Szego data sz is."""
+def kappa_zero_weight(spec: ZeroModifiedWeight, sz: SzegoData, ns) -> np.ndarray:
+    """Predicted kappa_{n-1}^2 = (tau^2 / 2 pi)(1 - sum_k beta_k^2 / n) for
+    each degree n of ns, with tau that of the analytic base weight, whose
+    Szego data sz is."""
     beta_sq = float(np.sum(spec.betas ** 2))
-    return sz.tau ** 2 / (2.0 * math.pi) * (1.0 - beta_sq / n)
+    return sz.tau ** 2 / (2.0 * math.pi) * (1.0 - beta_sq / np.asarray(ns, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (SADDLE_TOL, _dominant, dominant_pole_predicted_roots,
-                          kappa_zero_weight, level_curve, saddle_solve,
+                          dominant_pole_szego, kappa_zero_weight, level_curve, saddle_solve,
                           verblunsky_essential_asymptote,
                           verblunsky_pole_asymptote, zero_weight_predicted_roots)
 from .canonical import (NeumannDivergenceError, default_truncation_order,
@@ -301,15 +301,12 @@ def _predict_scattering(cfg: RunConfig, spec) -> int:
 def _predict_poles(cfg: RunConfig, spec) -> int:
     if not isinstance(spec, AnalyticWeight) or not spec.poles:
         raise ConfigError("method=poles requires declared pole metadata")
-    sz = szego_data_for(spec, cfg.K)
-    rows, zero_doc = [], {}
-    for n in cfg.n_list:
-        a = verblunsky_pole_asymptote(spec, sz, n)
-        rows.append((n, a.real, a.imag))
-        zs = dominant_pole_predicted_roots(spec, sz, n)
-        zero_doc[str(n)] = zs[[abs(z) < spec.rho for z in zs]]
-    _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
-               ["n", "alpha_re", "alpha_im"], *zip(*rows))
+    d_i = dominant_pole_szego(spec, szego_data_for(spec, cfg.K))   # once per run
+    alpha = verblunsky_pole_asymptote(spec, d_i, cfg.n_list)
+    zero_doc = {str(n): zs[[abs(z) < spec.rho for z in zs]] for n, zs in
+                zip(cfg.n_list, dominant_pole_predicted_roots(spec, d_i, cfg.n_list))}
+    _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg, ["n", "alpha_re", "alpha_im"],
+               cfg.n_list, [a.real for a in alpha], [a.imag for a in alpha])
     _write_json(os.path.join(cfg.outputs, "zeros_predicted.json"), cfg,
                 {"schema": "opuc.zeros/1", "predicted": zero_doc})
     return 0
@@ -348,13 +345,12 @@ def _predict_zero_weight(cfg: RunConfig, spec) -> int:
         raise ConfigError("method=zero-weight requires a zero-modified weight")
     sz = szego_data_for(spec.base, cfg.K)
     theta = theta_constants(spec, sz)   # once per run, not once per degree
-    rows, zero_doc = [], {}
-    for n in cfg.n_list:
-        zs = zero_weight_predicted_roots(spec, theta, n)
-        zero_doc[str(n)] = zs[[abs(z) < 1.0 for z in zs]]
-        rows.append((n, kappa_zero_weight(spec, sz, n), zero_doc[str(n)].size))
+    zero_doc = {str(n): zs[[abs(z) < 1.0 for z in zs]] for n, zs in
+                zip(cfg.n_list, zero_weight_predicted_roots(spec, theta, cfg.n_list))}
     _write_csv(os.path.join(cfg.outputs, "predictions.csv"), cfg,
-               ["n", "kappa_sq_pred", "n_predicted_interior_zeros"], *zip(*rows))
+               ["n", "kappa_sq_pred", "n_predicted_interior_zeros"], cfg.n_list,
+               kappa_zero_weight(spec, sz, cfg.n_list).tolist(),
+               [zs.size for zs in zero_doc.values()])
     _write_json(os.path.join(cfg.outputs, "zeros_predicted.json"), cfg,
                 {"schema": "opuc.zeros/1", "predicted": zero_doc})
     return 0

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 
 from opuc.asymptotics import (_ANNULUS, _EXCLUDE_FRACTION, _REFINE_TOL, _RESOLUTION,
-                              LevelCurve, SaddleData)
+                              LevelCurve, SaddleData, _dominant)
 from opuc.laurent import DisjointAnnuliError, LaurentSeries
 from opuc.oracle import Moments, OpucResult, default_quadrature_size
 from opuc.szego import SzegoData, szego_function
@@ -411,6 +411,65 @@ def residue_predictor(spec: AnalyticWeight, sz: SzegoData, n: int, z: complex,
     if form == "annulus":
         value = value + z ** n * complex(spec.d_e(z)) / sz.tau
     return complex(value)
+
+
+def rational_fraction_roots_reference(weights_: np.ndarray, locations: np.ndarray) -> np.ndarray:
+    """Roots of sum_k w_k / (a_k - z) for one row of weights, by one np.roots
+    call on the trimmed numerator: the per-degree form that
+    asymptotics._rational_fraction_roots batches."""
+    m = len(locations)
+    numer = np.zeros(m, dtype=complex)  # ascending coefficients, degree m-1
+    for k in range(m):
+        poly = np.array([1.0 + 0.0j])
+        for j in range(m):
+            if j == k:
+                continue
+            poly = np.convolve(poly, np.array([locations[j], -1.0], dtype=complex))
+        numer[:poly.size] += weights_[k] * poly
+    while numer.size > 1 and abs(numer[-1]) < 1e-14 * np.max(np.abs(numer)):
+        numer = numer[:-1]
+    if numer.size <= 1:
+        return np.array([], dtype=complex)
+    return np.roots(numer[::-1]).astype(complex)   # real when every root is 0
+
+
+def zero_weight_predicted_roots_reference(spec: ZeroModifiedWeight, theta: np.ndarray,
+                                          n: int) -> np.ndarray:
+    """zero_weight_predicted_roots for the one degree n, computed on its own."""
+    locs = spec.locations
+    return rational_fraction_roots_reference(spec.betas * theta * locs ** (n + 1), locs)
+
+
+def kappa_zero_weight_reference(spec: ZeroModifiedWeight, sz: SzegoData, n: int) -> float:
+    """kappa_zero_weight for the one degree n, in Python floats."""
+    beta_sq = float(np.sum(spec.betas ** 2))
+    return sz.tau ** 2 / (2.0 * math.pi) * (1.0 - beta_sq / n)
+
+
+def dominant_pole_predicted_roots_reference(spec: AnalyticWeight, sz: SzegoData,
+                                            n: int) -> np.ndarray:
+    """dominant_pole_predicted_roots for the one degree n, with D_i of each
+    dominant pole evaluated afresh."""
+    dominant, m = _dominant(spec)
+    a1 = dominant[0].location
+    weights_ = []
+    for s in dominant:
+        a = s.location
+        t = float(((np.angle(a) - np.angle(a1)) / (2.0 * np.pi)) % 1.0)
+        weights_.append(szego_function(sz, a, "interior") * s.de_coefficient
+                        * np.exp(2j * np.pi * (n - m + 1) * t))
+    return rational_fraction_roots_reference(np.array(weights_),
+                                             np.array([s.location for s in dominant]))
+
+
+def verblunsky_pole_asymptote_reference(spec: AnalyticWeight, sz: SzegoData, n: int) -> complex:
+    """verblunsky_pole_asymptote for the one degree n, with D_i of each
+    dominant pole evaluated afresh."""
+    dominant, m = _dominant(spec)
+    binom = math.comb(n + 1, m - 1)
+    return complex(-sum(binom * np.conj(s.location ** (n - m + 1)
+                                        * szego_function(sz, s.location, "interior")
+                                        * s.de_coefficient) for s in dominant))
 
 
 def _q_squared(spec: ZeroModifiedWeight, z):

@@ -170,7 +170,7 @@ def test_criterion_09_zero_modified_weights(zmod1, zmod1_oracle, zmod2,
                          / (math.gamma(1.5 + k) * math.gamma(1.5 - k)))
     ok_gamma = max(abs(m.d(k) - gamma_d(k)) for k in range(13)) <= 1e-8
     # kappa law
-    ok_kappa = all(abs(zmod1_oracle.kappa[n - 1] ** 2 - kappa_zero_weight(zmod1, leb_szego, n))
+    ok_kappa = all(abs(zmod1_oracle.kappa[n - 1] ** 2 - kappa_zero_weight(zmod1, leb_szego, [n])[0])
                    <= (5.0 / n ** 2) / (2 * np.pi) for n in range(16, 129))
     # determinant growth exponents
     s1, _ = fisher_hartwig_fit(zmod1_oracle.log_det, 2 * np.pi, window=(32, 128))
@@ -182,7 +182,7 @@ def test_criterion_09_zero_modified_weights(zmod1, zmod1_oracle, zmod2,
     theta = theta_constants(zmod2, leb_szego)
     ok_parity, dists = True, {}
     for n in range(15, 62):
-        pred = zero_weight_predicted_roots(zmod2, theta, n)
+        pred = zero_weight_predicted_roots(zmod2, theta, [n])[0]
         pred = pred[np.abs(pred) < 1.0]
         zs = roots(zmod2_oracle.phi_monic[n]).zeros
         actual = zs[np.abs(zs) <= 0.4]

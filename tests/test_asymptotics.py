@@ -7,6 +7,7 @@ from opuc import asymptotics
 from opuc.asymptotics import (_ANNULUS, _EXCLUDE_FRACTION, _RESOLUTION,
                               _dominant, _rational_fraction_roots,
                               dominant_pole_phi, dominant_pole_predicted_roots,
+                              dominant_pole_szego,
                               fisher_hartwig_fit,
                               kappa_zero_weight, level_curve, saddle_solve,
                               verblunsky_essential_asymptote,
@@ -18,8 +19,12 @@ from opuc.weights import (bernstein_szego, essential_exponent,
                           essential_exponent_real, lebesgue, rational_modulus,
                           zero_modified)
 from opuc.zeros import match, roots
-from oracles import (distance, level_curve_reference, phi, residue_predictor,
-                     residue_quadrature, saddle_reference, traced_peak)
+from oracles import (distance, dominant_pole_predicted_roots_reference,
+                     kappa_zero_weight_reference, level_curve_reference, phi,
+                     rational_fraction_roots_reference, residue_predictor,
+                     residue_quadrature, saddle_reference, traced_peak,
+                     verblunsky_pole_asymptote_reference,
+                     zero_weight_predicted_roots_reference)
 
 
 # -- residues and dominant poles ---------------------------------------------
@@ -57,12 +62,12 @@ def test_dominant_pole_detection(bs2):
     assert len(dominant) == 1 and m == 1
     # single simple dominant pole: the predictor sum has no interior root
     sz = szego_data_for(bs2, 60)
-    assert dominant_pole_predicted_roots(bs2, sz, 17).size == 0
+    assert dominant_pole_predicted_roots(bs2, dominant_pole_szego(bs2, sz), [17])[0].size == 0
 
 
 def test_rational_fraction_roots_are_complex_when_every_root_is_zero():
     # 1/(1 - z) + 1/(-1 - z) = -2z / (1 - z^2); np.roots returns a real 0 here
-    zs = _rational_fraction_roots(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
+    zs = _rational_fraction_roots(np.array([[1.0, 1.0]]), np.array([1.0, -1.0]))[0]
     assert zs.dtype == complex and zs.tolist() == [0j]
 
 
@@ -93,7 +98,8 @@ def test_two_symmetric_poles_zero_parity():
     assert abs(offset % 1.0 - 0.5) <= 1e-12
     r = szego_recurrence(moments(w, 32), phi_store(31))
     for n in range(10, 31):
-        pred = [z for z in dominant_pole_predicted_roots(w, sz, n) if abs(z) < 0.5]
+        pred = [z for z in dominant_pole_predicted_roots(w, dominant_pole_szego(w, sz), [n])[0]
+                if abs(z) < 0.5]
         actual = roots(r.phi_monic[n]).zeros
         actual = actual[np.abs(actual) <= 0.3]
         if n % 2:
@@ -117,7 +123,7 @@ def test_double_pole_asymptotics():
     assert len(dominant) == 1 and m == 2
     rels = []
     for n in (10, 20, 40):
-        pred = verblunsky_pole_asymptote(w, sz, n)
+        pred = verblunsky_pole_asymptote(w, dominant_pole_szego(w, sz), [n])[0]
         rels.append(abs(pred - r.alpha[n]) / abs(r.alpha[n]))
         assert n * rels[-1] <= 0.5
     assert rels[2] < rels[1] < rels[0]
@@ -136,7 +142,7 @@ def test_mixed_multiplicity_dominance():
 
 def test_verblunsky_pole_asymptote(bs2, bs2_szego, bs2_oracle):
     for n in (3, 6, 10):
-        pred = verblunsky_pole_asymptote(bs2, bs2_szego, n)
+        pred = verblunsky_pole_asymptote(bs2, dominant_pole_szego(bs2, bs2_szego), [n])[0]
         # reduces to the level-1 scattering value for this weight
         assert abs(pred + 0.75 * 0.5 ** (n + 1)) <= 1e-13
         rel = abs(pred - bs2_oracle.alpha[n]) / abs(bs2_oracle.alpha[n])
@@ -325,13 +331,13 @@ def test_verblunsky_essential(ess05, ess_oracle):
 
 def test_single_zero_predicts_no_interior_root(zmod1, leb_szego):
     theta = theta_constants(zmod1, leb_szego)
-    assert zero_weight_predicted_roots(zmod1, theta, 25).size == 0
+    assert zero_weight_predicted_roots(zmod1, theta, [25])[0].size == 0
 
 
 def test_symmetric_pair_parity(zmod2, leb_szego):
     theta = theta_constants(zmod2, leb_szego)
     for n in (15, 16, 31, 44, 61):
-        pred = zero_weight_predicted_roots(zmod2, theta, n)
+        pred = zero_weight_predicted_roots(zmod2, theta, [n])[0]
         if n % 2:
             assert pred.size == 1 and abs(pred[0]) <= 1e-9
         else:
@@ -341,7 +347,7 @@ def test_symmetric_pair_parity(zmod2, leb_szego):
 def test_symmetric_pair_oracle_match(zmod2, zmod2_oracle, leb_szego):
     theta = theta_constants(zmod2, leb_szego)
     for n in (15, 31, 61):
-        pred = zero_weight_predicted_roots(zmod2, theta, n)
+        pred = zero_weight_predicted_roots(zmod2, theta, [n])[0]
         zs = roots(zmod2_oracle.phi_monic[n]).zeros
         interior = zs[np.abs(zs) <= 0.4]
         result = match(pred, interior)
@@ -356,7 +362,7 @@ def test_asymmetric_zero_tracking(leb, leb_szego):
     result = szego_recurrence(moments(spec, 92), phi_store(91))
     dists = []
     for n in (31, 51, 71, 91):
-        pred = zero_weight_predicted_roots(spec, theta, n)
+        pred = zero_weight_predicted_roots(spec, theta, [n])[0]
         pred = pred[np.abs(pred) <= 0.9]
         assert pred.size == 1
         zs = roots(result.phi_monic[n]).zeros
@@ -394,18 +400,94 @@ def test_zero_weight_phi_predicts_alpha(zmod2, zmod2_oracle, leb_szego):
 
 def test_kappa_zero_weight_formula(zmod1, zmod2, leb_szego):
     plain = zero_modified(lebesgue(), [(0.0, 0.0)])
-    assert abs(kappa_zero_weight(plain, leb_szego, 10) - 1.0 / (2 * np.pi)) <= 1e-15
-    k1 = kappa_zero_weight(zmod1, leb_szego, 20)
+    assert abs(kappa_zero_weight(plain, leb_szego, [10])[0] - 1.0 / (2 * np.pi)) <= 1e-15
+    k1 = kappa_zero_weight(zmod1, leb_szego, [20])[0]
     assert abs(k1 - (1 - 1 / 80) / (2 * np.pi)) <= 1e-15
-    k2 = kappa_zero_weight(zmod2, leb_szego, 20)
+    k2 = kappa_zero_weight(zmod2, leb_szego, [20])[0]
     assert abs(k2 - (1 - 1 / 40) / (2 * np.pi)) <= 1e-15
 
 
 def test_kappa_zero_weight_vs_oracle(zmod1, zmod1_oracle, leb_szego):
     for n in range(16, 129):
-        pred = kappa_zero_weight(zmod1, leb_szego, n)
+        pred = kappa_zero_weight(zmod1, leb_szego, [n])[0]
         err = abs(zmod1_oracle.kappa[n - 1] ** 2 - pred)
         assert err <= (5.0 / n ** 2) / (2 * np.pi)
+
+
+# -- the rational-fraction predictors, all degrees at once -------------------
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("weights_, locations", [
+    # one location: a constant numerator, no roots
+    ([[1.0], [2.5 - 1j], [0.0]], [1j]),
+    # two: trims to a constant (w_1 = -w_0 at +-1), every root zero (w_1 = w_0),
+    # an all-zero row and rows with one root
+    ([[1.0, -1.0], [1.0, 1.0], [0.0, 0.0], [0.3 + 0.2j, -0.7j], [2.0, 1.0 + 1e-15]],
+     [1.0, -1.0]),
+    # a top coefficient -w_0 within an ulp of 1e-14 |w_0 a_1|, where abs() of
+    # the scalar (libm hypot) and np.abs over an array disagree: the first
+    # row is trimmed to a constant, the second keeps its root
+    ([[0.9221735014648739 + 0.741918192806361j, 0.0],
+      [0.5228360004061465 + 0.579080496775603j, 0.0]], [1.0, 1e14]),
+    # three, with 0 among the locations: two vanishing low coefficients (two
+    # zero roots and no companion), one (a root and a zero root), and none
+    ([[1.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.5, -0.25j, 1.5], [0.0, 0.0, 0.0]],
+     [1.0, -1.0, 0.0]),
+    # four on the circle: companion matrices of order 3, and of order 2 where
+    # the top coefficient sum_k w_k cancels
+    ([[0.4 + 0.1j, -0.2j, 0.3, -0.1 + 0.5j], [1.0, -1.0, 1.0, -1.0], [0.5, 0.5, 0.5, 0.5]],
+     list(np.exp(1j * np.array([0.3, 1.0, 2.5, 4.0])))),
+])
+def test_rational_fraction_roots_match_np_roots_row_by_row(weights_, locations):
+    weights_ = np.array(weights_, dtype=complex)
+    locations = np.array(locations, dtype=complex)
+    got = _rational_fraction_roots(weights_, locations)
+    assert len(got) == len(weights_)
+    for row, zs in zip(weights_, got):
+        assert same_bits(zs, rational_fraction_roots_reference(row, locations))
+
+
+@pytest.fixture(scope="module")
+def zero_weights():
+    leb, bs15 = lebesgue(), bernstein_szego(1.5)
+    return [
+        (zero_modified(leb, [(1.0, 0.5)]), leb),
+        # beta equal at 0 and pi: every other numerator trims to a constant
+        (zero_modified(leb, [(0.0, 0.5), (np.pi, 0.5)]), leb),
+        (zero_modified(rational_modulus([2.0, -2.0]), [(0.5, 0.25), (2.5, 0.4)]),
+         rational_modulus([2.0, -2.0])),
+        (zero_modified(bs15, [(0.0, 0.5), (1.0, 0.2), (2.5, 0.35)]), bs15),
+        (zero_modified(leb, [(0.3, 0.5), (1.0, 0.2), (2.5, 0.35), (4.0, 0.7)]), leb),
+    ]
+
+
+def test_zero_weight_predictors_match_the_per_degree_forms(zero_weights):
+    # n = 1 squares each location, which rounds unlike power's multiply
+    ns = list(range(1, 151)) + [499, 500, 1000]
+    for spec, base in zero_weights:
+        sz = szego_data_for(base, 80)
+        theta = theta_constants(spec, sz)
+        for n, zs in zip(ns, zero_weight_predicted_roots(spec, theta, ns)):
+            assert same_bits(zs, zero_weight_predicted_roots_reference(spec, theta, n))
+        kappa = kappa_zero_weight(spec, sz, ns)
+        assert same_bits(kappa, [kappa_zero_weight_reference(spec, sz, n) for n in ns])
+
+
+@pytest.mark.parametrize("cs", [[2.0, -2.0], [2.0, 2.0, -2.0], [2.0, -2.0, -1.5],
+                                [2.0, 2.0, -2.0, -2.0], [2.0 * np.exp(0.7j), -3.0]])
+def test_pole_predictors_match_the_per_degree_forms(cs):
+    w = rational_modulus(cs)
+    sz = szego_data_for(w, 80)
+    d_i = dominant_pole_szego(w, sz)
+    ns = list(range(1, 151))
+    for n, zs in zip(ns, dominant_pole_predicted_roots(w, d_i, ns)):
+        assert same_bits(zs, dominant_pole_predicted_roots_reference(w, sz, n))
+    for n, a in zip(ns, verblunsky_pole_asymptote(w, d_i, ns)):
+        assert same_bits(a, verblunsky_pole_asymptote_reference(w, sz, n))
 
 
 # -- Toeplitz determinant growth ---------------------------------------------

@@ -11,14 +11,18 @@ import numpy as np
 import pytest
 
 from opuc import __version__, cli, oracle
-from opuc.asymptotics import dominant_pole_predicted_roots, zero_weight_predicted_roots
+from opuc.asymptotics import (dominant_pole_predicted_roots, dominant_pole_szego,
+                              zero_weight_predicted_roots)
 from opuc.canonical import default_truncation_order, neumann_solve
 from opuc.cli import RunConfig, _write_json, main
 from opuc.oracle import moments, phi_store, szego_recurrence
 from opuc.szego import szego_data_for, theta_constants
 from opuc.weights import weight_from_json
 from opuc.zeros import match
-from oracles import csv_reference, json_reference, theta_one_sided
+from oracles import (csv_reference, dominant_pole_predicted_roots_reference, json_reference,
+                     kappa_zero_weight_reference, theta_one_sided,
+                     verblunsky_pole_asymptote_reference,
+                     zero_weight_predicted_roots_reference)
 
 
 def write_config(path, weight, n_list, outputs, **extra):
@@ -857,7 +861,8 @@ def test_essential_solves_each_saddle_once(tmp_path, monkeypatch):
 
 
 def test_zero_weight_pipeline_leaves_numpy_polynomial_unimported(tmp_path):
-    # each CLI call is a fresh process, which pays for every module it imports
+    # each CLI call is a fresh process, which pays for every module it imports;
+    # np.unique, for one, imports numpy.ma (~12 ms)
     cfg = write_config(tmp_path / "cfg.json",
                        {"kind": "zero_modified", "base": {"kind": "lebesgue"},
                         "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]},
@@ -865,12 +870,83 @@ def test_zero_weight_pipeline_leaves_numpy_polynomial_unimported(tmp_path):
     script = ("import sys\nfrom opuc.cli import main\n"
               "codes = [main([*cmd, '--config', sys.argv[1]]) for cmd in "
               "(['oracle'], ['predict', '--method', 'zero-weight'], ['compare'])]\n"
-              "print(codes, 'numpy.polynomial' in sys.modules)\n")
+              "print(codes, 'numpy.polynomial' in sys.modules, 'numpy.ma' in sys.modules)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run([sys.executable, "-c", script, cfg],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "[0, 0, 0] False\n"
+    assert done.stdout == "[0, 0, 0] False False\n"
+
+
+def zero_modified_doc(base, zeros):
+    return {"kind": "zero_modified", "base": base,
+            "zeros": [{"angle": a, "beta": b} for a, b in zeros]}
+
+
+@pytest.mark.parametrize("weight, method", [
+    (zero_modified_doc({"kind": "lebesgue"}, [(0.3, 0.5), (1.0, 0.2), (2.5, 0.35), (4.0, 0.7)]),
+     "zero-weight"),
+    (zero_modified_doc({"kind": "bernstein_szego", "c": 1.5}, [(0.0, 0.5), (1.0, 0.2), (2.5, 0.35)]),
+     "zero-weight"),
+    (zero_modified_doc({"kind": "rational_modulus", "cs": [2.0, -2.0]}, [(0.5, 0.25), (2.5, 0.4)]),
+     "zero-weight"),
+    (zero_modified_doc({"kind": "lebesgue"}, [(1.0, 0.5)]), "zero-weight"),
+    (zero_modified_doc({"kind": "lebesgue"}, [(0.0, 0.5), (math.pi, 0.5)]), "zero-weight"),
+    ({"kind": "rational_modulus", "cs": [2.0, -2.0]}, "poles"),
+    ({"kind": "rational_modulus", "cs": [2.0, 2.0, -2.0]}, "poles"),
+    ({"kind": "rational_modulus", "cs": [2.0, -2.0, -1.5]}, "poles")])
+def test_predict_writes_what_the_per_degree_predictors_write(tmp_path, monkeypatch, weight,
+                                                             method):
+    # one config, so one config sha: predict through the batched predictors,
+    # set the files aside, then again through one call per degree
+    cfg = write_config(tmp_path / "cfg.json", weight, list(range(1, 151)), tmp_path / "out")
+    assert main(["predict", "--method", method, "--config", cfg]) == 0
+    (tmp_path / "out").rename(tmp_path / "batched")
+    per_degree = {
+        "zero_weight_predicted_roots": lambda spec, theta, ns: [
+            zero_weight_predicted_roots_reference(spec, theta, n) for n in ns],
+        "kappa_zero_weight": lambda spec, sz, ns: np.array([
+            kappa_zero_weight_reference(spec, sz, n) for n in ns]),
+        # the pole predictors are handed the Szego data in place of D_i
+        "dominant_pole_szego": lambda spec, sz: sz,
+        "dominant_pole_predicted_roots": lambda spec, sz, ns: [
+            dominant_pole_predicted_roots_reference(spec, sz, n) for n in ns],
+        "verblunsky_pole_asymptote": lambda spec, sz, ns: [
+            verblunsky_pole_asymptote_reference(spec, sz, n) for n in ns]}
+    for name, fn in per_degree.items():
+        monkeypatch.setattr(cli, name, fn)
+    assert main(["predict", "--method", method, "--config", cfg]) == 0
+    for name in ("predictions.csv", "zeros_predicted.json"):
+        assert (tmp_path / "batched" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+
+def test_poles_predict_evaluates_d_i_once_per_dominant_pole(tmp_path, monkeypatch):
+    # D_i(a) is the same for every degree: one Horner sum per dominant pole
+    # and run, not two per pole and degree
+    import opuc.asymptotics
+    calls = []
+    szego_function = opuc.asymptotics.szego_function
+    monkeypatch.setattr(opuc.asymptotics, "szego_function",
+                        lambda *args: calls.append(args[1]) or szego_function(*args))
+    weight = {"kind": "rational_modulus", "cs": [2.0, -2.0, -1.5]}
+    cfg = write_config(tmp_path / "cfg.json", weight, list(range(1, 151)), tmp_path / "out")
+    assert main(["predict", "--method", "poles", "--config", cfg]) == 0
+    assert calls == [p.location for p in opuc.asymptotics._dominant(weight_from_json(weight))[0]]
+
+
+def test_zero_weight_predict_solves_one_eigvals_per_companion_order(tmp_path, monkeypatch):
+    # three zeros: numerators of up to three coefficients, so companion
+    # matrices of order 1 or 2, each order solved as one stack; np.roots
+    # would call eigvals once per degree
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(np.shape(p)) or np.array([]))
+    weight = zero_modified_doc({"kind": "bernstein_szego", "c": 1.5},
+                               [(0.0, 0.5), (2.0, 0.3), (4.0, 0.4)])
+    cfg = write_config(tmp_path / "cfg.json", weight, list(range(1, 41)), tmp_path / "out")
+    assert main(["predict", "--method", "zero-weight", "--config", cfg]) == 0
+    assert 1 <= len(calls) <= 2 and len({shape[-1] for shape in calls}) == len(calls)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1095,10 +1171,12 @@ def test_predicted_zeros_render_as_lists_of_complex_numbers(tmp_path, weight, n_
     spec = weight_from_json(weight)
     if method == "poles":
         sz = szego_data_for(spec, config.K)
-        zeros = [(dominant_pole_predicted_roots(spec, sz, n), spec.rho) for n in config.n_list]
+        d_i = dominant_pole_szego(spec, sz)
+        zeros = [(dominant_pole_predicted_roots(spec, d_i, [n])[0], spec.rho)
+                 for n in config.n_list]
     else:
         theta = theta_constants(spec, szego_data_for(spec.base, config.K))
-        zeros = [(zero_weight_predicted_roots(spec, theta, n), 1.0) for n in config.n_list]
+        zeros = [(zero_weight_predicted_roots(spec, theta, [n])[0], 1.0) for n in config.n_list]
     predicted = {str(n): [complex(z) for z in zs if abs(z) < bound]
                  for n, (zs, bound) in zip(config.n_list, zeros)}
     assert any(predicted.values())
