@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .laurent import LaurentSeries
 from .szego import SzegoData, modified_szego, szego_function
 from .weights import (AnalyticWeight, ZeroModifiedWeight, essential_exponent,
                       essential_exponent_real)
@@ -48,10 +49,11 @@ def _dominant(spec: AnalyticWeight) -> tuple:
     return [p for p in spec.poles if p.multiplicity == m], m
 
 
-def dominant_pole_szego(spec: AnalyticWeight, sz: SzegoData) -> list:
+def dominant_pole_szego(spec: AnalyticWeight, sz: SzegoData | LaurentSeries) -> list:
     """D_i(a) at each dominant pole a, in _dominant's order: the one input of
     the pole predictors that costs a Horner sum over the log-weight
-    coefficients, the same for every degree."""
+    coefficients, the same for every degree.  sz is the Szego data or just
+    the log-weight coefficients, the only part of it read."""
     return [szego_function(sz, s.location, "interior") for s in _dominant(spec)[0]]
 
 

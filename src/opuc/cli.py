@@ -20,9 +20,13 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import signal
 import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -36,9 +40,9 @@ from .canonical import (NeumannDivergenceError, default_truncation_order,
                         neumann_solve, verblunsky_estimate)
 from .oracle import PositivityLossError, moments, phi_store, szego_recurrence
 from .szego import szego_data_for, theta_constants
-from .weights import (AnalyticWeight, ZeroModifiedWeight, validate,
-                      weight_from_json)
-from .zeros import classify, roots
+from .weights import (AnalyticWeight, ZeroModifiedWeight, log_weight_coefficients,
+                      validate, weight_from_json)
+from .zeros import ZeroSet, classify, root_chain
 
 __all__ = ["main", "RunConfig"]
 
@@ -229,6 +233,64 @@ def _make_outputs(cfg: RunConfig) -> None:
         raise ConfigError(f"cannot create outputs directory {cfg.outputs!r}: {exc}")
 
 
+@contextmanager
+def _zero_sets(phi_monic: list, n_list: list):
+    """An iterator over root_chain's ZeroSets of phi_monic at the degrees of
+    n_list, computed in a forked child while the caller renders and writes;
+    where os.fork does not exist, root_chain itself, run in process.
+
+    The child touches no file and prints nothing: it sends each degree's
+    zeros through a pipe as b"z" and their complex128 bytes, or an exception
+    it raised as b"e" and its pickle, which the iterator raises in the
+    caller, and ends in os._exit.  Leaving the block closes the read end and
+    kills and reaps the child, on every path, so no process outlives it."""
+    if not hasattr(os, "fork"):
+        yield root_chain(phi_monic, n_list)
+        return
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:   # None: the stream was closed when Python started
+            stream.flush()
+    rfd, wfd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns on a fork while other threads run, as numpy's
+        # BLAS pool does; this process makes no BLAS call while it forks,
+        # the child runs only numpy, and OpenBLAS rebuilds its pool there
+        warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as sink:
+                try:
+                    for zs in root_chain(phi_monic, n_list):
+                        sink.write(b"z")
+                        sink.write(zs.zeros.data)
+                        sink.flush()
+                except BaseException as exc:   # raised again in the parent
+                    sink.write(b"e" + pickle.dumps(exc))
+        finally:
+            os._exit(0)
+    os.close(wfd)
+    try:
+        with open(rfd, "rb") as source:
+            yield _received(source, phi_monic, n_list)
+    finally:
+        os.kill(pid, signal.SIGKILL)   # after the last degree, the child has nothing left to do
+        os.waitpid(pid, 0)
+
+
+def _received(source, phi_monic: list, n_list: list):
+    """The ZeroSets that _zero_sets' child sends through source."""
+    for n in n_list:
+        tag = source.read(1)
+        if tag == b"e":
+            raise pickle.load(source)
+        data = source.read(16 * n) if tag == b"z" else b""
+        if len(data) != 16 * n:
+            raise ChildProcessError(f"the process finding the zeros ended before degree {n}")
+        yield ZeroSet(n, np.frombuffer(data, dtype=complex), phi_monic[n])
+
+
 def cmd_oracle(cfg: RunConfig) -> int:
     spec = _load_weight(cfg)
     _make_outputs(cfg)
@@ -239,35 +301,32 @@ def cmd_oracle(cfg: RunConfig) -> int:
     except ValueError as exc:   # a non-finite weight sample, or too many panels
         raise ConfigError(str(exc))
     result = szego_recurrence(moms, phi)
-    ns = range(n_max + 1)
-    alpha_re, alpha_im = result.alpha.real.tolist(), result.alpha.imag.tolist()
-    kappa, log_det = result.kappa.tolist(), result.log_det.tolist()
-    _write_csv(os.path.join(cfg.outputs, "alpha.csv"), cfg,
-               ["n", "alpha_re", "alpha_im"], ns[:-1], alpha_re, alpha_im)
-    # each numpy scalar squared on its own: the array square differs in the last bit
-    _write_csv(os.path.join(cfg.outputs, "kappa.csv"), cfg,
-               ["n", "kappa", "kappa_sq"], ns, kappa, [float(k ** 2) for k in result.kappa])
-    _write_csv(os.path.join(cfg.outputs, "logdet.csv"), cfg,
-               ["n", "log_det"], ns, log_det)
-    _write_csv(os.path.join(cfg.outputs, "oracle.csv"), cfg,
-               ["n", "alpha_re", "alpha_im", "kappa", "log_det"],
-               ns, alpha_re + [math.nan], alpha_im + [math.nan], kappa, log_det)
-    rho = spec.base.rho
-    # zeros of the last three degrees written; across a gap in n_list their
-    # sizes are not n - 1, n - 2, n - 3, and roots leaves them out
-    history = ()
-    for n in cfg.n_list:
-        _write_json(os.path.join(cfg.outputs, f"phi_{n}.json"), cfg,
-                    {"schema": "opuc.phi/1", "n": n,
-                     "monic_coefficients": result.phi_monic[n]})
-        zs = roots(result.phi_monic[n], history)
-        history = (zs.zeros, *history[:2])
-        labels = classify(zs, rho)
-        # one record per zero, filled a column at a time
-        zeros = np.empty(zs.zeros.size, [("re", float), ("im", float), ("class", labels.dtype)])
-        zeros["re"], zeros["im"], zeros["class"] = zs.zeros.real, zs.zeros.imag, labels
-        _write_json(os.path.join(cfg.outputs, f"zeros_{n}.json"), cfg,
-                    {"schema": "opuc.zeros/1", "n": n, "zeros": zeros})
+    # the zeros are found in a child from here on, while this process writes
+    with _zero_sets(result.phi_monic, cfg.n_list) as zero_sets:
+        ns = range(n_max + 1)
+        alpha_re, alpha_im = result.alpha.real.tolist(), result.alpha.imag.tolist()
+        kappa, log_det = result.kappa.tolist(), result.log_det.tolist()
+        _write_csv(os.path.join(cfg.outputs, "alpha.csv"), cfg,
+                   ["n", "alpha_re", "alpha_im"], ns[:-1], alpha_re, alpha_im)
+        # each numpy scalar squared on its own: the array square differs in the last bit
+        _write_csv(os.path.join(cfg.outputs, "kappa.csv"), cfg,
+                   ["n", "kappa", "kappa_sq"], ns, kappa, [float(k ** 2) for k in result.kappa])
+        _write_csv(os.path.join(cfg.outputs, "logdet.csv"), cfg,
+                   ["n", "log_det"], ns, log_det)
+        _write_csv(os.path.join(cfg.outputs, "oracle.csv"), cfg,
+                   ["n", "alpha_re", "alpha_im", "kappa", "log_det"],
+                   ns, alpha_re + [math.nan], alpha_im + [math.nan], kappa, log_det)
+        rho = spec.base.rho
+        for n, zs in zip(cfg.n_list, zero_sets):
+            _write_json(os.path.join(cfg.outputs, f"phi_{n}.json"), cfg,
+                        {"schema": "opuc.phi/1", "n": n,
+                         "monic_coefficients": result.phi_monic[n]})
+            labels = classify(zs, rho)
+            # one record per zero, filled a column at a time
+            zeros = np.empty(zs.zeros.size, [("re", float), ("im", float), ("class", labels.dtype)])
+            zeros["re"], zeros["im"], zeros["class"] = zs.zeros.real, zs.zeros.imag, labels
+            _write_json(os.path.join(cfg.outputs, f"zeros_{n}.json"), cfg,
+                        {"schema": "opuc.zeros/1", "n": n, "zeros": zeros})
     return 0
 
 
@@ -301,7 +360,7 @@ def _predict_scattering(cfg: RunConfig, spec) -> int:
 def _predict_poles(cfg: RunConfig, spec) -> int:
     if not isinstance(spec, AnalyticWeight) or not spec.poles:
         raise ConfigError("method=poles requires declared pole metadata")
-    d_i = dominant_pole_szego(spec, szego_data_for(spec, cfg.K))   # once per run
+    d_i = dominant_pole_szego(spec, log_weight_coefficients(spec, cfg.K))   # once per run
     alpha = verblunsky_pole_asymptote(spec, d_i, cfg.n_list)
     zero_doc = {str(n): zs[[abs(z) < spec.rho for z in zs]] for n, zs in
                 zip(cfg.n_list, dominant_pole_predicted_roots(spec, d_i, cfg.n_list))}
@@ -393,9 +452,11 @@ def _read(path: str) -> str:
                                 f"{getattr(exc, 'strerror', None) or exc}")
 
 
-def _read_csv(path: str) -> _Table:
-    lines = [(i, ln.strip()) for i, ln in enumerate(_read(path).split("\n"), 1)
-             if ln.strip() and not ln.startswith("#")]
+def _read_csv(path: str, rows: int | None = None) -> _Table:
+    """The table at path; with rows, only its header and first rows data rows."""
+    lines = list(islice(((i, ln.strip()) for i, ln in enumerate(_read(path).split("\n"), 1)
+                         if ln.strip() and not ln.startswith("#")),
+                        None if rows is None else rows + 1))
     if not lines:
         raise MissingInputError(f"input table has no header line: {path}")
     if len(lines) == 1:
@@ -508,7 +569,11 @@ def cmd_compare(cfg: RunConfig) -> int:
     if method == "essential":
         check("saddle-residual", np.all(pred_tab["residual"] <= SADDLE_TOL),
               max=float(np.max(pred_tab["residual"])))
-        _read(os.path.join(out, "levelcurve.csv"))   # read, not parsed
+        # the header and first point only: parsing every point would cost as
+        # much again as the rest of compare, and predict writes at least one
+        curve = _read_csv(os.path.join(out, "levelcurve.csv"), rows=1)
+        if list(curve) != ["re", "im", "component_id"]:
+            raise MissingInputError(f"{curve.path} must have the header re,im,component_id")
 
     if method == "zero-weight":
         # a degree of n_list that the file lacks is malformed; any other it holds is not read

@@ -89,19 +89,21 @@ def szego_data_for(spec: AnalyticWeight, K: int) -> SzegoData:
     return scattering(log_weight_coefficients(spec, K), K)
 
 
-def szego_function(d: SzegoData, z, side: str):
-    """Interior or exterior Szego function from the log-weight coefficients.
+def szego_function(d: SzegoData | LaurentSeries, z, side: str):
+    """Interior or exterior Szego function from the log-weight coefficients,
+    those of the Szego data d or d itself.
 
     D_i(z) = exp(L_0/2 + sum_{k>=1} L_k z^k) for |z| < 1/rho,
     D_e(z) = exp(-L_0/2 - sum_{k>=1} conj(L_k) z^{-k}) for |z| > rho,
     with (rho, 1/rho) the annulus of the log-weight coefficients.
     """
+    lhat = d.lhat if isinstance(d, SzegoData) else d
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     scalar = np.asarray(z).ndim == 0
-    l0 = d.lhat.coeff(0).real
-    plus = d.lhat.plus_coeffs.copy()
+    l0 = lhat.coeff(0).real
+    plus = lhat.plus_coeffs.copy()
     plus[0] = 0.0
-    r_in, r_out = d.lhat.r_inner, d.lhat.r_outer
+    r_in, r_out = lhat.r_inner, lhat.r_outer
     if side == "interior":
         if np.any(np.abs(zarr) >= r_out):
             raise ValueError(f"interior Szego function only continues to |z| < {r_out:.6g}")

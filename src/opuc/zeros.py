@@ -26,6 +26,7 @@ __all__ = [
     "ZeroSet",
     "classify",
     "match",
+    "root_chain",
     "roots",
 ]
 
@@ -216,6 +217,18 @@ def roots(monic_coeffs, history=()) -> ZeroSet:
         nudge = 0.01j * np.max(np.abs(prev[0]), initial=0.0)
         seed = np.append(seed, -c[-2] - seed.sum() + nudge)
     return ZeroSet(n, _aberth(c, seed), c)
+
+
+def root_chain(phi_monic, n_list):
+    """The ZeroSet of each degree n of n_list, in order, from roots on
+    phi_monic[n] with the zeros of the last three degrees yielded as its
+    history; across a gap in n_list their sizes are not n - 1, n - 2, n - 3,
+    and roots leaves them out."""
+    history = ()
+    for n in n_list:
+        zs = roots(phi_monic[n], history)
+        history = (zs.zeros, *history[:2])
+        yield zs
 
 
 def classify(zs: ZeroSet, rho: float) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ def test_predict_zero_weight_parity_and_compare(tmp_path, monkeypatch):
     def no_roots(*args, **kwargs):
         raise AssertionError("compare must read the oracle's zeros, not recompute them")
 
-    monkeypatch.setattr("opuc.cli.roots", no_roots)
+    monkeypatch.setattr("opuc.zeros.roots", no_roots)
     assert main(["compare", "--config", cfg]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert any(c["name"] == "interior-zero-count" and c["passed"]
@@ -243,6 +244,111 @@ def test_warm_started_zeros_equal_cold_started(tmp_path):
         assert len(paired.pairs) == n and paired.distances.max() <= 1e-13
         assert ([labels_warm[i] for i, _, _ in paired.pairs]
                 == [labels_cold[j] for _, j, _ in paired.pairs])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fault", [None, "directory", "memory"])
+def test_oracle_leaves_no_process_behind(tmp_path, capfd, monkeypatch, fault):
+    # the zeros are found in a forked child; it is reaped on success, when
+    # the parent cannot write a file, and when the child itself fails, whose
+    # MemoryError reaches main as if raised in process
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 1.3},
+                       list(range(1, 41)), tmp_path / "out")
+    if fault == "directory":
+        (tmp_path / "out" / "zeros_5.json").mkdir(parents=True)
+    if fault == "memory":
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("opuc.zeros.roots", no_memory)
+    capfd.readouterr()
+    assert main(["oracle", "--config", cfg]) == (0 if fault is None else 2)
+    assert_no_child_left()
+    out, err = capfd.readouterr()
+    assert out == ""
+    if fault is None:
+        assert err == ""
+    else:
+        assert_one_line(err)
+        assert ("zeros_5.json" in err if fault == "directory"
+                else err == "opuc: config error: not enough memory for n_max = 40, K = 228\n")
+
+
+def test_oracle_interrupted_leaves_no_process_behind(tmp_path, capfd, monkeypatch):
+    write = cli._write
+
+    def interrupted(path, text):
+        if path.endswith("zeros_5.json"):
+            raise KeyboardInterrupt
+        write(path, text)
+
+    monkeypatch.setattr(cli, "_write", interrupted)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 1.3},
+                       list(range(1, 41)), tmp_path / "out")
+    capfd.readouterr()
+    with pytest.raises(KeyboardInterrupt):
+        main(["oracle", "--config", cfg])
+    assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_oracle_forks_silently_while_other_threads_run(tmp_path, capfd, monkeypatch):
+    # from Python 3.12 on, os.fork in a process with other threads, such as
+    # numpy's BLAS pool, warns in the parent; a stand-in fork that warns as
+    # that one does must leave no warning, which this suite turns into errors
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning,
+                          stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       [1, 2, 3], tmp_path / "out")
+    capfd.readouterr()
+    assert main(["oracle", "--config", cfg]) == 0
+    assert capfd.readouterr() == ("", "")
+
+
+def test_oracle_child_errors_keep_their_type_and_message(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("no zeros today")
+
+    monkeypatch.setattr("opuc.zeros.roots", broken)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       [1, 2, 3], tmp_path / "out")
+    with pytest.raises(ValueError, match="^no zeros today$"):
+        main(["oracle", "--config", cfg])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("weight, n_list", [
+    ({"kind": "bernstein_szego", "c": 1.3}, list(range(1, 151))),
+    ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
+      "zeros": [{"angle": 0.0, "beta": 0.5}, {"angle": math.pi, "beta": 0.5}]},
+     list(range(1, 41))),
+    ({"kind": "bernstein_szego", "c": 1.3}, [20, 41, 60])],
+    ids=["bernstein-szego", "zero-modified", "gapped"])
+def test_oracle_writes_the_same_files_with_and_without_fork(tmp_path, monkeypatch,
+                                                            weight, n_list):
+    # one config, so one config sha: the forked child, then in process
+    cfg = write_config(tmp_path / "cfg.json", weight, n_list, tmp_path / "out")
+    assert main(["oracle", "--config", cfg]) == 0
+    (tmp_path / "out").rename(tmp_path / "forked")
+    monkeypatch.delattr(os, "fork")
+    assert main(["oracle", "--config", cfg]) == 0
+    names = sorted(os.listdir(tmp_path / "forked"))
+    assert names == sorted(os.listdir(tmp_path / "out")) and len(names) == 4 + 2 * len(n_list)
+    for name in names:
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
 def test_predict_scattering_manifest(tmp_path):
@@ -548,6 +654,24 @@ def test_compare_refuses_an_unreadable_input_with_exit_5(tmp_path, capsys, metho
     err = capsys.readouterr().err
     assert_one_line(err)
     assert name in err
+
+
+@pytest.mark.parametrize("text", [
+    "", "# config_sha256=0\n", "re,im,component_id\n", "re,im\n0.5,0\n",
+    "x,y,component_id\n0.5,0,0\n", "re,im,component_id\nnan0,0,0\n"],
+    ids=["empty", "comment only", "header only", "two columns", "other header",
+         "non-numeric point"])
+def test_compare_refuses_a_level_curve_without_its_header_or_a_point(tmp_path, capsys,
+                                                                     method_runs, text):
+    weight, n_list, _ = _RUNS["essential"]
+    shutil.copytree(method_runs["essential"], tmp_path / "out")
+    cfg = write_config(tmp_path / "cfg.json", weight, n_list, tmp_path / "out")
+    (tmp_path / "out" / "levelcurve.csv").write_text(text)
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == 5
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "levelcurve.csv" in err
 
 
 @pytest.mark.parametrize("command, name", [
@@ -918,6 +1042,19 @@ def test_predict_writes_what_the_per_degree_predictors_write(tmp_path, monkeypat
     assert main(["predict", "--method", method, "--config", cfg]) == 0
     for name in ("predictions.csv", "zeros_predicted.json"):
         assert (tmp_path / "batched" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+
+def test_poles_predict_builds_no_scattering_data(tmp_path, monkeypatch):
+    # D_i at the poles reads only the log-weight coefficients, not S or S_inv
+    import opuc.szego
+
+    def no_scattering(*args, **kwargs):
+        raise AssertionError("poles predict must not build the scattering data")
+
+    monkeypatch.setattr(opuc.szego, "scattering", no_scattering)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "rational_modulus", "cs": [2.0, -2.0]},
+                       list(range(1, 21)), tmp_path / "out")
+    assert main(["predict", "--method", "poles", "--config", cfg]) == 0
 
 
 def test_poles_predict_evaluates_d_i_once_per_dominant_pole(tmp_path, monkeypatch):
