@@ -2,9 +2,8 @@
 
 Covers: dominant-pole formulas for weights whose exterior Szego function has
 poles on the critical circle, saddle points and level curves for the
-essential-singularity example, Verblunsky and leading coefficient laws, the
-interior predictor for weights with zeros on the circle, and the
-Fisher-Hartwig growth law of the Toeplitz determinants.
+essential-singularity example, Verblunsky and leading coefficient laws, and
+the interior predictor for weights with zeros on the circle.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "dominant_pole_phi",
     "dominant_pole_predicted_roots",
     "dominant_pole_szego",
-    "fisher_hartwig_fit",
     "kappa_zero_weight",
     "level_curve",
     "saddle_solve",
@@ -482,28 +480,3 @@ def kappa_zero_weight(spec: ZeroModifiedWeight, sz: SzegoData, ns) -> np.ndarray
     Szego data sz is."""
     beta_sq = float(np.sum(spec.betas ** 2))
     return sz.tau ** 2 / (2.0 * math.pi) * (1.0 - beta_sq / np.asarray(ns, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# Toeplitz determinant growth
-# ---------------------------------------------------------------------------
-
-def fisher_hartwig_fit(log_det: np.ndarray, g_2pi: float,
-                       window: tuple | None = None) -> tuple:
-    """Fit log D_n - n log G[2 pi w] = log kappa + p log n.
-
-    Returns (exponent estimate p, intercept estimate log kappa); the fit runs
-    over the upper half of the available degrees unless a window (n_lo, n_hi)
-    is given.  The exponent estimates sum beta_k^2; the intercept is reported
-    but carries the unmodeled o(1) transient.
-    """
-    n_max = len(log_det) - 1
-    if window is None:
-        window = (max(1, n_max // 2), n_max)
-    lo, hi = window
-    ns = np.arange(lo, hi + 1)
-    if ns.size < 8:
-        raise ValueError(f"need at least 8 fit points, window {window} has {ns.size}")
-    ys = log_det[lo:hi + 1] - ns * math.log(g_2pi)
-    slope, intercept = np.polyfit(np.log(ns), ys, 1)
-    return float(slope), float(intercept)

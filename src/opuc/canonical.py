@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .laurent import DisjointAnnuliError, LaurentSeries, band
+from .laurent import LaurentSeries, band
 from .szego import SzegoData, szego_function
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "NeumannDivergenceError",
     "PiecewiseSeries",
     "SMatrixEntries",
-    "apply_M_exterior",
-    "apply_M_interior",
     "default_lens_radius",
     "default_truncation_order",
     "kappa_estimate",
@@ -160,36 +158,6 @@ def _summed(pairs: list, zeroth: float, K: int, lo: float, hi: float) -> Piecewi
             row[first:first + c.size] += c
     return PiecewiseSeries(LaurentSeries(acc[0], K, 0.0, hi),
                            LaurentSeries(acc[1], K, lo, math.inf))
-
-
-def _piecewise(f: LaurentSeries, n: int, sz: SzegoData, interior: bool) -> PiecewiseSeries:
-    """The operator step on a series; the branches are valid where f and the
-    symbol both are."""
-    symbol = sz.S if interior else sz.S_inv
-    lo, hi = max(f.r_inner, symbol.r_inner), min(f.r_outer, symbol.r_outer)
-    if not lo < hi:
-        raise DisjointAnnuliError(f"annuli ({f.r_inner}, {f.r_outer}) and "
-                                  f"({symbol.r_inner}, {symbol.r_outer}) do not overlap")
-    inner, outer, _ = _operator(band(f.coeffs, sz.K - f.K), n, sz, interior)
-    return _summed([(inner, outer)], 0.0, sz.K, lo, hi)
-
-
-def apply_M_interior(f: LaurentSeries, n: int, sz: SzegoData) -> PiecewiseSeries:
-    """Cauchy operator over a circle |t| = r, rho < r < 1, with symbol z^n S(z).
-
-    The branches, inside and outside that circle, are those of _operator;
-    their coefficients do not depend on r, so r is not an argument.
-    """
-    return _piecewise(f, n, sz, True)
-
-
-def apply_M_exterior(f: LaurentSeries, n: int, sz: SzegoData) -> PiecewiseSeries:
-    """Cauchy operator over a circle |t| = 1/r, rho < r < 1, with symbol z^{-n}/S(z).
-
-    The branches, inside and outside that circle, are those of _operator;
-    their coefficients do not depend on r, so r is not an argument.
-    """
-    return _piecewise(f, n, sz, False)
 
 
 def _chain(n: int, sz: SzegoData, interior: bool, steps: int) -> list:

@@ -7,8 +7,9 @@ it was produced from plus the package version.
 Exit codes: 0 all good / comparisons pass, 1 comparison failures,
 2 a usage error, or config or weight validation failure (including a weight
 or degree the requested method cannot handle, an n_max or K too large to
-allocate, circle zeros that need too many quadrature panels, and an output
-that cannot be written),
+allocate, circle zeros that need too many quadrature panels, an output
+that cannot be written, and the process that finds the oracle's zeros
+ending before the last degree, which the one stderr line names),
 3 positivity loss in the recursion, 4 compare judged no prediction (no
 predicted degree has an oracle value), 5 missing, unreadable, empty or
 malformed input files, or input tables whose degrees are not the config's.
@@ -158,8 +159,9 @@ class RunConfig:
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}")
+        except (OSError, ValueError) as exc:   # ValueError: a NUL or a lone surrogate
+            raise ConfigError(f"cannot read config {path!r}: "
+                              f"{getattr(exc, 'strerror', None) or exc}")
         try:
             doc = json.loads(raw)
         except ValueError as exc:   # not JSON, or bytes that are not UTF-8
@@ -659,6 +661,9 @@ def main(argv=None) -> int:
     except MemoryError:
         size = f"n_max = {cfg.n_max}, K = {cfg.K}" if cfg else "the config"
         print(f"opuc: config error: not enough memory for {size}", file=sys.stderr)
+        return 2
+    except ChildProcessError as exc:   # the process finding the zeros died, as if killed
+        print(f"opuc: {exc}", file=sys.stderr)
         return 2
     except PositivityLossError as exc:
         print(f"opuc: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
-    "DisjointAnnuliError",
     "LaurentSeries",
     "OutOfAnnulusError",
     "band",
@@ -26,10 +25,6 @@ __all__ = [
 
 class OutOfAnnulusError(ValueError):
     """Evaluation point lies outside the declared annulus of validity."""
-
-
-class DisjointAnnuliError(ValueError):
-    """Operands have no common annulus of validity."""
 
 
 def _next_pow2(n: int) -> int:

@@ -12,7 +12,8 @@ import numpy as np
 
 from opuc.asymptotics import (_ANNULUS, _EXCLUDE_FRACTION, _REFINE_TOL, _RESOLUTION,
                               LevelCurve, SaddleData, _dominant)
-from opuc.laurent import DisjointAnnuliError, LaurentSeries
+from opuc.canonical import PiecewiseSeries, _operator, _summed
+from opuc.laurent import LaurentSeries, band
 from opuc.oracle import Moments, OpucResult, default_quadrature_size
 from opuc.szego import SzegoData, szego_function
 from opuc.weights import (AnalyticWeight, ZeroModifiedWeight, bernstein_szego,
@@ -86,6 +87,25 @@ def apply_M_exterior_quadrature(f: LaurentSeries, n: int, sz: SzegoData, r: floa
                               sz.tau ** 2)
 
 
+def apply_M(f: LaurentSeries, n: int, sz: SzegoData, interior: bool) -> PiecewiseSeries:
+    """canonical._operator on a series: the Cauchy operator with symbol
+    z^n S(z) over |t| = r (interior) or z^{-n}/S(z) over |t| = 1/r
+    (exterior), rho < r < 1, as its branches inside and outside that circle,
+    each summed into the window [-K, K] of sz by canonical._summed and valid
+    where f and the symbol both are.  The coefficients do not depend on r."""
+    lo, hi = common_annulus(f, sz.S if interior else sz.S_inv)
+    inner, outer, _ = _operator(band(f.coeffs, sz.K - f.K), n, sz, interior)
+    return _summed([(inner, outer)], 0.0, sz.K, lo, hi)
+
+
+def apply_M_interior(f: LaurentSeries, n: int, sz: SzegoData) -> PiecewiseSeries:
+    return apply_M(f, n, sz, True)
+
+
+def apply_M_exterior(f: LaurentSeries, n: int, sz: SzegoData) -> PiecewiseSeries:
+    return apply_M(f, n, sz, False)
+
+
 def phi(result: OpucResult, n: int, z):
     """The oracle's monic Phi_n at z (scalar or array)."""
     return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
@@ -102,6 +122,20 @@ def orthonormality_residual(spec, result: OpucResult, n_max: int,
     vals = np.array([result.kappa[n] * phi(result, n, z) for n in range(n_max + 1)])
     gram = (vals * w) @ np.conj(vals.T)
     return float(np.max(np.abs(gram - np.eye(n_max + 1))))
+
+
+def fisher_hartwig_fit(log_det: np.ndarray, g_2pi: float, window: tuple) -> tuple:
+    """Fit log D_n - n log G[2 pi w] = log kappa + p log n over the degrees
+    n_lo..n_hi of window = (n_lo, n_hi).
+
+    Returns (exponent estimate p, intercept estimate log kappa).  The
+    exponent estimates sum beta_k^2; the intercept carries the unmodeled
+    o(1) transient."""
+    lo, hi = window
+    ns = np.arange(lo, hi + 1)
+    ys = log_det[lo:hi + 1] - ns * math.log(g_2pi)
+    slope, intercept = np.polyfit(np.log(ns), ys, 1)
+    return float(slope), float(intercept)
 
 
 def builtin_weights() -> dict:
@@ -508,16 +542,25 @@ def theta_one_sided(spec: ZeroModifiedWeight, sz: SzegoData, h: float) -> np.nda
     return out
 
 
+class DisjointAnnuliError(ValueError):
+    """Operands have no common annulus of validity."""
+
+
+def common_annulus(a: LaurentSeries, b: LaurentSeries) -> tuple:
+    """(lo, hi), the annulus on which both a and b are valid."""
+    lo, hi = max(a.r_inner, b.r_inner), min(a.r_outer, b.r_outer)
+    if not lo < hi:
+        raise DisjointAnnuliError(f"annuli ({a.r_inner}, {a.r_outer}) and "
+                                  f"({b.r_inner}, {b.r_outer}) do not overlap")
+    return lo, hi
+
+
 def full_convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeries:
     """The product a*b truncated to [-K_out, K_out] from the convolution of
     the whole coefficient windows, exact-zero tails included."""
     if K_out > a.K + b.K:
         raise ValueError(f"K_out = {K_out} exceeds K_a + K_b = {a.K + b.K}")
-    lo = max(a.r_inner, b.r_inner)
-    hi = min(a.r_outer, b.r_outer)
-    if not lo < hi:
-        raise DisjointAnnuliError(f"annuli ({a.r_inner}, {a.r_outer}) and "
-                                  f"({b.r_inner}, {b.r_outer}) do not overlap")
+    lo, hi = common_annulus(a, b)
     full = np.convolve(a.coeffs, b.coeffs)
     mid = a.K + b.K
     return LaurentSeries(full[mid - K_out:mid + K_out + 1], K_out, lo, hi)
@@ -531,11 +574,7 @@ def convolve(a: LaurentSeries, b: LaurentSeries, K_out: int) -> LaurentSeries:
     annuli."""
     if K_out > a.K + b.K:
         raise ValueError(f"K_out = {K_out} exceeds K_a + K_b = {a.K + b.K}")
-    lo = max(a.r_inner, b.r_inner)
-    hi = min(a.r_outer, b.r_outer)
-    if not lo < hi:
-        raise DisjointAnnuliError(f"annuli ({a.r_inner}, {a.r_outer}) and "
-                                  f"({b.r_inner}, {b.r_outer}) do not overlap")
+    lo, hi = common_annulus(a, b)
     out = np.zeros(2 * K_out + 1, dtype=complex)
     ia, ib = np.flatnonzero(a.coeffs), np.flatnonzero(b.coeffs)
     if ia.size and ib.size:

@@ -13,16 +13,15 @@ import numpy as np
 import pytest
 
 from conftest import bs2_alpha_closed
-from opuc.asymptotics import (fisher_hartwig_fit, kappa_zero_weight,
-                              level_curve, saddle_solve,
+from opuc.asymptotics import (kappa_zero_weight, level_curve, saddle_solve,
                               verblunsky_essential_asymptote)
-from opuc.canonical import (apply_M_exterior, apply_M_interior, kappa_estimate,
-                            neumann_alpha, neumann_kappa_sq, neumann_solve,
+from opuc.canonical import (kappa_estimate, neumann_alpha, neumann_kappa_sq, neumann_solve,
                             reconstruct_phi, verblunsky_estimate)
 from opuc.oracle import moments, phi_store, szego_recurrence
 from opuc.szego import szego_data_for, szego_function, theta_constants
 from opuc.zeros import classify, roots
-from oracles import (constant_series, distance, equidistribution_check, phi,
+from oracles import (apply_M_exterior, apply_M_interior, constant_series, distance,
+                     equidistribution_check, fisher_hartwig_fit, phi,
                      scattering_modified)
 
 

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from opuc.canonical import (AmbiguousRegionError, NeumannDivergenceError,
-                            apply_M_exterior, apply_M_interior,
                             default_lens_radius, default_truncation_order,
                             kappa_estimate, neumann_alpha, neumann_kappa_sq,
                             neumann_solve, reconstruct_phi, verblunsky_estimate)
 from opuc.laurent import LaurentSeries
 from opuc.szego import SzegoData, szego_data_for, szego_function
 from opuc.weights import bernstein_szego, essential
-from oracles import (apply_M_exterior_quadrature, apply_M_interior_quadrature,
-                     constant_series, convolve, from_pairs, full_convolve, phi,
+from oracles import (apply_M_exterior, apply_M_exterior_quadrature, apply_M_interior,
+                     apply_M_interior_quadrature, constant_series, convolve, from_pairs, full_convolve, phi,
                      window_neumann, window_operator, zero_series)
 
 R_LENS = 0.7

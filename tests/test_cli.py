@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opuc import __version__, cli, oracle
+from opuc import __version__, cli, oracle, zeros
 from opuc.asymptotics import (dominant_pole_predicted_roots, dominant_pole_szego,
                               zero_weight_predicted_roots)
 from opuc.canonical import default_truncation_order, neumann_solve
@@ -330,6 +331,26 @@ def test_oracle_child_errors_keep_their_type_and_message(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
+def test_oracle_child_that_dies_exits_2_naming_the_degree(tmp_path, capfd, monkeypatch):
+    # the child ends at degree 41 as if the kernel killed it for memory:
+    # one stderr line names the degree, and the child is reaped
+    roots, parent = zeros.roots, os.getpid()
+
+    def killed_at_41(c, *args):
+        if c.size == 42 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return roots(c, *args)
+
+    monkeypatch.setattr(zeros, "roots", killed_at_41)
+    cfg = write_config(tmp_path / "cfg.json", {"kind": "bernstein_szego", "c": 2.0},
+                       [20, 41, 60], tmp_path / "out")
+    capfd.readouterr()
+    assert main(["oracle", "--config", cfg]) == 2
+    assert_no_child_left()
+    assert capfd.readouterr() == (
+        "", "opuc: the process finding the zeros ended before degree 41\n")
+
+
 @pytest.mark.parametrize("weight, n_list", [
     ({"kind": "bernstein_szego", "c": 1.3}, list(range(1, 151))),
     ({"kind": "zero_modified", "base": {"kind": "lebesgue"},
@@ -409,6 +430,16 @@ def test_invalid_configs(tmp_path):
                        tmp_path / "out")
     assert main(["oracle", "--config", cfg]) == 2    # unsorted degrees
     assert main(["oracle", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("name", ["no\nsuch.json", "a\x00b", "\ud800"])
+def test_config_path_that_cannot_be_read_exits_2_with_one_line(tmp_path, capsys, name):
+    # a newline in the path once split the message over two lines, and a NUL
+    # or a lone surrogate escaped main as a ValueError
+    assert main(["oracle", "--config", str(tmp_path / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"opuc: config error: cannot read config {str(tmp_path / name)!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_config_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from opuc.laurent import (DisjointAnnuliError, LaurentSeries, OutOfAnnulusError,
+from opuc.laurent import (LaurentSeries, OutOfAnnulusError,
                           coefficients_from_samples, default_grid_size)
-from oracles import (constant_series, convolve, from_pairs, full_convolve,
-                     nodes, riesz_project, sample, zero_series)
+from oracles import (DisjointAnnuliError, constant_series, convolve, from_pairs,
+                     full_convolve, nodes, riesz_project, sample, zero_series)
 
 
 def test_constant_extraction():
